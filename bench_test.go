@@ -295,8 +295,10 @@ func BenchmarkAblationLSAP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatching compares the two ½-approximate matchers for
-// the diversity matching M_B: edge-sorting greedy vs memory-light suitor.
+// BenchmarkAblationMatching compares four matchers for the diversity
+// matching M_B: radix-sorting greedy and memory-light suitor (the same
+// ½-approximate greedy matching), path growing (another ½-approximation)
+// and the exact blossom algorithm.
 func BenchmarkAblationMatching(b *testing.B) {
 	in := benchInstance(b, 600, 30, 10)
 	n := in.NumTasks()

@@ -53,7 +53,9 @@ func TestSweepTasksGREFasterAtScale(t *testing.T) {
 	// longer dominates HTA-APP: the cubic Hungarian dropped to
 	// O(|T|²·|W|), leaving both algorithms bounded by the shared O(|T|²)
 	// pipeline — the sweep now asserts the inversion of the old
-	// LSAP-dominates invariant.
+	// LSAP-dominates invariant. With M_B radix-sorted the shared pipeline
+	// is about as cheap as the classed LSAP, which takes ~45% of APP here;
+	// the dense Hungarian would take ~98%, so the bound sits between.
 	rows, err := SweepTasks(Options{Scale: 0.12, Runs: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,7 @@ func TestSweepTasksGREFasterAtScale(t *testing.T) {
 	if appLSAP == 0 || appTotal == 0 {
 		t.Fatal("sweep reported no APP timings at the largest sizes")
 	}
-	if appLSAP > appTotal/2 {
+	if appLSAP > 0.8*appTotal {
 		t.Errorf("exact LSAP phase (%.3fs) still dominates HTA-APP total (%.3fs) — class collapse not routed?", appLSAP, appTotal)
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/htacs/ata/internal/radix"
 )
 
 // Workspace holds the reusable scratch buffers of every solver in this
@@ -40,6 +42,7 @@ type Workspace struct {
 	autoCaps                      []int
 	// Greedy state.
 	edges   []greedyEdge
+	sorter  radix.Sorter[greedyEdge]
 	colUsed []bool
 	// Result buffer returned (aliased) as Solution.RowToCol.
 	rowToCol []int

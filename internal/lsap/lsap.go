@@ -5,9 +5,9 @@
 // Given an n×n cost matrix f, LSAP asks for a permutation σ maximizing
 // Σ_k f[k][σ(k)]. HTA-APP solves it exactly with the Hungarian algorithm
 // (O(n³)); HTA-GRE replaces that step with a ½-approximate greedy matching
-// on the complete bipartite graph (O(n² log n)), trading a factor 2 in the
-// guarantee for an order of magnitude in running time — the paper's central
-// engineering contribution.
+// on the complete bipartite graph (O(n²): its edges are radix-sorted),
+// trading a factor 2 in the guarantee for an order of magnitude in running
+// time — the paper's central engineering contribution.
 //
 // Costs are abstracted behind an interface because the HTA auxiliary matrix
 // f[k][l] = bM(t_k)·degA(l) + c[k][l] has only |W|+1 distinct column
@@ -20,7 +20,6 @@ package lsap
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/htacs/ata/internal/par"
 )
@@ -203,9 +202,9 @@ func Greedy(c Costs) Solution {
 // (p >= 1 literal, p <= 0 → runtime.NumCPU()) — the parallel construction
 // of the auxiliary LSAP profit matrix in the HTA-GRE hot path. Each
 // candidate is written to its position-determined slot, so the sorted order
-// (sortEdges is a strict total order on (w, row, col)) and the returned
-// solution are identical to Greedy's for any p. c must be safe for
-// concurrent reads, as the Costs contract already requires.
+// (decreasing w, then increasing (row, col)) and the returned solution are
+// identical to Greedy's for any p. c must be safe for concurrent reads, as
+// the Costs contract already requires.
 func GreedyP(c Costs, p int) Solution {
 	return GreedyWS(c, p, nil)
 }
@@ -241,7 +240,7 @@ func greedyDense(c Costs, p int, ws *Workspace) Solution {
 			}
 		})
 	}
-	sortEdges(edges)
+	sorted := ws.sortEdges(edges)
 	rowToCol := growInts(&ws.rowToCol, n)
 	for i := range rowToCol {
 		rowToCol[i] = -1
@@ -251,7 +250,7 @@ func greedyDense(c Costs, p int, ws *Workspace) Solution {
 		colUsed[j] = false
 	}
 	assigned := 0
-	for _, e := range edges {
+	for _, e := range sorted {
 		if assigned == n {
 			break
 		}
@@ -306,13 +305,13 @@ func greedyClassed(c ColumnClassed, p int, ws *Workspace) Solution {
 			}
 		})
 	}
-	sortEdges(edges)
+	sorted := ws.sortEdges(edges)
 	rowToCol := growInts(&ws.rowToCol, n)
 	for i := range rowToCol {
 		rowToCol[i] = -1
 	}
 	assigned := 0
-	for _, e := range edges {
+	for _, e := range sorted {
 		if assigned == n {
 			break
 		}
@@ -328,20 +327,11 @@ func greedyClassed(c ColumnClassed, p int, ws *Workspace) Solution {
 }
 
 // sortEdges orders candidates by decreasing weight, breaking ties by
-// (row, col) so runs are deterministic.
-func sortEdges(edges []greedyEdge) {
-	slices.SortFunc(edges, func(a, b greedyEdge) int {
-		switch {
-		case a.w > b.w:
-			return -1
-		case a.w < b.w:
-			return 1
-		case a.row != b.row:
-			return int(a.row) - int(b.row)
-		default:
-			return int(a.col) - int(b.col)
-		}
-	})
+// (row, col) so runs are deterministic. Both greedy variants fill edges in
+// (row, col) order, so a stable sort on the weight alone gives that order.
+// The result aliases workspace memory.
+func (ws *Workspace) sortEdges(edges []greedyEdge) []greedyEdge {
+	return ws.sorter.Desc(edges, func(e *greedyEdge) float64 { return e.w })
 }
 
 // BruteForce solves LSAP exactly by enumerating all n! permutations.

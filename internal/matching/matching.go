@@ -9,8 +9,8 @@
 // Two ½-approximate algorithms are provided:
 //
 //   - GreedySort: the textbook greedy — sort all edges by weight, take an
-//     edge when both endpoints are free. O(n² log n) time but Θ(n²) memory
-//     for the edge list.
+//     edge when both endpoints are free. O(n²) time (the sort is a radix
+//     sort) but Θ(n²) memory for the edge list.
 //   - Suitor: the suitor algorithm of Manne & Halappanavar, which computes
 //     exactly the same matching as greedy under a fixed total order on
 //     edges but needs only O(n) memory, at O(n²) expected time on complete
@@ -23,9 +23,9 @@ package matching
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/htacs/ata/internal/par"
+	"github.com/htacs/ata/internal/radix"
 )
 
 // WeightFunc returns the weight of edge {i, j}, i ≠ j. It must be symmetric
@@ -87,7 +87,9 @@ func (m Matching) Validate(w WeightFunc) error {
 }
 
 // DefaultEdgeListLimit is the number of edges above which Auto switches
-// from GreedySort to the memory-light Suitor algorithm (~48 MB of edges).
+// from GreedySort to the memory-light Suitor algorithm. GreedySort's peak
+// at the limit is the edge list plus the radix sort's equally sized
+// scratch copy, ~96 MB.
 const DefaultEdgeListLimit = 3_000_000
 
 // Auto picks GreedySort when the complete graph's edge list fits in
@@ -116,9 +118,10 @@ type edge struct {
 }
 
 // GreedySort runs the classic greedy matching: consider edges in decreasing
-// weight (ties broken by lower endpoint indices), taking an edge when both
-// endpoints are still free. It is a ½-approximation of the maximum-weight
-// matching and, on a complete graph, leaves at most one vertex unmatched.
+// weight (ties broken by lower (i, j), lexicographically), taking an edge
+// when both endpoints are still free. It is a ½-approximation of the
+// maximum-weight matching and, on a complete graph, leaves at most one
+// vertex unmatched.
 func GreedySort(n int, w WeightFunc) Matching {
 	return GreedySortP(n, w, 1)
 }
@@ -129,28 +132,17 @@ func rowBase(n, i int) int { return i * (2*n - i - 1) / 2 }
 
 // GreedySortP is GreedySort with the edge list filled by p goroutines
 // (p >= 1 literal, p <= 0 → runtime.NumCPU()). Each edge is written to its
-// position-determined slot, so the list — and with edgeLess being a strict
-// total order, the sorted order and the matching — is identical to the
-// serial one. w must be safe for concurrent calls.
+// position-determined slot, so the list — and with it the sorted order and
+// the matching — is identical to the serial one. w must be safe for
+// concurrent calls.
 func GreedySortP(n int, w WeightFunc, p int) Matching {
-	edges := make([]edge, n*(n-1)/2)
-	// Row i contributes n-1-i edges; weight the chunks accordingly.
-	par.DoWeighted(n, p, func(i int) int { return n - 1 - i }, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := rowBase(n, i)
-			for j := i + 1; j < n; j++ {
-				edges[base+j-i-1] = edge{w: w(i, j), i: int32(i), j: int32(j)}
-			}
-		}
-	})
-	sort.Slice(edges, func(a, b int) bool { return edgeLess(edges[b], edges[a]) })
 	mate := make([]int, n)
 	for i := range mate {
 		mate[i] = -1
 	}
 	var total float64
 	matched := 0
-	for _, e := range edges {
+	for _, e := range sortedEdges(n, w, p) {
 		if matched >= n-1 {
 			break
 		}
@@ -163,17 +155,24 @@ func GreedySortP(n int, w WeightFunc, p int) Matching {
 	return Matching{Mate: mate, Weight: total}
 }
 
-// edgeLess is the strict total order on edges used by both greedy variants:
-// lighter first, ties broken by higher endpoint indices, so that the
-// *reverse* order is "heavier first, then lower (i, j)".
-func edgeLess(a, b edge) bool {
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	if a.i != b.i {
-		return a.i > b.i
-	}
-	return a.j > b.j
+// sortedEdges returns the edges of the complete graph on n vertices in
+// greedy order, heaviest first and ties by lower (i, j), with the weights
+// evaluated by p goroutines.
+func sortedEdges(n int, w WeightFunc, p int) []edge {
+	edges := make([]edge, n*(n-1)/2)
+	// Row i contributes n-1-i edges; weight the chunks accordingly.
+	par.DoWeighted(n, p, func(i int) int { return n - 1 - i }, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			base := rowBase(n, i)
+			for j := i + 1; j < n; j++ {
+				edges[base+j-i-1] = edge{w: w(i, j), i: int32(i), j: int32(j)}
+			}
+		}
+	})
+	// The fill wrote edges in ascending (i, j) order, the tie-break, so a
+	// stable sort on the weight alone yields the greedy order.
+	var sorter radix.Sorter[edge]
+	return sorter.Desc(edges, func(e *edge) float64 { return e.w })
 }
 
 // prefer reports whether, for vertex u, the offer from vertex a with weight
@@ -184,7 +183,7 @@ func prefer(u int, wa float64, a int, wb float64, b int) bool {
 		return wa > wb
 	}
 	// Tie: the edge with the lexicographically smaller (min, max) endpoint
-	// pair wins, mirroring edgeLess.
+	// pair wins, as in GreedySort.
 	ai, aj := u, a
 	if ai > aj {
 		ai, aj = aj, ai

@@ -226,14 +226,26 @@ func TestQuickGreedyLocalDomination(t *testing.T) {
 	}
 }
 
+// BenchmarkGreedySort's n1000-ties6 case has the shape of the layered
+// benchmark's batch-solve matching: 1000 tasks whose 499,500 diversity
+// edges take only six distinct weights.
 func BenchmarkGreedySort(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	n := 400
-	w := randWeights(r, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GreedySort(n, w)
+	cases := []struct {
+		name string
+		n    int
+		w    func(r *rand.Rand, n int) WeightFunc
+	}{
+		{"n400-rand", 400, randWeights},
+		{"n1000-ties6", 1000, func(r *rand.Rand, n int) WeightFunc { return discreteWeights(r, n, 6) }},
+	}
+	for _, c := range cases {
+		w := c.w(rand.New(rand.NewSource(4)), c.n)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GreedySort(c.n, w)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 //     pairs.
 //   - HTAGRE — Algorithm 2, a ⅛-approximation that replaces the Hungarian
 //     step with the ½-approximate greedy bipartite matching, lowering the
-//     time complexity from O(|T|³) to O(|T|² log |T|).
+//     time complexity from O(|T|³) to O(|T|²).
 //   - Variants HTA-GRE-DIV and HTA-GRE-REL (Section V-C), the Random
 //     baseline, and an exact brute-force solver for small instances.
 //
@@ -172,7 +172,9 @@ func HTAAPP(in *core.Instance, opts ...Option) (*Result, error) {
 }
 
 // HTAGRE runs Algorithm 2 (HTA-GRE), the ⅛-approximation that solves the
-// auxiliary LSAP with the ½-approximate greedy matching. O(|T|² log |T|).
+// auxiliary LSAP with the ½-approximate greedy matching. O(|T|²): M_B is
+// a radix-sorted greedy over the |T|² edges, and the greedy LSAP sorts the
+// O(|T|·|W|) class-collapsed candidates the same way.
 func HTAGRE(in *core.Instance, opts ...Option) (*Result, error) {
 	return run(in, "hta-gre", true, greedyAssign, opts)
 }
@@ -310,7 +312,7 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 	}
 	endMatching := startPhase(ctx, "solver.matching", phaseMatching)
 	mb := matcher(m.NumReal(), solveIn.Diversity)
-	matchingTime := endMatching(trace.Int("edges", len(mb.Edges())))
+	matchingTime := endMatching(trace.Int("edges", mb.Size()))
 
 	// Lines 3–10: auxiliary LSAP profits
 	// f[k][l] = bM(t_k)·degA(l) + c[k][l].
