@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/crowd"
+	"github.com/htacs/ata/internal/solver"
 )
 
 // tinyOptions shrink the paper's sweeps hard so tests stay quick.
@@ -51,31 +53,38 @@ func TestSweepTasksGREFasterAtScale(t *testing.T) {
 	}
 	// Since the class-collapsed LSAP (PR 2), the exact assignment step no
 	// longer dominates HTA-APP: the cubic Hungarian dropped to
-	// O(|T|²·|W|), leaving both algorithms bounded by the shared O(|T|²)
-	// pipeline — the sweep now asserts the inversion of the old
-	// LSAP-dominates invariant. With M_B radix-sorted the shared pipeline
-	// is about as cheap as the classed LSAP, which takes ~45% of APP here;
-	// the dense Hungarian would take ~98%, so the bound sits between.
-	rows, err := SweepTasks(Options{Scale: 0.12, Runs: 1, Seed: 7})
+	// O(|T|²·|W|). The sweep's APP rows must show that routing, so the
+	// LSAP phase of the first one at |T| >= 1000 is held against the dense
+	// Hungarian's on the same instance — a ratio no other phase of the
+	// pipeline moves. It is ~130x at |T| = 1080, |W| = 24.
+	o := Options{Scale: 0.12, Runs: 1, Seed: 7}
+	rows, err := SweepTasks(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var appTotal, appLSAP float64
+	o.applyDefaults()
+	denseAPP := func(in *core.Instance, opts ...solver.Option) (*solver.Result, error) {
+		return solver.HTAAPP(in, append(opts, solver.WithDenseLSAP())...)
+	}
 	for _, r := range rows {
-		if r.NumTasks < 1000 {
+		if r.NumTasks < 1000 || r.Algorithm != "hta-app" {
 			continue // only the largest points are informative
 		}
-		if r.Algorithm == "hta-app" {
-			appTotal += r.TotalSeconds
-			appLSAP += r.LSAPSeconds
+		dense, err := measure(o, "hta-app-dense", denseAPP, r.NumGroups, r.NumTasks/r.NumGroups, r.NumWorkers)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if r.LSAPSeconds == 0 || dense.LSAPSeconds == 0 {
+			t.Fatalf("|T|=%d: no LSAP timing (classed %gs, dense %gs)", r.NumTasks, r.LSAPSeconds, dense.LSAPSeconds)
+		}
+		t.Logf("|T|=%d LSAP phase: classed %.4fs, dense %.4fs (%.0fx)", r.NumTasks, r.LSAPSeconds, dense.LSAPSeconds, dense.LSAPSeconds/r.LSAPSeconds)
+		if r.LSAPSeconds*20 > dense.LSAPSeconds {
+			t.Errorf("|T|=%d: exact LSAP phase (%.3fs) not 20x below the dense Hungarian's (%.3fs) — class collapse not routed?",
+				r.NumTasks, r.LSAPSeconds, dense.LSAPSeconds)
+		}
+		return
 	}
-	if appLSAP == 0 || appTotal == 0 {
-		t.Fatal("sweep reported no APP timings at the largest sizes")
-	}
-	if appLSAP > 0.8*appTotal {
-		t.Errorf("exact LSAP phase (%.3fs) still dominates HTA-APP total (%.3fs) — class collapse not routed?", appLSAP, appTotal)
-	}
+	t.Fatal("sweep reported no APP row at |T| >= 1000")
 }
 
 func TestSweepWorkersShape(t *testing.T) {

@@ -23,6 +23,7 @@ package matching
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/htacs/ata/internal/par"
 	"github.com/htacs/ata/internal/radix"
@@ -89,7 +90,8 @@ func (m Matching) Validate(w WeightFunc) error {
 // DefaultEdgeListLimit is the number of edges above which Auto switches
 // from GreedySort to the memory-light Suitor algorithm. GreedySort's peak
 // at the limit is the edge list plus the radix sort's equally sized
-// scratch copy, ~96 MB.
+// scratch copy, ~96 MB, which a pool keeps for the next solve until the
+// following garbage collection.
 const DefaultEdgeListLimit = 3_000_000
 
 // Auto picks GreedySort when the complete graph's edge list fits in
@@ -136,13 +138,15 @@ func rowBase(n, i int) int { return i * (2*n - i - 1) / 2 }
 // the matching — is identical to the serial one. w must be safe for
 // concurrent calls.
 func GreedySortP(n int, w WeightFunc, p int) Matching {
+	sc := greedyPool.Get().(*greedyScratch)
+	defer greedyPool.Put(sc)
 	mate := make([]int, n)
 	for i := range mate {
 		mate[i] = -1
 	}
 	var total float64
 	matched := 0
-	for _, e := range sortedEdges(n, w, p) {
+	for _, e := range sc.sortedEdges(n, w, p) {
 		if matched >= n-1 {
 			break
 		}
@@ -155,11 +159,26 @@ func GreedySortP(n int, w WeightFunc, p int) Matching {
 	return Matching{Mate: mate, Weight: total}
 }
 
+// greedyScratch is GreedySortP's edge list and sorter. Solves reuse them
+// through greedyPool — the adaptive loop re-solves a shrinking pool every
+// iteration — and the pool drops them at garbage collection, so an idle
+// process does not hold Θ(n²) memory.
+type greedyScratch struct {
+	edges  []edge
+	sorter radix.Sorter[edge]
+}
+
+var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
+
 // sortedEdges returns the edges of the complete graph on n vertices in
 // greedy order, heaviest first and ties by lower (i, j), with the weights
-// evaluated by p goroutines.
-func sortedEdges(n int, w WeightFunc, p int) []edge {
-	edges := make([]edge, n*(n-1)/2)
+// evaluated by p goroutines. The result aliases sc's memory.
+func (sc *greedyScratch) sortedEdges(n int, w WeightFunc, p int) []edge {
+	m := n * (n - 1) / 2
+	if cap(sc.edges) < m {
+		sc.edges = make([]edge, m)
+	}
+	edges := sc.edges[:m]
 	// Row i contributes n-1-i edges; weight the chunks accordingly.
 	par.DoWeighted(n, p, func(i int) int { return n - 1 - i }, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -171,8 +190,7 @@ func sortedEdges(n int, w WeightFunc, p int) []edge {
 	})
 	// The fill wrote edges in ascending (i, j) order, the tie-break, so a
 	// stable sort on the weight alone yields the greedy order.
-	var sorter radix.Sorter[edge]
-	return sorter.Desc(edges, func(e *edge) float64 { return e.w })
+	return sc.sorter.Desc(edges, func(e *edge) float64 { return e.w })
 }
 
 // prefer reports whether, for vertex u, the offer from vertex a with weight

@@ -80,12 +80,13 @@ func sameMatching(a, b Matching) bool {
 // distribution, and the greedy matchings over the two agree.
 func TestSortedEdgesMatchesEdgeLess(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
+	var sc greedyScratch // reused from larger n to smaller, as greedyPool does
 	for _, c := range radixtest.Cases {
 		for _, n := range []int{0, 1, 2, 3, 4, 9, 40} {
 			w := symmetricTable(n, func() float64 { return c.Draw(r) })
 			want := refSortedEdges(n, w)
 			for _, p := range []int{1, 3} {
-				got := sortedEdges(n, w, p)
+				got := sc.sortedEdges(n, w, p)
 				if len(got) != len(want) {
 					t.Fatalf("%s n=%d p=%d: %d edges, want %d", c.Name, n, p, len(got), len(want))
 				}

@@ -8,11 +8,12 @@ package radix
 
 import "math"
 
-const (
-	digitBits = 16
-	buckets   = 1 << digitBits
-	passes    = 64 / digitBits
-)
+// wideMin is the input length from which Desc sorts by 16-bit digits (4
+// passes over a 1 MiB count table) instead of bytes (8 passes over 8 KiB).
+// Clearing and prefix-summing the wide table is a fixed cost that only the
+// four saved passes over longer inputs repay: by BenchmarkDesc the two
+// widths break even near 2×10⁴ records.
+const wideMin = 1 << 14
 
 // key maps w to a uint64 whose ascending order is w's descending order.
 // Flipping the sign bit of a non-negative float, or every bit of a negative
@@ -29,14 +30,13 @@ func key(w float64) uint64 {
 	return b
 }
 
-// Sorter is a stable LSD radix sort on the weights' keys, one 16-bit digit
-// per pass. The zero
-// value is ready to use; it keeps its scratch buffer and digit counts, so
-// repeated sorts of at most as many records allocate nothing. A Sorter is
-// not safe for concurrent use.
+// Sorter is a stable LSD radix sort on the weights' keys. The zero value is
+// ready to use; it keeps its scratch buffer and digit counts, so repeated
+// sorts of at most as many records allocate nothing. A Sorter is not safe
+// for concurrent use.
 type Sorter[T any] struct {
 	buf   []T
-	count *[passes][buckets]uint32
+	count []uint32 // passes × buckets digit counts
 }
 
 // Desc sorts s by decreasing weight, keeping the input order of equal
@@ -50,28 +50,34 @@ func (st *Sorter[T]) Desc(s []T, weight func(*T) float64) []T {
 	if uint64(len(s)) > math.MaxUint32 {
 		panic("radix: more than 2³²-1 records")
 	}
+	bits := uint(8)
+	if len(s) >= wideMin {
+		bits = 16
+	}
+	buckets := 1 << bits
+	mask := uint64(buckets - 1)
+	passes := 64 / int(bits)
 	if cap(st.buf) < len(s) {
 		st.buf = make([]T, len(s))
 	}
-	if st.count == nil {
-		st.count = new([passes][buckets]uint32)
-	} else {
-		clear(st.count[:])
+	if cap(st.count) < passes*buckets {
+		st.count = make([]uint32, passes*buckets)
 	}
-	count := st.count
+	count := st.count[:passes*buckets]
+	clear(count)
+	// One sweep counts every digit.
 	for i := range s {
-		k := key(weight(&s[i])) // one digit per pass, unrolled
-		count[0][k&(buckets-1)]++
-		count[1][k>>digitBits&(buckets-1)]++
-		count[2][k>>(2*digitBits)&(buckets-1)]++
-		count[3][k>>(3*digitBits)]++
+		k := key(weight(&s[i]))
+		for d := 0; d < passes; d++ {
+			count[d*buckets+int(k>>(uint(d)*bits)&mask)]++
+		}
 	}
 	first := key(weight(&s[0]))
 	src, dst := s, st.buf[:len(s)]
-	for d := range count {
-		shift := d * digitBits
-		c := &count[d]
-		if c[first>>shift&(buckets-1)] == uint32(len(s)) {
+	for d := 0; d < passes; d++ {
+		shift := uint(d) * bits
+		c := count[d*buckets : (d+1)*buckets]
+		if c[first>>shift&mask] == uint32(len(s)) {
 			continue // one digit value covers every record
 		}
 		var sum uint32
@@ -80,7 +86,7 @@ func (st *Sorter[T]) Desc(s []T, weight func(*T) float64) []T {
 			sum += n
 		}
 		for i := range src {
-			b := key(weight(&src[i])) >> shift & (buckets - 1)
+			b := key(weight(&src[i])) >> shift & mask
 			dst[c[b]] = src[i]
 			c[b]++
 		}

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -81,5 +82,27 @@ func TestDescReuseAllocatesNothing(t *testing.T) {
 	st.Desc(s, recWeight)
 	if allocs := testing.AllocsPerRun(10, func() { st.Desc(s, recWeight) }); allocs != 0 {
 		t.Fatalf("%.1f allocs per warm sort, want 0", allocs)
+	}
+}
+
+// BenchmarkDesc sorts six-level ties, the weights of a Jaccard diversity
+// edge list, on both sides of wideMin: the byte-digit path below it, the
+// 16-bit path at and above it.
+func BenchmarkDesc(b *testing.B) {
+	for _, n := range []int{1000, wideMin - 1, wideMin, 500_000} {
+		r := rand.New(rand.NewSource(1))
+		src := make([]rec, n)
+		for i := range src {
+			src[i] = rec{w: float64(r.Intn(6)) / 6, idx: i}
+		}
+		s := make([]rec, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var st Sorter[rec]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(s, src)
+				st.Desc(s, recWeight)
+			}
+		})
 	}
 }
