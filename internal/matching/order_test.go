@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/htacs/ata/internal/radix/radixtest"
@@ -101,6 +102,34 @@ func TestSortedEdgesMatchesEdgeLess(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGreedySortConcurrentCalls: solves running at once each take their
+// own scratch from greedyPool, so each returns the reference matching.
+func TestGreedySortConcurrentCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	sizes := []int{5, 40, 90, 200}
+	ws := make([]WeightFunc, len(sizes))
+	want := make([]Matching, len(sizes))
+	for k, n := range sizes {
+		ws[k] = symmetricTable(n, r.Float64)
+		want[k] = refGreedy(n, ws[k])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 20; it++ {
+				k := (g + it) % len(sizes)
+				if got := GreedySortP(sizes[k], ws[k], 1+it%2); !sameMatching(got, want[k]) {
+					t.Errorf("goroutine %d, n=%d: matching differs from the reference", g, sizes[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // fuzzWeights decodes data into a vertex count and a symmetric weight
