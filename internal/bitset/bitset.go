@@ -151,6 +151,18 @@ func (s *Set) Equal(t *Set) bool {
 	return s.SymmetricDifferenceCount(t) == 0
 }
 
+// Hash returns a 64-bit hash of the set's bits and capacity. Sets that are
+// Equal and have the same Len hash alike; sets that differ may collide, so
+// a caller grouping sets by hash confirms a match with Equal and Len.
+func (s *Set) Hash() uint64 {
+	h := uint64(s.n) * 0x9e3779b97f4a7c15
+	for _, w := range s.words {
+		h = (h ^ w) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	return h
+}
+
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}

@@ -156,6 +156,18 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+func TestHash(t *testing.T) {
+	if FromIndices(100, 3, 70).Hash() != FromIndices(100, 70, 3).Hash() {
+		t.Error("equal sets of equal capacity hash differently")
+	}
+	if FromIndices(64, 1, 2).Hash() == FromIndices(256, 1, 2).Hash() {
+		t.Error("capacity does not enter the hash")
+	}
+	if FromIndices(64, 1).Hash() == FromIndices(64, 2).Hash() {
+		t.Error("different bits hash alike")
+	}
+}
+
 func TestString(t *testing.T) {
 	if got := FromIndices(64, 3, 1).String(); got != "{1,3}" {
 		t.Errorf("String() = %q, want {1,3}", got)

@@ -394,6 +394,43 @@ func (in *Instance) Diversity(k, l int) float64 {
 	return in.Dist.Distance(in.Tasks[k].Keywords, in.Tasks[l].Keywords)
 }
 
+// TaskClasses returns each task's class, numbered 0, 1, … by first
+// appearance. Tasks whose keyword sets are equal, in bits and in capacity,
+// share a class, so the diversity of two distinct tasks depends on their
+// classes alone: AMT-style corpora repeat a task group's keyword set over
+// the whole group. It returns nil for oracle-backed instances
+// (NewCustomInstance), whose diversity oracle may tell any two tasks apart.
+// The classes are computed on each call; the instance keeps no state.
+func (in *Instance) TaskClasses() []int {
+	if _, ok := in.Dist.(oracleDistance); ok {
+		return nil
+	}
+	classes := make([]int, len(in.Tasks))
+	heads := make(map[uint64]int) // keyword hash → latest class with it
+	var reps []*bitset.Set        // reps[c]: the keyword set of class c
+	var next []int                // next[c]: earlier class with c's hash, or -1
+	for k, t := range in.Tasks {
+		s := t.Keywords
+		h := s.Hash()
+		head, ok := heads[h]
+		if !ok {
+			head = -1
+		}
+		c := head
+		for c >= 0 && !(reps[c].Len() == s.Len() && reps[c].Equal(s)) {
+			c = next[c]
+		}
+		if c < 0 {
+			c = len(reps)
+			reps = append(reps, s)
+			next = append(next, head)
+			heads[h] = c
+		}
+		classes[k] = c
+	}
+	return classes
+}
+
 // Relevance returns rel(t_k, w_q) from the precomputed matrix.
 func (in *Instance) Relevance(q, k int) float64 { return in.rel[q][k] }
 

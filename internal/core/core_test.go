@@ -361,6 +361,63 @@ func TestPermutedOracleInstance(t *testing.T) {
 	if got := view.Relevance(0, 0); got != 0.3 {
 		t.Fatalf("oracle relevance = %g, want 0.3", got)
 	}
+	if view.TaskClasses() != nil || in.TaskClasses() != nil {
+		t.Fatal("oracle-backed instance reports task classes")
+	}
+}
+
+func TestTaskClasses(t *testing.T) {
+	tasks := []*Task{
+		mkTask("t0", 100, 3, 70),
+		mkTask("t1", 100, 1),
+		mkTask("t2", 100, 70, 3), // t0's set
+		mkTask("t3", 128, 3, 70), // t0's bits, another capacity
+		mkTask("t4", 100),        // empty
+		mkTask("t5", 100, 1),     // t1's set
+		mkTask("t6", 100),        // empty
+		mkTask("t7", 128, 70, 3), // t3's set
+		mkTask("t8", 100, 3, 70, 99),
+	}
+	in, err := NewInstance(tasks, []*Worker{mkWorker("w", 0.5, 100, 1)}, 2, metric.Jaccard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 0, 2, 3, 1, 3, 2, 4}
+	got := in.TaskClasses()
+	if len(got) != len(want) {
+		t.Fatalf("TaskClasses = %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("TaskClasses = %v, want %v", got, want)
+		}
+	}
+	// Tasks of one class are equally diverse from every other task.
+	for k := range tasks {
+		for l := range tasks {
+			for m := range tasks {
+				if got[k] == got[l] && m != k && m != l && in.Diversity(k, m) != in.Diversity(l, m) {
+					t.Fatalf("tasks %d and %d share a class but d(·, %d) differs", k, l, m)
+				}
+			}
+		}
+	}
+	perm := []int{8, 7, 6, 5, 4, 3, 2, 1, 0}
+	view, err := in.Permuted(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := view.TaskClasses()
+	for i := range perm {
+		for j := range perm {
+			if (vc[i] == vc[j]) != (got[perm[i]] == got[perm[j]]) {
+				t.Fatalf("permuted view classes %v disagree with %v", vc, got)
+			}
+		}
+	}
+	if empty, _ := NewInstance(nil, nil, 1, metric.Jaccard{}); len(empty.TaskClasses()) != 0 {
+		t.Fatal("instance without tasks reports classes")
+	}
 }
 
 // Property: motivation is monotone under adding a task for an α=1 worker

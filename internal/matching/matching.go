@@ -10,11 +10,14 @@
 //
 //   - GreedySort: the textbook greedy — sort all edges by weight, take an
 //     edge when both endpoints are free. O(n²) time (the sort is a radix
-//     sort) but Θ(n²) memory for the edge list.
+//     sort) but Θ(n²) memory for the edge list. When the weight depends
+//     only on the vertices' classes — tasks with equal keyword sets — AutoP
+//     runs the same greedy over one sort record per class pair, in
+//     O(n·C + C² log C) time and O(n + C²) memory for C classes.
 //   - Suitor: the suitor algorithm of Manne & Halappanavar, which computes
 //     exactly the same matching as greedy under a fixed total order on
 //     edges but needs only O(n) memory, at O(n²) expected time on complete
-//     graphs. Used above the edge-list memory threshold.
+//     graphs. Used above the record-list memory threshold.
 //
 // ExactSmall computes a true maximum-weight matching by bitmask DP for
 // cross-checking the approximation guarantee in tests.
@@ -87,31 +90,56 @@ func (m Matching) Validate(w WeightFunc) error {
 	return nil
 }
 
-// DefaultEdgeListLimit is the number of edges above which Auto switches
-// from GreedySort to the memory-light Suitor algorithm. GreedySort's peak
-// at the limit is the edge list plus the radix sort's equally sized
+// DefaultEdgeListLimit is the number of sort records above which AutoP
+// switches to the memory-light Suitor algorithm. A record is an edge of
+// GreedySort's list, or a class pair on the class path. The greedy's peak
+// at the limit is the record list plus the radix sort's equally sized
 // scratch copy, ~96 MB, which a pool keeps for the next solve until the
 // following garbage collection.
 const DefaultEdgeListLimit = 3_000_000
 
-// Auto picks GreedySort when the complete graph's edge list fits in
-// DefaultEdgeListLimit entries, Suitor otherwise. Both produce the same
-// matching (greedy under the (weight, lower-index) total order).
+// Auto is AutoP without vertex classes, serial.
 func Auto(n int, w WeightFunc) Matching {
-	return AutoP(n, w, 1)
+	return AutoP(n, w, nil, 1)
 }
 
-// AutoP is Auto with the edge-list construction sharded across p goroutines
-// (p >= 1 literal, p <= 0 → runtime.NumCPU()). The matching returned is
-// identical to Auto's for any p: parallelism only changes when edge weights
-// are evaluated, never the edge order the greedy pass consumes. w must
-// therefore be safe for concurrent calls (all weight functions in this
+// AutoP returns the greedy matching (heaviest first, ties by lower (i, j))
+// by whichever algorithm fits the input. classes, when not nil, gives each
+// vertex a class in [0, n) such that w(i, j), i ≠ j, depends only on the
+// classes of i and j; tasks with equal keyword sets are such a class. When
+// the classes at least halve the vertex count, the greedy sorts and sweeps
+// the class pairs instead of the vertex pairs, at O(n·C + C² log C) for C
+// classes instead of Θ(n²). Otherwise GreedySortP sorts all n(n−1)/2
+// edges. Either gives way to Suitor when its record count exceeds
+// DefaultEdgeListLimit. All three return the same matching.
+//
+// p shards the edge-list fill of GreedySortP across goroutines (p >= 1
+// literal, p <= 0 → runtime.NumCPU()); the matching is the same for any
+// p, so w must be safe for concurrent calls (all weight functions in this
 // repository are: they read immutable instances).
-func AutoP(n int, w WeightFunc, p int) Matching {
-	if n*(n-1)/2 <= DefaultEdgeListLimit {
+func AutoP(n int, w WeightFunc, classes []int, p int) Matching {
+	if classes != nil && len(classes) != n {
+		panic(fmt.Sprintf("matching: %d classes for %d vertices", len(classes), n))
+	}
+	records := n * (n - 1) / 2
+	var class []int32
+	numClasses := 0
+	if classes != nil {
+		class, numClasses = denseClasses(classes)
+		if numClasses <= n/2 {
+			records = numClasses * (numClasses + 1) / 2
+		} else {
+			class = nil
+		}
+	}
+	switch {
+	case records > DefaultEdgeListLimit:
+		return Suitor(n, w)
+	case class != nil:
+		return greedyClasses(n, w, class, numClasses)
+	default:
 		return GreedySortP(n, w, p)
 	}
-	return Suitor(n, w)
 }
 
 type edge struct {

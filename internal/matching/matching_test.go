@@ -227,23 +227,46 @@ func TestQuickGreedyLocalDomination(t *testing.T) {
 }
 
 // BenchmarkGreedySort's n1000-ties6 case has the shape of the layered
-// benchmark's batch-solve matching: 1000 tasks whose 499,500 diversity
-// edges take only six distinct weights.
+// benchmark's batch-solve matching seen as a flat edge list: 1000 tasks
+// whose 499,500 diversity edges take only six distinct weights. In
+// batch-solve those tasks come in 20 groups of 50 with equal keyword sets,
+// so the solver hands AutoP their classes: n1000-classes20 is that case,
+// 20 shuffled classes of 50 whose 210 class pairs take six weights.
 func BenchmarkGreedySort(b *testing.B) {
 	cases := []struct {
-		name string
-		n    int
-		w    func(r *rand.Rand, n int) WeightFunc
+		name    string
+		n       int
+		w       func(r *rand.Rand, n int) WeightFunc
+		classes func(r *rand.Rand, n int) []int
 	}{
-		{"n400-rand", 400, randWeights},
-		{"n1000-ties6", 1000, func(r *rand.Rand, n int) WeightFunc { return discreteWeights(r, n, 6) }},
+		{"n400-rand", 400, randWeights, nil},
+		{"n1000-ties6", 1000, func(r *rand.Rand, n int) WeightFunc { return discreteWeights(r, n, 6) }, nil},
+		{"n1000-classes20", 1000, nil, func(r *rand.Rand, n int) []int {
+			classes := r.Perm(n)
+			for v := range classes {
+				classes[v] %= 20
+			}
+			return classes
+		}},
 	}
 	for _, c := range cases {
-		w := c.w(rand.New(rand.NewSource(4)), c.n)
+		r := rand.New(rand.NewSource(4))
+		var w WeightFunc
+		var classes []int
+		if c.classes != nil {
+			classes = c.classes(r, c.n)
+			w = classWeights(classes, func() float64 { return float64(r.Intn(6)) / 6 })
+		} else {
+			w = c.w(r, c.n)
+		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GreedySort(c.n, w)
+				if classes != nil {
+					AutoP(c.n, w, classes, 1)
+				} else {
+					GreedySort(c.n, w)
+				}
 			}
 		})
 	}

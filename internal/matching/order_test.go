@@ -133,18 +133,24 @@ func TestGreedySortConcurrentCalls(t *testing.T) {
 }
 
 // fuzzWeights decodes data into a vertex count and a symmetric weight
-// table: data[0] picks n, and each following byte one upper-triangle
-// weight in row-major order (0 once data runs out). Low bytes pick the
-// values a radix key could get wrong; the rest give up to 248 tied levels.
+// table: data[0] picks n, and the rest the upper-triangle weights in
+// row-major order, as fuzzDraw decodes them.
 func fuzzWeights(data []byte) (int, WeightFunc) {
-	specials := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.MaxFloat64,
-		math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 1}
 	n := 0
 	if len(data) > 0 {
 		n = int(data[0]) % 33
 		data = data[1:]
 	}
-	return n, symmetricTable(n, func() float64 {
+	return n, symmetricTable(n, fuzzDraw(data))
+}
+
+// fuzzDraw returns a source of weights that decodes one byte of data per
+// weight (0 once data runs out). Low bytes pick the values a radix key
+// could get wrong; the rest give up to 248 tied levels.
+func fuzzDraw(data []byte) func() float64 {
+	specials := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 1}
+	return func() float64 {
 		if len(data) == 0 {
 			return 0
 		}
@@ -154,7 +160,7 @@ func fuzzWeights(data []byte) (int, WeightFunc) {
 			return specials[b]
 		}
 		return float64(b) / 255
-	})
+	}
 }
 
 // FuzzGreedySortOrder: on any weight table, GreedySort's matching and its

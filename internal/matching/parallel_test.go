@@ -47,7 +47,7 @@ func TestAutoPParity(t *testing.T) {
 	w := randWeights(r, n)
 	serial := Auto(n, w)
 	for _, p := range []int{1, 3, 8} {
-		got := AutoP(n, w, p)
+		got := AutoP(n, w, nil, p)
 		if !reflect.DeepEqual(got.Mate, serial.Mate) || got.Weight != serial.Weight {
 			t.Fatalf("p=%d: AutoP diverges from Auto", p)
 		}

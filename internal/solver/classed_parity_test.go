@@ -3,12 +3,15 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/lsap"
+	"github.com/htacs/ata/internal/matching"
 	"github.com/htacs/ata/internal/metric"
+	"github.com/htacs/ata/internal/workload"
 )
 
 // genericInstance builds an instance whose auxiliary LSAP optimum is
@@ -141,6 +144,81 @@ func TestWorkspaceOptionParity(t *testing.T) {
 		}
 		if gBase.Objective != gReused.Objective {
 			t.Fatalf("trial %d: GRE workspace objective %.17g != %.17g", trial, gReused.Objective, gBase.Objective)
+		}
+	}
+}
+
+// TestClassMatcherParity: the default matcher, which matches over task
+// classes when equal keyword sets at least halve the task count, returns
+// the same M_B as the all-pairs sort, so HTA-APP and HTA-GRE return the
+// same assignment and objective with either. Covered: task groups with and
+// without singletons, on both sides of the class-count dispatch, the
+// precomputed-distance path, no shuffle, and an oracle instance, which has
+// no classes.
+func TestClassMatcherParity(t *testing.T) {
+	grouped := func(seed int64, groups, perGroup, singles int) *core.Instance {
+		gen, err := workload.NewGenerator(workload.Config{Universe: 60, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := append(gen.Tasks(groups, perGroup), gen.Tasks(singles, 1)...)
+		in, err := core.NewInstance(tasks, gen.Workers(6), 8, metric.Jaccard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	r := rand.New(rand.NewSource(5))
+	rel := make([][]float64, 3)
+	for q := range rel {
+		rel[q] = make([]float64, 40)
+		for k := range rel[q] {
+			rel[q][k] = r.Float64()
+		}
+	}
+	oracle, err := core.NewCustomInstance(40, []*core.Worker{
+		{ID: "a", Alpha: 0.7, Beta: 0.3}, {ID: "b", Alpha: 0.2, Beta: 0.8}, {ID: "c", Alpha: 0.5, Beta: 0.5},
+	}, 6, rel, func(k, l int) float64 {
+		if k == l {
+			return 0
+		}
+		return float64((k*7+l*7)%5) / 5
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		in   *core.Instance
+		opts []Option
+	}{
+		{"groups20x10", grouped(1, 20, 10, 0), nil},
+		{"groups8x25", grouped(2, 8, 25, 0), nil},
+		{"groups30x2", grouped(3, 30, 2, 0), nil},
+		{"groups20x4+singles", grouped(4, 20, 4, 10), nil},
+		{"groups10x6+singles", grouped(4, 10, 6, 50), nil}, // C > |T|/2: all pairs
+		{"precomputed", grouped(5, 12, 15, 3), []Option{WithParallelism(2), WithEagerPrecompute()}},
+		{"no-shuffle", grouped(6, 12, 15, 3), []Option{WithoutTaskShuffle()}},
+		{"oracle", oracle, nil},
+	}
+	algs := map[string]func(*core.Instance, ...Option) (*Result, error){"app": HTAAPP, "gre": HTAGRE}
+	for _, c := range cases {
+		for name, solve := range algs {
+			for _, seed := range []int64{1, 7} {
+				rng := func() Option { return WithRand(rand.New(rand.NewSource(seed))) }
+				def, err := solve(c.in, append([]Option{rng()}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat, err := solve(c.in, append([]Option{rng(), WithMatcher(matching.GreedySort)}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if def.Objective != flat.Objective || !reflect.DeepEqual(def.Assignment, flat.Assignment) {
+					t.Errorf("%s %s seed=%d: default matcher %.17g %v, GreedySort %.17g %v",
+						c.name, name, seed, def.Objective, def.Assignment.Sets, flat.Objective, flat.Assignment.Sets)
+				}
+			}
 		}
 	}
 }

@@ -102,10 +102,14 @@ func WithoutTaskShuffle() Option { return func(c *config) { c.skipShuffle = true
 func AllowNonMetric() Option { return func(c *config) { c.allowNonMetric = true } }
 
 // WithMatcher overrides the algorithm used for the diversity matching M_B.
-// The default is matching.AutoP (sort-greedy below the edge-list memory
-// threshold, suitor above; both are the same ½-approximate greedy) at the
-// run's parallelism level. An explicit matcher wins over WithParallelism for
-// the matching phase.
+// The default is matching.AutoP at the run's parallelism level, given the
+// instance's task classes (core.Instance.TaskClasses): the greedy over
+// class pairs when equal keyword sets at least halve the task count, the
+// sort-greedy over all task pairs otherwise, and suitor above the
+// record-list memory threshold — the same ½-approximate greedy matching
+// every time. An explicit matcher sees no classes, so
+// WithMatcher(matching.GreedySort) forces the all-pairs sort; it wins over
+// WithParallelism for the matching phase.
 func WithMatcher(m func(n int, w matching.WeightFunc) matching.Matching) Option {
 	return func(c *config) { c.matcher = m }
 }
@@ -174,7 +178,9 @@ func HTAAPP(in *core.Instance, opts ...Option) (*Result, error) {
 // HTAGRE runs Algorithm 2 (HTA-GRE), the ⅛-approximation that solves the
 // auxiliary LSAP with the ½-approximate greedy matching. O(|T|²): M_B is
 // a radix-sorted greedy over the |T|² edges, and the greedy LSAP sorts the
-// O(|T|·|W|) class-collapsed candidates the same way.
+// O(|T|·|W|) class-collapsed candidates the same way. On corpora of task
+// groups, C distinct keyword sets, M_B sorts the C² class pairs instead and
+// the whole run is O(|T|·(C+|W|)).
 func HTAGRE(in *core.Instance, opts ...Option) (*Result, error) {
 	return run(in, "hta-gre", true, greedyAssign, opts)
 }
@@ -304,10 +310,12 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 	// Line 2: matching M_B on the diversity graph over the real tasks.
 	// Virtual padding tasks have zero diversity to everything, so excluding
 	// them from the matching changes no weight.
+	// Tasks with equal keyword sets are equally diverse from every other
+	// task, so the default matcher matches over their classes.
 	matcher := cfg.matcher
 	if matcher == nil {
 		matcher = func(n int, w matching.WeightFunc) matching.Matching {
-			return matching.AutoP(n, w, p)
+			return matching.AutoP(n, w, solveIn.TaskClasses(), p)
 		}
 	}
 	endMatching := startPhase(ctx, "solver.matching", phaseMatching)
@@ -331,9 +339,9 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 	endFlip := startPhase(ctx, "solver.flip", phaseFlip,
 		trace.Bool("skipped", cfg.skipFlip))
 	if !cfg.skipFlip {
-		for _, e := range mb.Edges() {
-			if cfg.rng.Intn(2) == 0 {
-				perm[e[0]], perm[e[1]] = perm[e[1]], perm[e[0]]
+		for i, j := range mb.Mate {
+			if j > i && cfg.rng.Intn(2) == 0 {
+				perm[i], perm[j] = perm[j], perm[i]
 			}
 		}
 	}
