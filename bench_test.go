@@ -201,7 +201,10 @@ func BenchmarkFig5Session(b *testing.B) {
 // each. All three run through a reused lsap.Workspace, so steady-state
 // iterations report 0 allocs/op — the adaptive-loop contract PR 2 added.
 // dense is the O(n³) Hungarian, classed the O(n²·|W|) class-collapsed
-// exact solver, greedy the ½-approximation.
+// exact solver, greedy the ½-approximation. Their profit rows are all
+// distinct; grouped runs the class-collapsed solver on rows drawn from
+// 2·|W| templates, as the rows of task groups repeat, so its scans skip
+// repeated rows.
 func BenchmarkLSAP(b *testing.B) {
 	for _, n := range []int{200, 400, 1000} {
 		for _, numWorkers := range []int{10, 50} {
@@ -241,19 +244,27 @@ func BenchmarkLSAP(b *testing.B) {
 					lsap.HungarianWS(costs, ws)
 				}
 			})
-			b.Run("classed/"+name, func(b *testing.B) {
-				ws := lsap.NewWorkspace()
-				if _, err := lsap.HungarianClassedWS(costs, caps, ws); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+			classed := func(costs lsap.ColumnClassed) func(b *testing.B) {
+				return func(b *testing.B) {
+					ws := lsap.NewWorkspace()
 					if _, err := lsap.HungarianClassedWS(costs, caps, ws); err != nil {
 						b.Fatal(err)
 					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := lsap.HungarianClassedWS(costs, caps, ws); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-			})
+			}
+			b.Run("classed/"+name, classed(costs))
+			grouped := make([][]float64, n)
+			for i := range grouped {
+				grouped[i] = profits[r.Intn(2*numWorkers)]
+			}
+			b.Run("grouped/"+name, classed(lsap.NewBlock(classOf, grouped)))
 			b.Run("greedy/"+name, func(b *testing.B) {
 				ws := lsap.NewWorkspace()
 				lsap.GreedyWS(costs, 1, ws)

@@ -56,7 +56,9 @@ func TestSweepTasksGREFasterAtScale(t *testing.T) {
 	// O(|T|²·|W|). The sweep's APP rows must show that routing, so the
 	// LSAP phase of the first one at |T| >= 1000 is held against the dense
 	// Hungarian's on the same instance — a ratio no other phase of the
-	// pipeline moves. It is ~130x at |T| = 1080, |W| = 24.
+	// pipeline moves. It is ~270x at |T| = 1080, |W| = 24, measured on a
+	// 2-vCPU x86-64 container, since the classed kernel reads a profit
+	// table and skips repeated rows.
 	o := Options{Scale: 0.12, Runs: 1, Seed: 7}
 	rows, err := SweepTasks(o)
 	if err != nil {

@@ -37,6 +37,16 @@ type Workspace struct {
 	wayClass, wayRow             []int
 	occ, bucketStart, bucketRows []int
 	rowSlot, rowClass, usedSeq   []int
+	// Classed Hungarian profit table: neg[i*nc+l] = −AtClass(i, l), the
+	// n×NumClasses costs the relaxations read instead of calling AtClass.
+	neg []float64
+	// Classed Hungarian row types: rowType[i] numbers row i's neg row among
+	// the bitwise-distinct ones. typeTable is their open-addressing hash
+	// table and typeRow the first row of each type. typeScan and typeU
+	// record the last scan that relaxed a row of each type and that row's
+	// dual, so a later row of equal type and dual in the scan is skipped.
+	rowType, typeTable, typeRow, typeScan []int
+	typeU                                 []float64
 	// Column-class census shared by greedyClassed, HungarianClassed and Auto.
 	caps, colStart, colNext, cols []int
 	autoCaps                      []int
@@ -156,6 +166,9 @@ var ErrBadCapacities = errors.New("lsap: invalid class capacities")
 // augmenting paths relax through every row matched to a saturated class.
 // Each of the n row insertions costs O(n·numClasses), for O(n²·numClasses)
 // total — at HTA's |W|+1 classes, an |T|/|W| speedup over the dense O(n³).
+// The profits are read once into a negated n×numClasses table in the
+// workspace, and a scan skips a row whose profits and dual repeat those of
+// a row it already relaxed; neither changes a single float of the result.
 //
 // The class-level optimum is expanded to concrete columns deterministically:
 // rows in increasing index take the lowest unused column of their class, so
@@ -207,8 +220,27 @@ func HungarianClassedWS(c ColumnClassed, capacities []int, ws *Workspace) (Solut
 	}
 
 	// Minimize negated profits with dual potentials u (rows) and v (classes);
-	// matched edges stay tight (cost − u − v = 0), unmatched stay ≥ 0.
+	// matched edges stay tight (cost − u − v = 0), unmatched stay ≥ 0. The
+	// costs are read from the materialized table neg, which holds the very
+	// floats −AtClass(i, l), so every label below matches the one computed
+	// through the interface bit for bit.
 	const inf = math.MaxFloat64
+	neg := growFloats(&ws.neg, n*nc)
+	for i := 0; i < n; i++ {
+		row := neg[i*nc : (i+1)*nc]
+		for l := range row {
+			row[l] = -c.AtClass(i, l)
+		}
+	}
+	numTypes := ws.groupRows(neg, n, nc)
+	rowType := ws.rowType
+	typeScan := growInts(&ws.typeScan, numTypes)
+	typeU := growFloats(&ws.typeU, numTypes)
+	for t := range typeScan {
+		typeScan[t] = -1
+	}
+	scan := 0 // scans of a used class so far; typeScan entries name one
+
 	u := growFloats(&ws.u, n)
 	v := growFloats(&ws.v, nc)
 	minv := growFloats(&ws.minv, nc)
@@ -232,45 +264,20 @@ func HungarianClassedWS(c ColumnClassed, capacities []int, ws *Workspace) (Solut
 	}
 
 	for r := 0; r < n; r++ {
-		for l := 0; l < nc; l++ {
-			minv[l] = inf
-			used[l] = false
+		// Relax the edges of the inserted row r (the virtual source −1);
+		// no class is used yet.
+		ur := u[r]
+		for l, x := range neg[r*nc : (r+1)*nc] {
+			minv[l], used[l] = inf, false
+			if cur := x - ur - v[l]; cur < inf {
+				minv[l] = cur
+				wayClass[l] = -1
+				wayRow[l] = r
+			}
 		}
 		nUsed := 0
-		j0 := -1 // −1 is the virtual source holding row r
+		j0 := -1 // the class the shortest path reaches; −1 is row r's source
 		for {
-			// Scan: relax the edges leaving the rows attached to j0. A used
-			// class contributes all its matched rows; matched edges are tight
-			// under the current duals, so traversing them backwards is free.
-			if j0 < 0 {
-				for l := 0; l < nc; l++ {
-					if used[l] {
-						continue
-					}
-					if cur := -c.AtClass(r, l) - u[r] - v[l]; cur < minv[l] {
-						minv[l] = cur
-						wayClass[l] = j0
-						wayRow[l] = r
-					}
-				}
-			} else {
-				used[j0] = true
-				usedSeq[nUsed] = j0
-				nUsed++
-				for s := bucketStart[j0]; s < bucketStart[j0]+occ[j0]; s++ {
-					i := bucketRows[s]
-					for l := 0; l < nc; l++ {
-						if used[l] {
-							continue
-						}
-						if cur := -c.AtClass(i, l) - u[i] - v[l]; cur < minv[l] {
-							minv[l] = cur
-							wayClass[l] = j0
-							wayRow[l] = i
-						}
-					}
-				}
-			}
 			delta := inf
 			j1 := -1
 			for l := 0; l < nc; l++ {
@@ -302,6 +309,34 @@ func HungarianClassedWS(c ColumnClassed, capacities []int, ws *Workspace) (Solut
 			j0 = j1
 			if occ[j0] < capacities[j0] {
 				break
+			}
+			// j0 is saturated: mark it used and relax the edges leaving all
+			// its matched rows (matched edges are tight under the current
+			// duals, so traversing them backwards is free). minv = −Inf
+			// masks the class, since no cost compares below it. A row
+			// whose type and dual equal an earlier row's in this scan has
+			// the same costs, so under the strict < it cannot move a label.
+			used[j0] = true
+			minv[j0] = math.Inf(-1)
+			usedSeq[nUsed] = j0
+			nUsed++
+			scan++
+			for s := bucketStart[j0]; s < bucketStart[j0]+occ[j0]; s++ {
+				i := bucketRows[s]
+				ui, t := u[i], rowType[i]
+				if typeScan[t] == scan && typeU[t] == ui {
+					continue
+				}
+				typeScan[t], typeU[t] = scan, ui
+				row := neg[i*nc : (i+1)*nc]
+				minv, v := minv[:len(row)], v[:len(row)] // lets the compiler drop bounds checks
+				for l, x := range row {
+					if cur := x - ui - v[l]; cur < minv[l] {
+						minv[l] = cur
+						wayClass[l] = j0
+						wayRow[l] = i
+					}
+				}
 			}
 		}
 		// Augment along the way links: each traversed row leaves its class
@@ -350,6 +385,58 @@ func HungarianClassedWS(c ColumnClassed, capacities []int, ws *Workspace) (Solut
 		cursor[cl]++
 	}
 	return Solution{RowToCol: rowToCol, Value: value(c, rowToCol)}, nil
+}
+
+// groupRows numbers the bitwise-distinct rows of the n×nc table neg in
+// order of first appearance, writing each row's number to ws.rowType, and
+// returns how many there are. Rows are hashed into an open-addressing
+// table and a hash match is confirmed entry by entry, so two rows share a
+// type exactly when all their floats are equal bit for bit.
+func (ws *Workspace) groupRows(neg []float64, n, nc int) int {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	table := growInts(&ws.typeTable, size)
+	for k := range table {
+		table[k] = -1
+	}
+	rowType := growInts(&ws.rowType, n)
+	typeRow := growInts(&ws.typeRow, n)
+	types := 0
+	for i := 0; i < n; i++ {
+		row := neg[i*nc : (i+1)*nc]
+		h := uint64(nc) * 0x9e3779b97f4a7c15
+		for _, x := range row {
+			h = (h ^ math.Float64bits(x)) * 0xff51afd7ed558ccd
+			h ^= h >> 32
+		}
+		for k := int(h & uint64(size-1)); ; k = (k + 1) & (size - 1) {
+			t := table[k]
+			if t < 0 {
+				table[k] = types
+				typeRow[types] = i
+				rowType[i] = types
+				types++
+				break
+			}
+			if sameBits(neg[typeRow[t]*nc:(typeRow[t]+1)*nc], row) {
+				rowType[i] = t
+				break
+			}
+		}
+	}
+	return types
+}
+
+// sameBits reports whether a and b hold the same floats bit for bit.
+func sameBits(a, b []float64) bool {
+	for l, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[l]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Auto solves LSAP exactly, dispatching on structure: costs exposing

@@ -29,6 +29,19 @@ func cliqueBlock(r *rand.Rand, n, numWorkers, xmax int) *blockCosts {
 	return b
 }
 
+// groupedCliqueBlock is cliqueBlock with every profit row drawn from
+// numTemplates template rows, so rows repeat bit for bit as the rows of
+// the HTA auxiliary matrix do on corpora of task groups.
+func groupedCliqueBlock(r *rand.Rand, n, numWorkers, xmax, numTemplates int) *blockCosts {
+	b := cliqueBlock(r, n, numWorkers, xmax)
+	templates := b.profit[:numTemplates]
+	for i := numTemplates; i < n; i++ {
+		b.profit[i] = templates[r.Intn(numTemplates)]
+	}
+	r.Shuffle(n, func(i, j int) { b.profit[i], b.profit[j] = b.profit[j], b.profit[i] })
+	return b
+}
+
 func classCounts(c ColumnClassed) []int {
 	caps := make([]int, c.NumClasses())
 	for j := 0; j < c.N(); j++ {
@@ -268,11 +281,15 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	d := randDense(r, n)
 	c := cliqueBlock(r, n, 5, 12)
 	caps := classCounts(c)
+	grouped := groupedCliqueBlock(r, n, 5, 12, 10) // ~2·|W| distinct rows
 	ws := NewWorkspace()
 
 	// Warm up each solver so every scratch buffer reaches full size.
 	HungarianWS(d, ws)
 	if _, err := HungarianClassedWS(c, caps, ws); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := HungarianClassedWS(grouped, caps, ws); err != nil {
 		t.Fatal(err)
 	}
 	GreedyWS(c, 1, ws)
@@ -286,6 +303,11 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		{"HungarianWS", func() { HungarianWS(d, ws) }},
 		{"HungarianClassedWS", func() {
 			if _, err := HungarianClassedWS(c, caps, ws); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"HungarianClassedWS/grouped", func() {
+			if _, err := HungarianClassedWS(grouped, caps, ws); err != nil {
 				t.Fatal(err)
 			}
 		}},
