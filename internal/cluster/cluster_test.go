@@ -686,3 +686,70 @@ func TestClusterTrustRoundTrip(t *testing.T) {
 		t.Fatalf("restored cuts cover %d workers, want %d", seen, len(want))
 	}
 }
+
+// TestGatewayAllFullSendsNoCommit pins the gateway's fallback rule, the
+// same decision the engine makes: an offer that finds every node full
+// costs one score op per node and one buffer op, and no commit op.
+func TestGatewayAllFullSendsNoCommit(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, 64, 1)
+	gw := tc.gw
+	workers, tasks := testWorkload(t, 5, 6, 16)
+	for _, w := range workers {
+		if _, err := gw.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buffered := 0
+	for _, task := range tasks {
+		before := gw.OpsSent()
+		wid, err := gw.OfferTask(task)
+		if err != nil {
+			t.Fatalf("OfferTask(%s): %v", task.ID, err)
+		}
+		if wid != "" {
+			continue
+		}
+		// With one client nothing frees a slot mid-offer, so a buffered
+		// offer found every node full.
+		buffered++
+		if sent := gw.OpsSent() - before; sent != 3+1 {
+			t.Fatalf("buffered offer %s sent %d ops, want 3 scores + 1 buffer", task.ID, sent)
+		}
+	}
+	if buffered < 2 {
+		t.Fatalf("only %d of %d offers buffered; the fallback went untested", buffered, len(tasks))
+	}
+	checkConserved(t, gw, "after offers")
+}
+
+// TestRingLookupDeterministic: the gateway's ring is a pure function of
+// its member set — gateways configured with the same peers in different
+// orders place every worker on the same node.
+func TestRingLookupDeterministic(t *testing.T) {
+	owners := func(names ...string) []string {
+		specs := make([]PeerSpec, len(names))
+		for i, n := range names {
+			specs[i] = PeerSpec{Name: n, URL: "http://127.0.0.1:1"}
+		}
+		gw, err := NewGateway(GatewayConfig{Peers: specs, HeartbeatInterval: -1, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		out := make([]string, 2000)
+		for i := range out {
+			p, err := gw.owner(fmt.Sprintf("w%06d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = p.name
+		}
+		return out
+	}
+	a, b := owners("x", "y", "z"), owners("z", "x", "y")
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("order-dependent ownership for w%06d: %s vs %s", i, a[i], b[i])
+		}
+	}
+}

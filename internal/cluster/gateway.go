@@ -1,3 +1,28 @@
+// Package cluster promotes the sharded streaming engine past the
+// single-process ceiling: N hta-server nodes each own a segment of a
+// consistent-hash ring over worker IDs (shard.Ring, the engine's own
+// ring, over "node-<name>" labels), and a thin gateway makes the shard
+// engine's routing decision (shard.Route) over the nodes — scattering
+// over stdlib HTTP RPC instead of goroutine mailboxes.
+//
+// The comms layer is built so the network never dominates:
+//
+//   - batching: concurrent operations destined for the same node coalesce
+//     into one framed RPC (the mailbox-drain idiom of the shard actor,
+//     applied to the wire);
+//   - pipelining: up to Window frames per peer are in flight at once, so
+//     a slow response never stalls the queue behind it;
+//   - pooled persistent connections (http.Transport keep-alives) and
+//     pooled encode/decode buffers keep the per-frame overhead flat;
+//   - frames carry IDs and nodes deduplicate replays, so a frame whose
+//     response was lost can be retried without double-applying writes —
+//     the RPC analogue of the platform client's idempotency keys.
+//
+// Membership is heartbeat-driven: the gateway probes each node and
+// rebuilds the ring without unresponsive ones. The gateway keeps a ledger
+// of every in-flight task's owning node; when a node dies, its pending
+// tasks requeue onto the survivors, and the gateway's global accounting
+// (submitted = active + completed + buffered + dropped) keeps holding.
 package cluster
 
 import (
@@ -54,8 +79,6 @@ type GatewayConfig struct {
 	// RetryBackoff is the base delay between frame retries (default 25ms,
 	// doubling per attempt, capped at 1s).
 	RetryBackoff time.Duration
-	// VirtualNodes is the ring points per member (default 64).
-	VirtualNodes int
 	// HeartbeatInterval is the health-probe period (default 500ms).
 	// Negative disables the background loop — tests drive CheckHealth
 	// directly for determinism.
@@ -148,11 +171,11 @@ type Gateway struct {
 	// the RPC analogue of the engine's per-shard quiesce barrier.
 	opGate sync.RWMutex
 
-	// mu guards membership: the ring (nil once every member is dead), the
-	// peer table, and the per-node drop counters the death accounting
-	// absorbs.
+	// mu guards membership: the ring over the live names (indexed like
+	// order; nil once every member is dead), the peer table, and the
+	// per-node drop counters the death accounting absorbs.
 	mu          sync.Mutex
-	ring        *Ring
+	ring        *shard.Ring
 	peers       map[string]*peer
 	order       []string // live member names, sorted — deterministic scatter order
 	lastDropped map[string]int64
@@ -239,11 +262,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		peers[ps.Name] = newPeer(ps.Name, strings.TrimRight(ps.URL, "/"), cfg.HTTPClient,
 			cfg.Registry, cfg.MaxBatch, cfg.Window, cfg.FrameRetries, cfg.RetryBackoff)
 	}
-	ring, err := NewRing(names, cfg.VirtualNodes)
+	sort.Strings(names)
+	ring, err := nodeRing(names)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
 	g := &Gateway{
 		cfg:         cfg,
 		log:         cfg.Logger,
@@ -303,6 +326,38 @@ func (g *Gateway) livePeers() []*peer {
 	return out
 }
 
+// nodeRing builds the ring over the sorted live names, with the point
+// labels "node-<name>"; nil when no member is left.
+func nodeRing(names []string) (*shard.Ring, error) {
+	if len(names) == 0 {
+		return nil, nil
+	}
+	labels := make([]string, len(names))
+	for i, n := range names {
+		labels[i] = "node-" + n
+	}
+	return shard.NewRing(labels)
+}
+
+// fanOut sends op to every live peer at once, so the frames travel
+// concurrently, and returns the peers that answered OK with their
+// results, in sorted-name order. A node failing mid-scatter is routed
+// around.
+func (g *Gateway) fanOut(ctx context.Context, op Op) ([]*peer, []OpResult) {
+	peers := g.livePeers()
+	calls := make([]*call, len(peers))
+	for i, p := range peers {
+		calls[i] = p.doAsyncCtx(ctx, op)
+	}
+	answered, results := peers[:0], make([]OpResult, 0, len(peers))
+	for i, p := range peers {
+		if res, err := p.wait(calls[i]); err == nil && res.OK {
+			answered, results = append(answered, p), append(results, res)
+		}
+	}
+	return answered, results
+}
+
 // owner resolves the node responsible for a worker: the registration pin
 // when one exists, the ring otherwise.
 func (g *Gateway) owner(workerID string) (*peer, error) {
@@ -315,7 +370,7 @@ func (g *Gateway) owner(workerID string) (*peer, error) {
 		if g.ring == nil {
 			return nil, ErrNoNodes
 		}
-		name = g.ring.Lookup(workerID)
+		name = g.order[g.ring.Lookup(workerID)]
 	}
 	p := g.peers[name]
 	if p == nil || p.down.Load() {
@@ -347,10 +402,10 @@ func (g *Gateway) OfferTask(t *core.Task) (string, error) {
 
 // OfferTaskCtx routes an arriving task across the cluster: scatter a
 // score op to every live node (one batched frame each, traveling
-// concurrently), rank the answers exactly as the shard engine ranks its
-// shards, commit to the winner, fall back down the ranking, and finally
-// buffer on the least backlogged node. Returns the assigned worker's ID
-// ("" if buffered), or stream.ErrBufferFull when every node is full.
+// concurrently), then make the shard engine's decision over the nodes —
+// commit down the ranking of the nodes that scored free, else buffer on
+// the least backlogged node. Returns the assigned worker's ID ("" if
+// buffered), or stream.ErrBufferFull when every node is full.
 func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
@@ -385,85 +440,46 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 	return wid, nil
 }
 
-// routeTask is the scatter/commit/buffer core, shared by offers and
-// failover requeues (which must not re-count Submitted). A sampled ctx
-// opens one RPC span per scatter/commit/buffer leg, each propagated to
-// its node, so the stitched trace shows the whole routing fan-out.
+// routeTask is the RPC scatter followed by the shared decision
+// (shard.Route), for offers and failover requeues (which must not
+// re-count Submitted). A sampled ctx opens one RPC span per
+// scatter/commit/buffer leg, each propagated to its node, so the stitched
+// trace shows the whole routing fan-out.
 func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string, err error) {
-	peers := g.livePeers()
+	tw := taskToWire(t)
+	peers, results := g.fanOut(ctx, Op{Op: opScore, Task: &tw})
 	if len(peers) == 0 {
 		return "", "", ErrNoNodes
 	}
-	tw := taskToWire(t)
-	scoreOp := Op{Op: opScore, Task: &tw}
-	calls := make([]*call, len(peers))
-	for i, p := range peers {
-		calls[i] = p.doAsyncCtx(ctx, scoreOp)
+	scores := make([]shard.Score, len(results))
+	for i, res := range results {
+		scores[i] = shard.Score{Gain: res.Gain, Rel: res.Rel, Free: res.Free, Backlog: res.Backlog}
 	}
-	type scored struct {
-		p       *peer
-		gain    float64
-		rel     float64
-		free    bool
-		backlog int
+	wid, at, err := shard.Route(ctx, nodes{peers: peers, task: &tw}, scores, t)
+	if err != nil {
+		return "", "", err
 	}
-	answers := make([]scored, 0, len(peers))
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue // node failing mid-scatter: route around it
-		}
-		answers = append(answers, scored{p: p, gain: res.Gain, rel: res.Rel, free: res.Free, backlog: res.Backlog})
+	return wid, peers[at].name, nil
+}
+
+// nodes is the answering peers as routing members of one task's
+// decision, which carries its encoded task.
+type nodes struct {
+	peers []*peer
+	task  *taskWire
+}
+
+func (n nodes) Commit(ctx context.Context, i int, _ *core.Task) (string, bool) {
+	res, err := n.peers[i].doCtx(ctx, Op{Op: opCommit, Task: n.task})
+	return res.WorkerID, err == nil && res.OK
+}
+
+func (n nodes) Buffer(ctx context.Context, i int, _ *core.Task) error {
+	res, err := n.peers[i].doCtx(ctx, Op{Op: opBuffer, Task: n.task})
+	if err == nil && !res.OK {
+		err = resultErr(res)
 	}
-	if len(answers) == 0 {
-		return "", "", ErrNoNodes
-	}
-	// Rank free nodes first by (gain, relevance, name) — the same ordering
-	// the engine applies to its shards, with the same float epsilon.
-	sort.Slice(answers, func(i, j int) bool {
-		a, b := answers[i], answers[j]
-		if a.free != b.free {
-			return a.free
-		}
-		if a.free {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
-				return false
-			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.p.name < b.p.name
-	})
-	commitOp := Op{Op: opCommit, Task: &tw}
-	for _, s := range answers {
-		if !s.free {
-			break
-		}
-		res, err := s.p.doCtx(ctx, commitOp)
-		if err == nil && res.OK {
-			return res.WorkerID, s.p.name, nil
-		}
-	}
-	// No node committed: buffer on the least backlogged, walking up.
-	sort.Slice(answers, func(i, j int) bool {
-		a, b := answers[i], answers[j]
-		if a.backlog != b.backlog {
-			return a.backlog < b.backlog
-		}
-		return a.p.name < b.p.name
-	})
-	bufferOp := Op{Op: opBuffer, Task: &tw}
-	for _, s := range answers {
-		res, err := s.p.doCtx(ctx, bufferOp)
-		if err == nil && res.OK {
-			return "", s.p.name, nil
-		}
-	}
-	return "", "", stream.ErrBufferFull
+	return err
 }
 
 // AddWorker is AddWorkerCtx with a background context.
@@ -487,7 +503,7 @@ func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Tas
 		g.mu.Unlock()
 		return nil, ErrNoNodes
 	}
-	name := g.ring.Lookup(w.ID)
+	name := g.order[g.ring.Lookup(w.ID)]
 	p := g.peers[name]
 	g.mu.Unlock()
 	if p == nil || p.down.Load() {
@@ -504,15 +520,7 @@ func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Tas
 	g.locMu.Lock()
 	g.workerLoc[w.ID] = p.name
 	g.locMu.Unlock()
-	drained := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		drained = append(drained, t)
-	}
-	return drained, nil
+	return wireTasks(res.Tasks)
 }
 
 // RemoveWorker is RemoveWorkerCtx with a background context.
@@ -544,20 +552,12 @@ func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task,
 	g.locMu.Lock()
 	delete(g.workerLoc, id)
 	g.locMu.Unlock()
-	dropped := make([]*core.Task, 0, len(res.Tasks))
 	g.ledgerMu.Lock()
 	for _, twr := range res.Tasks {
 		delete(g.ledger, twr.ID)
 	}
 	g.ledgerMu.Unlock()
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		dropped = append(dropped, t)
-	}
-	return dropped, nil
+	return wireTasks(res.Tasks)
 }
 
 // Complete is CompleteCtx with a background context.
@@ -611,15 +611,7 @@ func (g *Gateway) ActiveTasks(workerID string) ([]*core.Task, error) {
 	if !res.OK {
 		return nil, resultErr(res)
 	}
-	out := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return wireTasks(res.Tasks)
 }
 
 // Worker returns the registered worker record.
@@ -675,15 +667,7 @@ func (g *Gateway) SetTrust(workerID string, trust float64) ([]*core.Task, error)
 	if !res.OK {
 		return nil, resultErr(res)
 	}
-	out := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return wireTasks(res.Tasks)
 }
 
 // SetWindow records the worker's availability-window end on its owning
@@ -747,18 +731,9 @@ func (g *Gateway) Completed(workerID string) (int, error) {
 func (g *Gateway) WorkerIDs() []string {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opWorkers}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
+	_, results := g.fanOut(context.Background(), Op{Op: opWorkers})
 	var out []string
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue
-		}
+	for _, res := range results {
 		out = append(out, res.IDs...)
 	}
 	return out
@@ -768,18 +743,9 @@ func (g *Gateway) WorkerIDs() []string {
 func (g *Gateway) Objective() float64 {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opObjective}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
+	_, results := g.fanOut(context.Background(), Op{Op: opObjective})
 	var total float64
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue
-		}
+	for _, res := range results {
 		total += res.Value
 	}
 	return total
@@ -798,20 +764,15 @@ func (g *Gateway) Stats() shard.Stats {
 
 func (g *Gateway) statsLocked() shard.Stats {
 	st := shard.Stats{}
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opStats}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
+	// A failing node's drops are covered by its lastDropped cache.
+	peers, results := g.fanOut(context.Background(), Op{Op: opStats})
 	var liveDropped int64
 	offset := 0
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK || res.Stats == nil {
-			continue // a failing node's drops are covered by its lastDropped cache
+	for i, res := range results {
+		if res.Stats == nil {
+			continue
 		}
-		ns := *res.Stats
+		p, ns := peers[i], *res.Stats
 		for _, ps := range ns.PerShard {
 			ps.Shard += offset
 			st.PerShard = append(st.PerShard, ps)
@@ -945,21 +906,13 @@ func (g *Gateway) dropNode(name string) {
 	defer g.opGate.RUnlock()
 	g.mu.Lock()
 	p := g.peers[name]
-	if p == nil || p.down.Load() || g.ring == nil || !g.ring.Has(name) {
+	at := sort.SearchStrings(g.order, name)
+	if p == nil || p.down.Load() || at == len(g.order) || g.order[at] != name {
 		g.mu.Unlock()
 		return
 	}
-	if g.ring.Size() == 1 {
-		g.ring = nil
-	} else if nr, err := g.ring.Without(name); err == nil {
-		g.ring = nr
-	}
-	for i, n := range g.order {
-		if n == name {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
+	g.order = append(g.order[:at], g.order[at+1:]...)
+	g.ring, _ = nodeRing(g.order) // cannot fail: a subset of valid names
 	g.deadDropped += g.lastDropped[name]
 	live := len(g.order)
 	g.mu.Unlock()
@@ -1045,24 +998,15 @@ func (g *Gateway) AddNode(name, url string) error {
 		g.mu.Unlock()
 		return fmt.Errorf("cluster: member %q already known (rejoin under a fresh name)", name)
 	}
-	if g.ring == nil {
-		nr, err := NewRing([]string{name}, g.cfg.VirtualNodes)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
-		g.ring = nr
-	} else {
-		nr, err := g.ring.With(name)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
-		g.ring = nr
+	order := append(append([]string(nil), g.order...), name)
+	sort.Strings(order)
+	ring, err := nodeRing(order)
+	if err != nil {
+		g.mu.Unlock()
+		return err
 	}
 	g.peers[name] = p
-	g.order = append(g.order, name)
-	sort.Strings(g.order)
+	g.order, g.ring = order, ring
 	g.lastDropped[name] = h.Dropped
 	live := len(g.order)
 	g.mu.Unlock()

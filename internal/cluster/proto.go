@@ -79,6 +79,19 @@ func wireToTask(s taskWire) (*core.Task, error) {
 		Deadline: s.Deadline}, nil
 }
 
+// wireTasks decodes a task list.
+func wireTasks(ws []taskWire) ([]*core.Task, error) {
+	out := make([]*core.Task, 0, len(ws))
+	for _, w := range ws {
+		t, err := wireToTask(w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
 // workerWire is a worker on the wire.
 type workerWire struct {
 	ID       string  `json:"id"`

@@ -228,7 +228,8 @@ func fnv1a64(seed uint64, s string) uint64 {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	// fmix64 finalizer: short keys otherwise band (see shard.HashKey).
+	// fmix64 finalizer: short keys otherwise band (see the key hash of
+	// shard.Ring).
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

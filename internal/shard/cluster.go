@@ -1,27 +1,21 @@
 package shard
 
 import (
+	"context"
 	"errors"
-	"sort"
 	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/stream"
 )
 
-// Cluster-support surface: the same scatter/commit/buffer primitives the
-// stream.Assigner exposes to this engine, lifted one level so a cluster
-// router (internal/cluster) can treat a whole node — this engine and all
-// its shards — as one ring member. The division of labour mirrors the
-// shard protocol exactly:
+// Cluster-support surface: the engine as one member of the cluster
+// gateway's routing decision (Route over nodes), made of the same parts
+// OfferTask's decision over this engine's shards is made of:
 //
-//   - BestGain is the node's scatter answer: the best marginal gain any
-//     of its shards can offer, read-only;
-//   - TryAssign is the node's commit: place the task on the best local
-//     shard with capacity, never buffer, fail cleanly so the router can
-//     fall back to another node;
-//   - BufferAny is the node's buffer fallback: park the task on the
-//     least backlogged local shard.
+//   - BestGain is the node's Score: the head of its shards' ranking;
+//   - TryAssign is the node's commit: the commit walk over its shards;
+//   - BufferAny is the node's buffer: the buffer walk over its shards.
 //
 // Deduplication is split the same way it is between engine and assigner:
 // the cluster router owns the global filter, while these methods still
@@ -31,9 +25,8 @@ import (
 // dropped) keeps holding when traffic arrives over RPC instead of the
 // local API.
 
-// BestGain scores t against every shard's workers (read-only, concurrent
-// across shards) and returns the best marginal gain and relevance
-// tie-break among workers with free capacity. free is false when every
+// BestGain is the head of the ranking of t over this engine's shards: the
+// score of the shard TryAssign commits to first. free is false when every
 // worker on every shard is full — the gain values are then meaningless.
 func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	release, err := e.begin()
@@ -44,34 +37,16 @@ func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return 0, 0, false
 	}
-	n := len(e.actors)
-	replies := make(chan scoreReply, n)
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			g, r, ok := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: ok}
-		})
-	}
-	gain, rel = -1, -1
-	for i := 0; i < n; i++ {
-		c := <-replies
-		if !c.ok {
-			continue
-		}
-		if !free || c.gain > gain+1e-12 || (c.gain > gain-1e-12 && c.rel > rel) {
-			gain, rel, free = c.gain, c.rel, true
-		}
-	}
-	return gain, rel, free
+	scores := e.scatter(t)
+	s := scores[rank(scores)[0]]
+	return s.Gain, s.Rel, s.Free
 }
 
-// TryAssign commits t to the best free worker across this engine's shards
-// under the same scatter/commit protocol as OfferTask, but never buffers
-// and returns ok=false instead of an error when every shard is full — the
-// cluster router will commit to another node or buffer explicitly. On
-// success the task is registered in the local duplicate filter and counted
-// submitted, so node-local accounting stays conserved.
+// TryAssign is the commit walk of t over this engine's shards: it never
+// buffers and returns ok=false instead of an error when no shard commits
+// — the cluster router will commit to another node or buffer explicitly.
+// On success the task is registered in the local duplicate filter and
+// counted submitted, so node-local accounting stays conserved.
 func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	release, err := e.begin()
 	if err != nil {
@@ -84,59 +59,25 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	start := time.Now()
 	defer func() { e.metrics.RouteLatency.Observe(time.Since(start).Seconds()) }()
 	if len(e.actors) == 1 {
+		// A walk over one member is one commit; scoring it first would
+		// only add a mailbox round trip.
 		e.actors[0].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
-		if ok {
-			e.noteSubmitted(t.ID)
-		}
-		return wid, ok
+	} else {
+		var at int
+		wid, at = commitWalk(context.Background(), shards{e}, e.scatter(t), t)
+		ok = at >= 0
 	}
-	n := len(e.actors)
-	replies := make(chan scoreReply, n)
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			g, r, free := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: free}
-		})
+	if ok {
+		e.noteSubmitted(t.ID)
 	}
-	scored := make([]scoreReply, 0, n)
-	for i := 0; i < n; i++ {
-		scored = append(scored, <-replies)
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		a, b := scored[i], scored[j]
-		if a.ok != b.ok {
-			return a.ok
-		}
-		if a.ok {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
-				return false
-			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.shard < b.shard
-	})
-	for _, c := range scored {
-		var committed bool
-		e.actors[c.shard].call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
-		if committed {
-			e.noteSubmitted(t.ID)
-			return wid, true
-		}
-	}
-	return "", false
+	return wid, ok
 }
 
-// BufferAny parks t on the least backlogged shard's buffer without
+// BufferAny parks t by the buffer walk over live backlogs without
 // attempting assignment — the buffer half of a cluster routing decision
-// that picked this node as the least loaded. Returns stream.ErrBufferFull
-// when every local buffer is at its limit. Accepted tasks are registered
-// and counted submitted, like TryAssign.
+// that picked this node. Returns stream.ErrBufferFull when every local
+// buffer is at its limit. Accepted tasks are registered and counted
+// submitted, like TryAssign.
 func (e *Engine) BufferAny(t *core.Task) error {
 	release, err := e.begin()
 	if err != nil {
@@ -146,7 +87,7 @@ func (e *Engine) BufferAny(t *core.Task) error {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return errors.New("shard: nil task or keywords")
 	}
-	if err := e.bufferAnywhere(t); err != nil {
+	if err := e.bufferLive(t); err != nil {
 		return err
 	}
 	e.noteSubmitted(t.ID)
@@ -162,8 +103,3 @@ func (e *Engine) noteSubmitted(id string) {
 		e.markSeen(id)
 	}
 }
-
-// HashKey exposes the ring's key hash (fmix64-finished FNV-1a) so the
-// cluster membership ring partitions by exactly the same function, with
-// the same short-key banding fix.
-func HashKey(s string) uint64 { return fnv1a(s) }

@@ -1,0 +1,127 @@
+package shard
+
+import (
+	"context"
+
+	"github.com/htacs/ata/internal/core"
+	"github.com/htacs/ata/internal/stream"
+)
+
+// The routing decision, shared by the engine (members are shard actors)
+// and the cluster gateway (members are nodes behind RPC). The greedy
+// argmax over all workers equals the max over per-member maxima, so one
+// decision routes across any partition of the workers; each caller
+// supplies only the scatter, which is its transport.
+
+// Score is one member's answer to the scatter: the best marginal gain and
+// its relevance tie-break among workers with free capacity (meaningless
+// when Free is false), and the member's buffered backlog. Scores are held
+// in a slice indexed by member, never in reply-arrival order.
+type Score struct {
+	Gain, Rel float64
+	Free      bool
+	Backlog   int
+}
+
+// Member is the write side of a decision over members indexed like the
+// scores.
+type Member interface {
+	// Commit assigns t to member i's best free worker, never buffering;
+	// ok is false when the member filled since it was scored.
+	Commit(ctx context.Context, i int, t *core.Task) (wid string, ok bool)
+	// Buffer parks t on member i; any error is a refusal.
+	Buffer(ctx context.Context, i int, t *core.Task) error
+}
+
+// gainEps is the tie width on marginal gains, the per-worker rule's.
+const gainEps = 1e-12
+
+// ranksBefore is the ranking comparator: free before full; among free
+// members higher gain (outside the epsilon), then higher relevance; then
+// lower index. Full members therefore follow in index order.
+func ranksBefore(scores []Score, i, j int) bool {
+	a, b := scores[i], scores[j]
+	if a.Free != b.Free {
+		return a.Free
+	}
+	if a.Free {
+		if a.Gain > b.Gain+gainEps {
+			return true
+		}
+		if b.Gain > a.Gain+gainEps {
+			return false
+		}
+		if a.Rel != b.Rel {
+			return a.Rel > b.Rel
+		}
+	}
+	return i < j
+}
+
+// rank returns the member indices in decision order. The epsilon makes
+// the comparator intransitive on near ties, so the order is defined by
+// this insertion sort over members in index order: a deterministic
+// function of the scores alone.
+func rank(scores []Score) []int {
+	return insertionOrder(len(scores), func(i, j int) bool { return ranksBefore(scores, i, j) })
+}
+
+// insertionOrder sorts 0..n-1 by before with a stable insertion sort (n
+// is a shard or node count).
+func insertionOrder(n int, before func(i, j int) bool) []int {
+	order := make([]int, n)
+	for k := range order {
+		order[k] = k
+		for m := k; m > 0 && before(order[m], order[m-1]); m-- {
+			order[m], order[m-1] = order[m-1], order[m]
+		}
+	}
+	return order
+}
+
+// commitWalk tries the members scored free, in rank order, until one
+// commits. A member that scored full is never asked: the commit could
+// only succeed in the narrow window where a slot freed since scoring, and
+// asking would cost every buffered offer one failed call per member (an
+// RPC per node on the gateway). Returns the committing member, or -1.
+func commitWalk(ctx context.Context, m Member, scores []Score, t *core.Task) (wid string, at int) {
+	for _, i := range rank(scores) {
+		if !scores[i].Free {
+			break
+		}
+		if wid, ok := m.Commit(ctx, i, t); ok {
+			return wid, i
+		}
+	}
+	return "", -1
+}
+
+// bufferWalk parks t on the least backlogged member that accepts it,
+// trying members in (backlog, index) order; stream.ErrBufferFull when
+// every member refuses.
+func bufferWalk(ctx context.Context, m Member, scores []Score, t *core.Task) (at int, err error) {
+	order := insertionOrder(len(scores), func(i, j int) bool {
+		if scores[i].Backlog != scores[j].Backlog {
+			return scores[i].Backlog < scores[j].Backlog
+		}
+		return i < j
+	})
+	for _, i := range order {
+		if m.Buffer(ctx, i, t) == nil {
+			return i, nil
+		}
+	}
+	return -1, stream.ErrBufferFull
+}
+
+// Route finishes a decision from its scatter: commit to the best free
+// member, falling down the ranking, else buffer on the least backlogged
+// member. Returns the member that took t (wid is "" when buffered), or
+// stream.ErrBufferFull.
+func Route(ctx context.Context, m Member, scores []Score, t *core.Task) (wid string, at int, err error) {
+	if wid, at = commitWalk(ctx, m, scores, t); at >= 0 {
+		return wid, at, nil
+	}
+	at, err = bufferWalk(ctx, m, scores, t)
+	return "", at, err
+}

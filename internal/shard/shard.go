@@ -18,13 +18,17 @@
 // Protocol per arriving task (OfferTask):
 //
 //  1. scatter: every shard scores its best Δ(q, k) among workers with
-//     free capacity (read-only, concurrent across shards);
-//  2. commit: try the winner; under contention the winner may have filled
-//     between score and commit, so fall back to the remaining scored
-//     shards in rank order, then broadcast to the shards that reported
-//     full (they may have freed);
-//  3. buffer: if no shard has a free slot, park the task in the least
+//     free capacity (read-only, concurrent across shards), each score
+//     held at its shard's index;
+//  2. commit: rank the shards that scored free by gain, relevance and
+//     index, and try them in that order — under contention a shard may
+//     fill between score and commit; a shard that scored full is never
+//     asked;
+//  3. buffer: if no shard committed, park the task in the least
 //     backlogged shard's buffer; every buffer full → ErrBufferFull.
+//
+// Steps 2 and 3 are Route (route.go), the one decision the cluster
+// gateway also makes over its nodes; only the scatter is the caller's.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded
@@ -38,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +63,6 @@ type Config struct {
 	// degenerates to a mailbox-wrapped stream.Assigner and work stealing
 	// is disabled.
 	Shards int
-	// VirtualNodes is the ring points per shard (default 64).
-	VirtualNodes int
 	// Mailbox bounds each shard actor's mailbox; a full mailbox blocks
 	// the sender (backpressure, never drops). Default 128.
 	Mailbox int
@@ -217,7 +218,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Journal == nil {
 		cfg.Journal = ops.Default()
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VirtualNodes)
+	labels := make([]string, cfg.Shards)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("shard-%d", i)
+	}
+	ring, err := NewRing(labels)
 	if err != nil {
 		return nil, err
 	}
@@ -445,10 +450,10 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 
 	ctx, span := trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
 	start := time.Now()
-	wid, shardID, attempts, buffered, err := e.route(ctx, t)
+	wid, shardID, err := Route(ctx, shards{e}, e.scatter(t), t)
 	e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
-	span.SetAttrs(trace.Int("shard", shardID), trace.Int("attempts", attempts),
-		trace.Bool("buffered", buffered), trace.Str("worker", wid))
+	span.SetAttrs(trace.Int("shard", shardID),
+		trace.Bool("buffered", err == nil && wid == ""), trace.Str("worker", wid))
 	span.End()
 	if err == nil && e.forecast != nil && shardID >= 0 {
 		e.forecast[shardID].RecordArrivals(1)
@@ -465,92 +470,62 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 	return wid, err
 }
 
-// scoreReply is one shard's answer to the scatter phase.
-type scoreReply struct {
-	shard int
-	gain  float64
-	rel   float64
-	ok    bool
+// scatter asks every shard for its Score of t (read-only, concurrent
+// across shards). Each reply lands at its shard's index, so the decision
+// never depends on which actor answers first.
+func (e *Engine) scatter(t *core.Task) []Score {
+	scores := make([]Score, len(e.actors))
+	e.each(func(a *actor) {
+		s := &scores[a.id]
+		s.Gain, s.Rel, s.Free = a.asn.BestGain(t)
+		s.Backlog = a.asn.Backlog()
+	})
+	return scores
 }
 
-// route implements the scatter / commit / buffer protocol from the
-// package comment. Caller holds the liveness read-lock.
-func (e *Engine) route(ctx context.Context, t *core.Task) (wid string, shardID, attempts int, buffered bool, err error) {
-	n := len(e.actors)
-	replies := make(chan scoreReply, n) // buffered: actors never block on reply
+// each runs fn on every shard actor concurrently and waits for all of
+// them; fn writes its result at the actor's index. Caller holds the
+// liveness read-lock.
+func (e *Engine) each(fn func(a *actor)) {
+	var wg sync.WaitGroup
+	wg.Add(len(e.actors))
 	for _, a := range e.actors {
-		a := a
 		a.send(func() {
-			g, r, ok := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: ok}
+			fn(a)
+			wg.Done()
 		})
 	}
-	scored := make([]scoreReply, 0, n)
-	for i := 0; i < n; i++ {
-		scored = append(scored, <-replies)
+	wg.Wait()
+}
+
+// shards is the engine's actors as routing members.
+type shards struct{ e *Engine }
+
+// Commit is one "shard.commit" attempt; a failure means the shard filled
+// between score and commit, counted in CommitRetries.
+func (s shards) Commit(ctx context.Context, i int, t *core.Task) (wid string, ok bool) {
+	s.e.actors[i].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
+	trace.Event(ctx, "shard.commit", trace.Int("shard", i), trace.Bool("ok", ok))
+	if !ok {
+		s.e.metrics.CommitRetries.Inc()
 	}
-	// Rank: shards with capacity first, by marginal gain then relevance
-	// (same epsilon tie-break as the per-worker rule), then shard index
-	// for determinism; full shards follow in index order — they are the
-	// broadcast fallback, tried in case capacity freed since scoring.
-	sort.Slice(scored, func(i, j int) bool {
-		a, b := scored[i], scored[j]
-		if a.ok != b.ok {
-			return a.ok
-		}
-		if a.ok {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
-				return false
-			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.shard < b.shard
-	})
-	for _, c := range scored {
-		attempts++
-		a := e.actors[c.shard]
-		var committed bool
-		a.call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
-		trace.Event(ctx, "shard.commit", trace.Int("shard", c.shard),
-			trace.Int("attempt", attempts), trace.Bool("ok", committed),
-			trace.Bool("scored_free", c.ok))
-		if committed {
-			if attempts > 1 {
-				e.metrics.CommitRetries.Add(float64(attempts - 1))
-			}
-			return wid, c.shard, attempts, false, nil
-		}
-		if c.ok {
-			// The scoring winner filled up between score and commit.
-			e.metrics.CommitRetries.Inc()
-		}
+	return wid, ok
+}
+
+func (s shards) Buffer(_ context.Context, i int, t *core.Task) (err error) {
+	s.e.actors[i].call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
+	return err
+}
+
+// bufferLive is the buffer walk over the shards' live backlogs (atomic
+// peeks), for callers with no scatter in hand.
+func (e *Engine) bufferLive(t *core.Task) error {
+	scores := make([]Score, len(e.actors))
+	for i, a := range e.actors {
+		scores[i].Backlog = a.asn.Backlog()
 	}
-	// No free slot anywhere: buffer on the least backlogged shard.
-	byBacklog := make([]int, n)
-	for i := range byBacklog {
-		byBacklog[i] = i
-	}
-	sort.Slice(byBacklog, func(i, j int) bool {
-		bi := e.actors[byBacklog[i]].asn.Backlog()
-		bj := e.actors[byBacklog[j]].asn.Backlog()
-		if bi != bj {
-			return bi < bj
-		}
-		return byBacklog[i] < byBacklog[j]
-	})
-	for _, id := range byBacklog {
-		var berr error
-		e.actors[id].call(func(asn *stream.Assigner) { berr = asn.BufferTask(t) })
-		if berr == nil {
-			return "", id, attempts, true, nil
-		}
-	}
-	return "", -1, attempts, false, stream.ErrBufferFull
+	_, err := bufferWalk(context.Background(), shards{e}, scores, t)
+	return err
 }
 
 // Complete marks the task finished on the worker's shard; the freed slot
@@ -735,15 +710,11 @@ func (e *Engine) Objective() float64 {
 		return 0
 	}
 	defer release()
-	type r struct{ v float64 }
-	ch := make(chan r, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() { ch <- r{a.asn.Objective()} })
-	}
+	vals := make([]float64, len(e.actors))
+	e.each(func(a *actor) { vals[a.id] = a.asn.Objective() })
 	var total float64
-	for range e.actors {
-		total += (<-ch).v
+	for _, v := range vals {
+		total += v
 	}
 	return total
 }
@@ -794,31 +765,23 @@ func (e *Engine) Stats() Stats {
 		return st
 	}
 	defer release()
-	ch := make(chan ShardStats, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			s := ShardStats{
-				Shard:     a.id,
-				Workers:   a.asn.NumWorkers(),
-				Active:    a.asn.ActiveCount(),
-				Backlog:   a.asn.BufferLen(),
-				FreeSlots: a.asn.FreeCapacity(),
-				Completed: a.completed.Load(),
-				Dropped:   a.dropped.Load(),
-				Expired:   a.expired.Load(),
-			}
-			if e.forecast != nil {
-				s.Predicted = e.forecast[a.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
-			}
-			ch <- s
-		})
-	}
-	st.PerShard = make([]ShardStats, 0, len(e.actors))
-	for range e.actors {
-		st.PerShard = append(st.PerShard, <-ch)
-	}
-	sort.Slice(st.PerShard, func(i, j int) bool { return st.PerShard[i].Shard < st.PerShard[j].Shard })
+	st.PerShard = make([]ShardStats, len(e.actors))
+	e.each(func(a *actor) {
+		s := ShardStats{
+			Shard:     a.id,
+			Workers:   a.asn.NumWorkers(),
+			Active:    a.asn.ActiveCount(),
+			Backlog:   a.asn.BufferLen(),
+			FreeSlots: a.asn.FreeCapacity(),
+			Completed: a.completed.Load(),
+			Dropped:   a.dropped.Load(),
+			Expired:   a.expired.Load(),
+		}
+		if e.forecast != nil {
+			s.Predicted = e.forecast[a.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
+		}
+		st.PerShard[a.id] = s
+	})
 	for _, s := range st.PerShard {
 		st.Workers += s.Workers
 		st.Active += s.Active
@@ -842,20 +805,8 @@ func (e *Engine) WorkerIDs() []string {
 		return nil
 	}
 	defer release()
-	type r struct {
-		shard int
-		ids   []string
-	}
-	ch := make(chan r, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() { ch <- r{a.id, a.asn.WorkerIDs()} })
-	}
 	byShard := make([][]string, len(e.actors))
-	for range e.actors {
-		got := <-ch
-		byShard[got.shard] = got.ids
-	}
+	e.each(func(a *actor) { byShard[a.id] = a.asn.WorkerIDs() })
 	var out []string
 	for _, ids := range byShard {
 		out = append(out, ids...)

@@ -253,7 +253,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 					return terr
 				}
 				e.markSeen(t.ID)
-				if err := e.bufferAnywhere(t); err != nil {
+				if err := e.bufferLive(t); err != nil {
 					// Smaller total buffer capacity than the snapshot
 					// had: count the overflow (picked up by Stats via
 					// the actor sum), keep the invariant.
@@ -283,24 +283,4 @@ func (e *Engine) markSeen(id string) {
 	e.seenMu.Lock()
 	e.seen[id] = struct{}{}
 	e.seenMu.Unlock()
-}
-
-// bufferAnywhere parks t on the least backlogged shard with buffer space.
-func (e *Engine) bufferAnywhere(t *core.Task) error {
-	best, bestBacklog := -1, -1
-	for i, a := range e.actors {
-		b := a.asn.Backlog()
-		if best == -1 || b < bestBacklog {
-			best, bestBacklog = i, b
-		}
-	}
-	var err error
-	for k := 0; k < len(e.actors); k++ {
-		a := e.actors[(best+k)%len(e.actors)]
-		a.call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
-		if err == nil {
-			return nil
-		}
-	}
-	return err
 }
