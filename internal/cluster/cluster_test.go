@@ -721,35 +721,3 @@ func TestGatewayAllFullSendsNoCommit(t *testing.T) {
 	}
 	checkConserved(t, gw, "after offers")
 }
-
-// TestRingLookupDeterministic: the gateway's ring is a pure function of
-// its member set — gateways configured with the same peers in different
-// orders place every worker on the same node.
-func TestRingLookupDeterministic(t *testing.T) {
-	owners := func(names ...string) []string {
-		specs := make([]PeerSpec, len(names))
-		for i, n := range names {
-			specs[i] = PeerSpec{Name: n, URL: "http://127.0.0.1:1"}
-		}
-		gw, err := NewGateway(GatewayConfig{Peers: specs, HeartbeatInterval: -1, Registry: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gw.Close()
-		out := make([]string, 2000)
-		for i := range out {
-			p, err := gw.owner(fmt.Sprintf("w%06d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = p.name
-		}
-		return out
-	}
-	a, b := owners("x", "y", "z"), owners("z", "x", "y")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order-dependent ownership for w%06d: %s vs %s", i, a[i], b[i])
-		}
-	}
-}

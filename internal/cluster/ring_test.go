@@ -3,7 +3,13 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"github.com/htacs/ata/internal/obs"
 )
+
+// The gateway's ring is shard.Ring over "node-<name>" labels (nodeRing);
+// these tests hold the cluster-level properties of that placement, read
+// the way the gateway reads it: order[ring.Lookup(workerID)].
 
 func ringKeys(n int) []string {
 	keys := make([]string, n)
@@ -13,166 +19,136 @@ func ringKeys(n int) []string {
 	return keys
 }
 
-func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 64); err == nil {
-		t.Error("empty member list accepted")
-	}
-	if _, err := NewRing([]string{"a", ""}, 64); err == nil {
-		t.Error("empty member name accepted")
-	}
-	if _, err := NewRing([]string{"a", "a"}, 64); err == nil {
-		t.Error("duplicate member accepted")
-	}
-	r, err := NewRing([]string{"b", "a"}, 0)
+// nodeOwners maps every key to its owning node name over the sorted
+// member names, as Gateway.owner does.
+func nodeOwners(t *testing.T, names, keys []string) []string {
+	t.Helper()
+	r, err := nodeRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VirtualNodes() != 64 {
-		t.Errorf("default vnodes = %d", r.VirtualNodes())
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = names[r.Lookup(k)]
 	}
-	if got := r.Members(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Members() = %v", got)
+	return out
+}
+
+// TestRingValidation: the gateway refuses a member list the ring cannot
+// be built over — empty, an unnamed member, a duplicate — keeps its
+// members sorted, and a ring with no live member left is nil.
+func TestRingValidation(t *testing.T) {
+	for _, peers := range [][]PeerSpec{
+		nil,
+		{{Name: "a", URL: "http://127.0.0.1:1"}, {Name: "", URL: "http://127.0.0.1:2"}},
+		{{Name: "a", URL: "http://127.0.0.1:1"}, {Name: "a", URL: "http://127.0.0.1:2"}},
+	} {
+		gw, err := NewGateway(GatewayConfig{Peers: peers, HeartbeatInterval: -1, Registry: obs.NewRegistry()})
+		if err == nil {
+			gw.Close()
+			t.Errorf("NewGateway(%v) accepted", peers)
+		}
 	}
-	if _, err := r.Without("ghost"); err == nil {
-		t.Error("Without(ghost) accepted")
+	gw, err := NewGateway(GatewayConfig{
+		Peers:             []PeerSpec{{Name: "b", URL: "http://127.0.0.1:1"}, {Name: "a", URL: "http://127.0.0.1:2"}},
+		HeartbeatInterval: -1,
+		Registry:          obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.With("a"); err == nil {
-		t.Error("With(existing) accepted")
+	defer gw.Close()
+	if got := gw.order; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("members = %v, want [a b]", got)
+	}
+	if r, err := nodeRing(nil); r != nil || err != nil {
+		t.Errorf("nodeRing(nil) = %v, %v; want no ring", r, err)
+	}
+	if _, err := nodeRing([]string{"a", "a"}); err == nil {
+		t.Error("nodeRing accepted a duplicate member")
 	}
 }
 
 // TestRingOwnershipBalanced is the balance property: at every cluster
-// size, the busiest member owns at most a bounded multiple of the
-// quietest member's keys. With 64 vnodes the fmix64-mixed ring keeps the
-// max/min ratio modest; a blowup here means the vnode hashing regressed
-// into the banding problem the finalizer exists to fix.
+// size, the busiest node owns at most 2.5× the quietest node's workers.
+// A blowup here means the point hashing regressed into the banding
+// problem the fmix64 finalizer exists to fix.
 func TestRingOwnershipBalanced(t *testing.T) {
 	keys := ringKeys(20000)
 	for _, n := range []int{2, 3, 4, 8} {
-		members := make([]string, n)
-		for i := range members {
-			members[i] = fmt.Sprintf("node-%d", i)
-		}
-		r, err := NewRing(members, 64)
-		if err != nil {
-			t.Fatal(err)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%d", i)
 		}
 		counts := make(map[string]int, n)
-		for _, k := range keys {
-			counts[r.Lookup(k)]++
+		for _, o := range nodeOwners(t, names, keys) {
+			counts[o]++
 		}
-		min, max := len(keys), 0
-		for _, m := range members {
-			c := counts[m]
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
+		lo, hi := len(keys), 0
+		for _, name := range names {
+			lo, hi = min(lo, counts[name]), max(hi, counts[name])
 		}
-		if min == 0 {
-			t.Fatalf("n=%d: a member owns zero keys: %v", n, counts)
+		if lo == 0 {
+			t.Fatalf("n=%d: a node owns zero keys: %v", n, counts)
 		}
-		ratio := float64(max) / float64(min)
-		if ratio > 2.5 {
+		if ratio := float64(hi) / float64(lo); ratio > 2.5 {
 			t.Errorf("n=%d: ownership ratio max/min = %.2f (%v)", n, ratio, counts)
 		}
-		t.Logf("n=%d: max/min = %.2f", n, ratio)
 	}
 }
 
-// TestRingLeaveMovesOnlyDepartedKeys: removing a member must reassign
-// exactly the keys it owned — every key owned by a survivor keeps its
-// owner. This is the property that makes failover requeue bounded: only
-// the dead node's tasks move.
-func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
-	keys := ringKeys(10000)
-	members := []string{"n0", "n1", "n2", "n3"}
-	r, err := NewRing(members, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Lookup(k)
-	}
-	smaller, err := r.Without("n2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for _, k := range keys {
-		after := smaller.Lookup(k)
-		if before[k] == "n2" {
-			if after == "n2" {
-				t.Fatalf("key %s still owned by departed member", k)
-			}
-			moved++
-			continue
-		}
-		if after != before[k] {
-			t.Fatalf("key %s moved %s -> %s though its owner survived", k, before[k], after)
-		}
-	}
-	if moved == 0 {
-		t.Fatal("departed member owned no keys")
-	}
-}
-
-// TestRingJoinMovesMinimalFraction: adding a member must steal roughly
-// 1/n of the keys (its fair share) and nothing may move between two
-// surviving members.
+// TestRingJoinMovesMinimalFraction: a node joining takes roughly its fair
+// share (1/4 here) of the workers, and no worker moves between two nodes
+// that were there before.
 func TestRingJoinMovesMinimalFraction(t *testing.T) {
 	keys := ringKeys(20000)
-	members := []string{"n0", "n1", "n2"}
-	r, err := NewRing(members, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Lookup(k)
-	}
-	bigger, err := r.With("n3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := nodeOwners(t, []string{"n0", "n1", "n2"}, keys)
+	after := nodeOwners(t, []string{"n0", "n1", "n2", "n3"}, keys)
 	moved := 0
-	for _, k := range keys {
-		after := bigger.Lookup(k)
-		if after == before[k] {
+	for i, k := range keys {
+		if after[i] == before[i] {
 			continue
 		}
-		if after != "n3" {
-			t.Fatalf("key %s moved %s -> %s, not to the joiner", k, before[k], after)
+		if after[i] != "n3" {
+			t.Fatalf("key %s moved %s -> %s, not to the joiner", k, before[i], after[i])
 		}
 		moved++
 	}
-	frac := float64(moved) / float64(len(keys))
-	// Fair share is 1/4; allow generous slack for vnode placement noise,
-	// but reject both a no-op join and a mass reshuffle.
-	if frac < 0.10 || frac > 0.45 {
+	// Allow generous slack for vnode placement, but reject both a no-op
+	// join and a mass reshuffle.
+	if frac := float64(moved) / float64(len(keys)); frac < 0.10 || frac > 0.45 {
 		t.Errorf("join moved %.1f%% of keys, want ~25%%", 100*frac)
 	}
-	t.Logf("join moved %.1f%% of keys", 100*frac)
 }
 
-// TestRingLookupDeterministic: the ring is a pure function of its member
-// set — two independently built rings agree on every key, regardless of
-// construction order.
+// TestRingLookupDeterministic: the gateway's ring is a pure function of
+// its member set — gateways configured with the same peers in different
+// orders place every worker on the same node.
 func TestRingLookupDeterministic(t *testing.T) {
-	a, err := NewRing([]string{"x", "y", "z"}, 64)
-	if err != nil {
-		t.Fatal(err)
+	owners := func(names ...string) []string {
+		specs := make([]PeerSpec, len(names))
+		for i, n := range names {
+			specs[i] = PeerSpec{Name: n, URL: "http://127.0.0.1:1"}
+		}
+		gw, err := NewGateway(GatewayConfig{Peers: specs, HeartbeatInterval: -1, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		out := make([]string, 2000)
+		for i := range out {
+			p, err := gw.owner(fmt.Sprintf("w%06d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = p.name
+		}
+		return out
 	}
-	b, err := NewRing([]string{"z", "x", "y"}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range ringKeys(2000) {
-		if a.Lookup(k) != b.Lookup(k) {
-			t.Fatalf("order-dependent ownership for %s: %s vs %s", k, a.Lookup(k), b.Lookup(k))
+	a, b := owners("x", "y", "z"), owners("z", "x", "y")
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("order-dependent ownership for w%06d: %s vs %s", i, a[i], b[i])
 		}
 	}
 }
