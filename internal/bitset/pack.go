@@ -14,9 +14,9 @@ import "math/bits"
 // aggregate identical to the *Set path — the bit-identical contract the
 // cached and direct gain computations both rely on.
 //
-// Pack mirrors a slice: Append grows it, SwapRemove and DropFront mirror
-// the two buffer-eviction moves the streaming assigner uses. The zero
-// value is an empty pack.
+// Pack mirrors a slice: Append grows it, SwapRemove and RemoveAt mirror
+// the streaming assigner's two removal moves (a closed keyword class, a
+// completed active task). The zero value is an empty pack.
 type Pack struct {
 	words  []uint64
 	ns     []int // per-member capacity in bits
@@ -91,38 +91,6 @@ func (p *Pack) SwapRemove(i int) {
 	p.words = p.words[:last*p.stride]
 	p.ns = p.ns[:last]
 	p.ones = p.ones[:last]
-}
-
-// DropFront removes the first k members, preserving the order of the rest —
-// the donor-side move behind TakeBuffered.
-func (p *Pack) DropFront(k int) {
-	if k <= 0 {
-		return
-	}
-	if k > len(p.ns) {
-		k = len(p.ns)
-	}
-	rest := len(p.ns) - k
-	copy(p.words, p.words[k*p.stride:])
-	copy(p.ns, p.ns[k:])
-	copy(p.ones, p.ones[k:])
-	p.words = p.words[:rest*p.stride]
-	p.ns = p.ns[:rest]
-	p.ones = p.ones[:rest]
-}
-
-// Slice returns a read-only view of members [lo, hi) sharing this pack's
-// backing storage — no copy. Views exist so row kernels can be chunked
-// across goroutines (each chunk prices one sub-range into its own slice
-// of the output); mutating either pack while a view is alive is the
-// caller's race to lose.
-func (p *Pack) Slice(lo, hi int) Pack {
-	return Pack{
-		words:  p.words[lo*p.stride : hi*p.stride],
-		ns:     p.ns[lo:hi],
-		ones:   p.ones[lo:hi],
-		stride: p.stride,
-	}
 }
 
 // Clear removes every member, keeping the backing storage for reuse.

@@ -45,7 +45,7 @@ func TestPackCountsMatchSets(t *testing.T) {
 	}
 }
 
-// SwapRemove, RemoveAt and DropFront must mirror the equivalent slice moves.
+// SwapRemove and RemoveAt must mirror the equivalent slice moves.
 func TestPackRemovalMirrorsSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var p Pack
@@ -84,52 +84,11 @@ func TestPackRemovalMirrorsSlices(t *testing.T) {
 	p.RemoveAt(1)
 	ref = append(ref[:1], ref[2:]...)
 	verify("RemoveAt(1)")
-	// Prefix drop.
-	p.DropFront(2)
-	ref = ref[2:]
-	verify("DropFront(2)")
-	p.DropFront(0)
-	verify("DropFront(0)")
 	add(3)
 	verify("append after removals")
-	p.DropFront(100)
-	ref = ref[:0]
-	verify("DropFront(all)")
 	p.Clear()
+	ref = ref[:0]
+	verify("Clear")
 	add(2)
 	verify("append after Clear")
-}
-
-// Slice views must expose exactly the members of their range, and row
-// kernels over a view must produce the same values as the matching
-// segment of a full-pack row — the property RowP's chunking relies on.
-func TestPackSliceViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var p Pack
-	var members []*Set
-	for i := 0; i < 50; i++ {
-		s := randSet(rng, 96)
-		members = append(members, s)
-		p.Append(s)
-	}
-	probe := randSet(rng, 96)
-	full := make([]float64, p.Len())
-	p.IntersectionCountsRow(probe, full)
-	for _, r := range [][2]int{{0, 50}, {0, 0}, {17, 17}, {0, 13}, {13, 37}, {37, 50}} {
-		lo, hi := r[0], r[1]
-		v := p.Slice(lo, hi)
-		if v.Len() != hi-lo {
-			t.Fatalf("Slice(%d,%d).Len = %d", lo, hi, v.Len())
-		}
-		part := make([]float64, v.Len())
-		v.IntersectionCountsRow(probe, part)
-		for i := range part {
-			if v.LenAt(i) != p.LenAt(lo+i) || v.OnesAt(i) != p.OnesAt(lo+i) {
-				t.Fatalf("Slice(%d,%d) member %d metadata mismatch", lo, hi, i)
-			}
-			if part[i] != full[lo+i] {
-				t.Fatalf("Slice(%d,%d) member %d: row %v, full %v", lo, hi, i, part[i], full[lo+i])
-			}
-		}
-	}
 }

@@ -5,15 +5,14 @@ import (
 	"math"
 
 	"github.com/htacs/ata/internal/bitset"
-	"github.com/htacs/ata/internal/par"
 )
 
 // PackDistancer is implemented by distances that can score one set against
 // every member of a bitset.Pack in a single flat-memory sweep. It is the
 // row primitive behind the streaming engine's incremental gain cache: one
-// DistancePack call prices an arriving task against a whole buffer (or a
-// worker's whole active set) without per-pair interface dispatch or
-// pointer chasing.
+// DistancePack call prices a task against every keyword class of the
+// buffer (or a worker's whole active set) without per-pair interface
+// dispatch or pointer chasing.
 //
 // Implementations MUST produce bit-identical values to calling Distance
 // against the *Set each member was appended from — the gain cache stores
@@ -94,43 +93,4 @@ func Row(d Distance, from *bitset.Set, pack *bitset.Pack, sets func(i int) *bits
 	for i, n := 0, pack.Len(); i < n; i++ {
 		out[i] = d.Distance(from, sets(i))
 	}
-}
-
-// rowGrain is the break-even chunk size for RowP: a packed member costs a
-// few nanoseconds, so chunks below ~2k members spend more on goroutine
-// fan-out than they save.
-const rowGrain = 2048
-
-// RowP is Row with the pack split into contiguous chunks priced by up to
-// p goroutines (p <= 0 means all cores, par.N). Each chunk is a zero-copy
-// Pack.Slice view writing its own out[lo:hi] — disjoint slots, so the
-// values are the same floats Row stores, in every chunking (the usual
-// bit-identical parallelism contract; see package par). Rows below the
-// fan-out break-even run serially, so callers can use RowP
-// unconditionally.
-func RowP(d Distance, from *bitset.Set, pack *bitset.Pack, sets func(i int) *bitset.Set, out []float64, p int) {
-	n := pack.Len()
-	if p == 1 || n < 2*rowGrain {
-		// Serial fast path, decided before any closure is built: the
-		// chunk closures below escape through par and would cost one
-		// heap allocation per call, which the assigner's zero-alloc
-		// hot path cannot afford.
-		Row(d, from, pack, sets, out)
-		return
-	}
-	pd, packed := d.(PackDistancer)
-	if !packed {
-		// The pairwise fallback is interface-dispatch bound, not
-		// memory bound; chunk it all the same.
-		par.DoMin(n, rowGrain, p, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = d.Distance(from, sets(i))
-			}
-		})
-		return
-	}
-	par.DoMin(n, rowGrain, p, func(lo, hi int) {
-		view := pack.Slice(lo, hi)
-		pd.DistancePack(from, &view, out[lo:hi])
-	})
 }

@@ -71,37 +71,3 @@ func TestDistancePackCapacityPanics(t *testing.T) {
 		}()
 	}
 }
-
-// RowP must produce the same floats as Row in every chunking: above and
-// below the fan-out break-even, kernel and pairwise fallback, any p. The
-// chunks write disjoint out ranges, so this is exact equality, not
-// tolerance.
-func TestRowPMatchesRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 100, 2*rowGrain - 1, 2*rowGrain + 157} {
-		sets := make([]*bitset.Set, n)
-		var pack bitset.Pack
-		for i := range sets {
-			sets[i] = randKw(rng, 128)
-			pack.Append(sets[i])
-		}
-		from := randKw(rng, 128)
-		want := make([]float64, n)
-		got := make([]float64, n)
-		at := func(i int) *bitset.Set { return sets[i] }
-		for _, d := range []Distance{Jaccard{}, Dice{}} {
-			Row(d, from, &pack, at, want)
-			for _, p := range []int{1, 2, 3, 8, 0} {
-				for i := range got {
-					got[i] = -1
-				}
-				RowP(d, from, &pack, at, got, p)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s n=%d p=%d: member %d: RowP %v != Row %v", d.Name(), n, p, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}

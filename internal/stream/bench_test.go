@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/htacs/ata/internal/core"
@@ -10,9 +11,9 @@ import (
 )
 
 // benchShape mirrors the pr5 sweep's single-shard point: a worker pool
-// saturated at Xmax and a deep backlog, so Complete pays a full pullBest
-// scan and Offer lands in the buffer. The benchmarks below measure the
-// three hot-path entry points separately on that steady state.
+// saturated at Xmax and a deep backlog, so Offer lands in the buffer. The
+// BestGain and OfferTask benchmarks below measure their entry points on
+// that steady state; BenchmarkCompleteTask has shapes of its own.
 const (
 	benchWorkers = 56
 	benchXmax    = 4
@@ -92,32 +93,81 @@ func BenchmarkOfferTask(b *testing.B) {
 	}
 }
 
-// BenchmarkCompleteTask measures the complete-dominated steady state the
-// pr5 sweep replays: each iteration completes one active task (the freed
-// slot pulls the best of 2048 buffered candidates) and offers a fresh
-// task to restore the depth — one Complete + one buffered Offer per op.
+// BenchmarkCompleteTask measures the complete-dominated steady state:
+// each iteration completes one active task (the freed slot pulls the best
+// buffered candidate) and offers a fresh task to restore the depth — one
+// Complete + one buffered Offer per op. Both cases have the stream-deep
+// bench workload's per-shard shape (40 workers at Xmax 15, 12288
+// buffered):
+//
+//   - grouped: the tasks come from 256 keyword groups, as the bench's
+//     task stream does, so the gain cache holds 256 classes;
+//   - distinct: every task has its own keyword set, so there is one class
+//     per buffered task — the case where keying the cache by class saves
+//     nothing and must cost no more than a per-task cache.
 func BenchmarkCompleteTask(b *testing.B) {
-	a, workers, _ := newBenchAssigner(b, benchBuffer)
-	tasks := make([]*core.Task, b.N)
-	for i := range tasks {
-		tasks[i] = &core.Task{ID: fmt.Sprintf("bench-complete-%d", i), Keywords: a.buffer[i%benchBuffer].Keywords}
-	}
-	prewarmSeen(a, tasks)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := workers[i%len(workers)]
-		ws := a.workers[w.ID]
-		pulled, err := a.Complete(w.ID, ws.active[0].ID)
-		if err != nil {
-			b.Fatal(err)
+	const workers, xmax, depth, groups = 40, 15, 12288, 256
+	for _, grouped := range []bool{true, false} {
+		name := "distinct"
+		if grouped {
+			name = "grouped"
 		}
-		if pulled == nil {
-			b.Fatal("empty buffer mid-benchmark")
-		}
-		if _, err := a.OfferTask(tasks[i]); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			gen, err := workload.NewGenerator(workload.Config{Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := NewAssigner(Config{Xmax: xmax, BufferLimit: depth, Metrics: NewMetrics(obs.NewRegistry())})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := gen.Workers(workers)
+			for _, w := range pool {
+				if _, err := a.AddWorker(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// tasks holds the fill, then one task per iteration. A grouped
+			// task takes the keyword set of a group drawn at random.
+			fill := workers*xmax + depth
+			var tasks []*core.Task
+			if grouped {
+				kws := gen.Tasks(groups, 1)
+				rng := rand.New(rand.NewSource(7))
+				tasks = make([]*core.Task, fill+b.N)
+				for i := range tasks {
+					tasks[i] = &core.Task{ID: fmt.Sprintf("bench-%d", i), Keywords: kws[rng.Intn(groups)].Keywords}
+				}
+			} else {
+				tasks = gen.Tasks(fill+b.N, 1)
+			}
+			for _, t := range tasks[:fill] {
+				if _, err := a.OfferTask(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if a.BufferLen() != depth || a.FreeCapacity() != 0 {
+				b.Fatalf("fill: depth %d free %d", a.BufferLen(), a.FreeCapacity())
+			}
+			supply := tasks[fill:]
+			prewarmSeen(a, supply)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := pool[i%len(pool)]
+				ws := a.workers[w.ID]
+				pulled, err := a.Complete(w.ID, ws.active[0].ID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pulled == nil {
+					b.Fatal("empty buffer mid-benchmark")
+				}
+				if _, err := a.OfferTask(supply[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,36 +18,78 @@ import (
 // the uncached one.
 func checkCache(t *testing.T, a *Assigner, when string) {
 	t.Helper()
+	checkClasses(t, a, when)
 	for k, ws := range a.states {
 		if a.workers[a.order[k]] != ws {
 			t.Fatalf("%s: states[%d] out of sync with order/workers", when, k)
 		}
-		if len(ws.rel) != len(a.buffer) {
-			t.Fatalf("%s: worker %s rel has %d entries, buffer %d", when, a.order[k], len(ws.rel), len(a.buffer))
+		if len(ws.rel) != len(a.classes) {
+			t.Fatalf("%s: worker %s rel has %d entries, %d classes", when, a.order[k], len(ws.rel), len(a.classes))
 		}
 		if len(ws.rows) != len(ws.active) {
 			t.Fatalf("%s: worker %s has %d rows for %d active", when, a.order[k], len(ws.rows), len(ws.active))
 		}
 		for i, tk := range a.buffer {
-			if want := metric.Relevance(a.cfg.Dist, tk.Keywords, ws.worker.Keywords); ws.rel[i] != want {
-				t.Fatalf("%s: worker %s rel[%d] = %v, recompute %v", when, a.order[k], i, ws.rel[i], want)
+			c := a.cls[i]
+			if want := metric.Relevance(a.cfg.Dist, tk.Keywords, ws.worker.Keywords); ws.rel[c] != want {
+				t.Fatalf("%s: worker %s rel[%d] (buffer[%d]) = %v, recompute %v", when, a.order[k], c, i, ws.rel[c], want)
 			}
 			for s, u := range ws.active {
-				if want := a.cfg.Dist.Distance(tk.Keywords, u.Keywords); ws.rows[s][i] != want {
-					t.Fatalf("%s: worker %s rows[%d][%d] = %v, recompute %v", when, a.order[k], s, i, ws.rows[s][i], want)
+				if want := a.cfg.Dist.Distance(tk.Keywords, u.Keywords); ws.rows[s][c] != want {
+					t.Fatalf("%s: worker %s rows[%d][%d] (buffer[%d]) = %v, recompute %v", when, a.order[k], s, c, i, ws.rows[s][c], want)
 				}
 			}
 			// The cached scan's gain, folded exactly as pullBest folds it,
 			// must equal marginalGain's from-scratch sum.
 			var ds float64
 			for _, r := range ws.rows {
-				ds += r[i]
+				ds += r[c]
 			}
 			w := ws.worker
-			g := 2*w.Alpha*ds + w.Beta*(ws.sumRel+float64(len(ws.active))*ws.rel[i])
+			g := 2*w.Alpha*ds + w.Beta*(ws.sumRel+float64(len(ws.active))*ws.rel[c])
 			if want := a.marginalGain(ws, tk); g != want {
 				t.Fatalf("%s: worker %s cached gain for buffer[%d] = %v, marginalGain %v", when, a.order[k], i, g, want)
 			}
+		}
+	}
+}
+
+// checkClasses verifies the buffer's class bookkeeping: every buffered
+// task sits in the class of its keyword set, each open class has members
+// and lists their tickets in ascending order, distinct classes have
+// distinct keyword sets, and the table finds every class.
+func checkClasses(t *testing.T, a *Assigner, when string) {
+	t.Helper()
+	if len(a.cls) != len(a.buffer) || a.clsPack.Len() != len(a.classes) {
+		t.Fatalf("%s: %d class ids for %d buffered, pack %d for %d classes",
+			when, len(a.cls), len(a.buffer), a.clsPack.Len(), len(a.classes))
+	}
+	members := 0
+	for c := range a.classes {
+		cl := &a.classes[c]
+		if len(cl.tickets) == 0 {
+			t.Fatalf("%s: class %d is open without members", when, c)
+		}
+		for j, tk := range cl.tickets {
+			if j > 0 && tk <= cl.tickets[j-1] {
+				t.Fatalf("%s: class %d tickets %v not ascending", when, c, cl.tickets)
+			}
+			if i := tk - a.dropped; i < 0 || i >= len(a.buffer) || a.cls[i] != c {
+				t.Fatalf("%s: class %d ticket %d does not point at a member", when, c, tk)
+			}
+		}
+		members += len(cl.tickets)
+		if got := a.slots[a.probe(cl.kw, cl.hash)]; got != int32(c+1) {
+			t.Fatalf("%s: table finds %d for class %d", when, got-1, c)
+		}
+	}
+	if members != len(a.buffer) {
+		t.Fatalf("%s: classes hold %d members, buffer %d", when, members, len(a.buffer))
+	}
+	for i, tk := range a.buffer {
+		kw := a.classes[a.cls[i]].kw
+		if kw.Len() != tk.Keywords.Len() || !kw.Equal(tk.Keywords) {
+			t.Fatalf("%s: buffer[%d] is not in the class of its keyword set", when, i)
 		}
 	}
 }

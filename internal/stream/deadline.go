@@ -62,7 +62,12 @@ func (a *Assigner) Window(workerID string) (int64, error) {
 func (a *Assigner) DeadlinedBuffered() int { return a.deadlined }
 
 // ExpireDue removes every buffered task whose deadline is at or before
-// now and returns them, oldest buffer position first. The caller owns the
+// now and returns them in the order a front-to-back sweep of the buffer
+// meets them. That is not arrival order: each removal swap-moves the
+// newest buffered task into the freed position, so a later expiry can
+// come out ahead of older ones. (The order is kept as it is because the
+// buffer positions it leaves feed the pull scans' lowest-index
+// tie-break.) The caller owns the
 // expired tasks — the sharded engine journals and counts them so the
 // conservation law (submitted = delivered + dropped + expired + backlog)
 // still balances. Tasks stay in the duplicate set: an expired ID cannot
@@ -117,7 +122,7 @@ func (a *Assigner) pullBestDeadline(ws *workerState) *core.Task {
 		if d > 0 && d <= now {
 			continue // expired: ExpireDue's business, not assignable
 		}
-		g := a.cachedGain(ws, i)
+		g := a.cachedGain(ws, a.cls[i])
 		if d > 0 && d <= urgentBefore {
 			if anyI == -1 || d < anyD || (d == anyD && g > anyG) {
 				anyI, anyD, anyG = i, d, g
@@ -143,21 +148,20 @@ func (a *Assigner) pullBestDeadline(ws *workerState) *core.Task {
 		return nil // everything buffered is already past its deadline
 	}
 	t := a.buffer[bestI]
-	relT := ws.rel[bestI]
+	relT := ws.rel[a.cls[bestI]]
 	a.bufferSwapRemove(bestI)
 	a.syncQueueGauge()
 	a.assign(ws, t, relT)
 	return t
 }
 
-// cachedGain folds the worker's cached columns for buffer index i — the
-// same slot-order sum pullBest's unrolled scan computes, one index at a
-// time.
-func (a *Assigner) cachedGain(ws *workerState, i int) float64 {
+// cachedGain folds the worker's cached columns for class c — the same
+// slot-order sum pullBest's unrolled scan computes, one class at a time.
+func (a *Assigner) cachedGain(ws *workerState, c int) float64 {
 	var ds float64
 	for _, r := range ws.rows {
-		ds += r[i]
+		ds += r[c]
 	}
 	w := ws.worker
-	return 2*w.Alpha*ds + w.Beta*(ws.sumRel+float64(len(ws.active))*ws.rel[i])
+	return 2*w.Alpha*ds + w.Beta*(ws.sumRel+float64(len(ws.active))*ws.rel[c])
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -46,13 +47,6 @@ type Config struct {
 	BufferLimit int
 	// Dist is the diversity metric; defaults to Jaccard.
 	Dist metric.Distance
-	// Parallelism bounds the goroutines pricing buffer-sized distance
-	// rows (metric.RowP): 1 (the default when 0) keeps the hot path
-	// strictly serial and allocation-free; > 1 fans wide rows out and
-	// trades a per-event goroutine barrier for latency on very deep
-	// buffers; < 0 means all cores. Results are bit-identical either
-	// way.
-	Parallelism int
 	// Metrics receives the assigner's telemetry (queue depth, delivery and
 	// drop counters, drain batch sizes). Nil uses the process-wide
 	// instruments on obs.Default(); pass NewMetrics over a private
@@ -94,9 +88,9 @@ type workerState struct {
 	trust  float64      // reputation multiplier; 0 = quarantined (Config.WithTrust)
 	window int64        // availability-window end (SetWindow); 0 = unknown
 
-	// Gain cache: rel[i] = rel(buffer[i], worker); rows[s][i] =
-	// d(buffer[i], active[s]). Both stay aligned with the assigner's
-	// buffer; pullBest folds the rows in slot order on the fly.
+	// Gain cache: rel[c] = rel(class c, worker); rows[s][c] =
+	// d(class c, active[s]). Both stay aligned with the assigner's
+	// classes; pullBest folds the rows in slot order on the fly.
 	activePack bitset.Pack
 	activeKw   func(i int) *bitset.Set
 	rel        []float64
@@ -120,14 +114,24 @@ type Assigner struct {
 	// bail to the unordered fast path when the buffer carries no deadlines.
 	deadlined int
 
-	// Packed mirrors and scratch for the gain cache (cache.go): bufPack
-	// mirrors buffer keywords, wkrPack the registered workers' keywords in
-	// arrival order. The closures adapt metric.Row's generic fallback to
-	// the mirrored slices and are built once, so hot-path kernel calls
-	// allocate nothing.
-	bufPack  bitset.Pack
+	// Keyword classes of the buffer (cache.go): cls[i] is buffer[i]'s
+	// class, classes[c] holds class c's keyword set and its members'
+	// tickets (buffer index + dropped, the count of tasks ever dropped
+	// from the front), and slots is the hash table from keyword set to
+	// class.
+	cls     []int
+	classes []bufClass
+	slots   []int32
+	dropped int
+
+	// Packed mirrors and scratch for the gain cache (cache.go): clsPack
+	// mirrors the classes' keyword sets, wkrPack the registered workers'
+	// keywords in arrival order. The closures adapt metric.Row's generic
+	// fallback to the mirrored slices and are built once, so hot-path
+	// kernel calls allocate nothing.
+	clsPack  bitset.Pack
 	wkrPack  bitset.Pack
-	bufKw    func(i int) *bitset.Set
+	clsKw    func(i int) *bitset.Set
 	workerKw func(i int) *bitset.Set
 	rowPool  [][]float64
 	scratchA []float64
@@ -157,9 +161,6 @@ func NewAssigner(cfg Config) (*Assigner, error) {
 	if cfg.Dist == nil {
 		cfg.Dist = metric.Jaccard{}
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	if cfg.UrgencyHorizon == 0 {
 		cfg.UrgencyHorizon = int64(30 * time.Second)
 	}
@@ -179,7 +180,7 @@ func NewAssigner(cfg Config) (*Assigner, error) {
 		seen:    make(map[string]bool),
 		metrics: m,
 	}
-	a.bufKw = func(i int) *bitset.Set { return a.buffer[i].Keywords }
+	a.clsKw = func(i int) *bitset.Set { return a.classes[i].kw }
 	a.workerKw = func(i int) *bitset.Set { return a.states[i].worker.Keywords }
 	return a, nil
 }
@@ -251,12 +252,16 @@ func (a *Assigner) Worker(workerID string) (*core.Worker, error) {
 
 // AddWorker registers a worker and immediately drains the buffer into its
 // free capacity, best-marginal-gain first. Returns the tasks assigned.
+// The worker's weights α and β must be finite and >= 0.
 func (a *Assigner) AddWorker(w *core.Worker) ([]*core.Task, error) {
 	if w == nil || w.Keywords == nil {
 		return nil, errors.New("stream: nil worker or keywords")
 	}
 	if w.ID == "" {
 		return nil, errors.New("stream: worker with empty ID")
+	}
+	if w.Alpha < 0 || !isFinite(w.Alpha) || w.Beta < 0 || !isFinite(w.Beta) {
+		return nil, fmt.Errorf("stream: worker %q weights alpha=%v beta=%v, must be finite and >= 0", w.ID, w.Alpha, w.Beta)
 	}
 	if _, dup := a.workers[w.ID]; dup {
 		return nil, fmt.Errorf("stream: duplicate worker %q", w.ID)
@@ -267,11 +272,11 @@ func (a *Assigner) AddWorker(w *core.Worker) ([]*core.Task, error) {
 	a.order = append(a.order, w.ID)
 	a.states = append(a.states, ws)
 	a.wkrPack.Append(w.Keywords)
-	// Seed the gain cache over the existing backlog: one packed row gives
-	// rel(buffer[i], w); there are no rows yet (empty active set).
-	if nb := len(a.buffer); nb > 0 {
-		ws.rel = make([]float64, nb)
-		metric.RowP(a.cfg.Dist, w.Keywords, &a.bufPack, a.bufKw, ws.rel, a.cfg.Parallelism)
+	// Seed the gain cache over the backlog's classes: one packed row gives
+	// rel(class c, w); there are no rows yet (empty active set).
+	if nc := len(a.classes); nc > 0 {
+		ws.rel = make([]float64, nc)
+		metric.Row(a.cfg.Dist, w.Keywords, &a.clsPack, a.clsKw, ws.rel)
 		for i := range ws.rel {
 			ws.rel[i] = 1 - ws.rel[i]
 		}
@@ -680,7 +685,7 @@ func (a *Assigner) SetTrust(workerID string, trust float64) ([]*core.Task, error
 	return assigned, nil
 }
 
-// isFinite reports x is neither NaN nor ±Inf without importing math.
+// isFinite reports x is neither NaN nor ±Inf.
 func isFinite(x float64) bool { return x-x == 0 }
 
 // marginalGain is Δ(q, k) from the package comment.
@@ -699,10 +704,14 @@ func (a *Assigner) marginalGain(ws *workerState, t *core.Task) float64 {
 //
 // This is the lazily-repaired score index at work: instead of re-running
 // marginalGain per buffered task (an O(|active|) distance loop each), the
-// scan folds the worker's cached divSum and rel columns with two scalars —
-// pure arithmetic over flat float64 slices. A heap would not help here:
-// assigning the pulled task changes every remaining gain for this worker
-// (divSum shifts non-uniformly), so keys go stale after every pop and the
+// scan folds the worker's cached rows and rel column per keyword class
+// with two scalars — pure arithmetic over flat float64 slices of one
+// entry per class, not per task. The best task is the first ticket of the
+// class with the best gain; among classes of equal gain the lowest first
+// ticket wins, which is the lowest buffer index a per-task scan would
+// keep (cache.go). A heap over the classes would not help: assigning the
+// pulled task changes every remaining gain for this worker (the fold
+// shifts non-uniformly), so keys go stale after every pop and the
 // repaired scan is the cheapest correct structure.
 func (a *Assigner) pullBest(ws *workerState) *core.Task {
 	if len(a.buffer) == 0 || len(ws.active) >= a.cfg.Xmax {
@@ -727,54 +736,60 @@ func (a *Assigner) pullBest(ws *workerState) *core.Task {
 	// recompute. The common row counts are unrolled (reslicing the rows
 	// to len(rel) lets the compiler drop their bounds checks): with Xmax
 	// in the single digits this scan is the hottest loop in the package.
+	// A class's first ticket is read only when its gain reaches the best
+	// so far.
 	w := ws.worker
 	twoAlpha, beta := 2*w.Alpha, w.Beta
 	sumRel, n := ws.sumRel, float64(len(ws.active))
-	rel := ws.rel
-	bestI, bestGain := -1, -1.0
+	rel, classes := ws.rel, a.classes[:len(ws.rel)]
+	bestC, bestGain, bestTk := -1, math.Inf(-1), math.MaxInt
 	switch len(ws.rows) {
 	case 0:
-		for i, rl := range rel {
-			if g := twoAlpha*0 + beta*(sumRel+n*rl); g > bestGain {
-				bestI, bestGain = i, g
+		for c, rl := range rel {
+			if g := twoAlpha*0 + beta*(sumRel+n*rl); g > bestGain || g == bestGain && classes[c].tickets[0] < bestTk {
+				bestC, bestGain, bestTk = c, g, classes[c].tickets[0]
 			}
 		}
 	case 1:
 		r0 := ws.rows[0][:len(rel)]
-		for i, rl := range rel {
-			if g := twoAlpha*r0[i] + beta*(sumRel+n*rl); g > bestGain {
-				bestI, bestGain = i, g
+		for c, rl := range rel {
+			if g := twoAlpha*r0[c] + beta*(sumRel+n*rl); g > bestGain || g == bestGain && classes[c].tickets[0] < bestTk {
+				bestC, bestGain, bestTk = c, g, classes[c].tickets[0]
 			}
 		}
 	case 2:
 		r0, r1 := ws.rows[0][:len(rel)], ws.rows[1][:len(rel)]
-		for i, rl := range rel {
-			if g := twoAlpha*(r0[i]+r1[i]) + beta*(sumRel+n*rl); g > bestGain {
-				bestI, bestGain = i, g
+		for c, rl := range rel {
+			if g := twoAlpha*(r0[c]+r1[c]) + beta*(sumRel+n*rl); g > bestGain || g == bestGain && classes[c].tickets[0] < bestTk {
+				bestC, bestGain, bestTk = c, g, classes[c].tickets[0]
 			}
 		}
 	case 3:
 		r0, r1, r2 := ws.rows[0][:len(rel)], ws.rows[1][:len(rel)], ws.rows[2][:len(rel)]
-		for i, rl := range rel {
-			if g := twoAlpha*(r0[i]+r1[i]+r2[i]) + beta*(sumRel+n*rl); g > bestGain {
-				bestI, bestGain = i, g
+		for c, rl := range rel {
+			if g := twoAlpha*(r0[c]+r1[c]+r2[c]) + beta*(sumRel+n*rl); g > bestGain || g == bestGain && classes[c].tickets[0] < bestTk {
+				bestC, bestGain, bestTk = c, g, classes[c].tickets[0]
 			}
 		}
 	default:
 		rows := ws.rows
-		for i, rl := range rel {
+		for c, rl := range rel {
 			var ds float64
 			for _, r := range rows {
-				ds += r[i]
+				ds += r[c]
 			}
-			if g := twoAlpha*ds + beta*(sumRel+n*rl); g > bestGain {
-				bestI, bestGain = i, g
+			if g := twoAlpha*ds + beta*(sumRel+n*rl); g > bestGain || g == bestGain && classes[c].tickets[0] < bestTk {
+				bestC, bestGain, bestTk = c, g, classes[c].tickets[0]
 			}
 		}
 	}
-	t := a.buffer[bestI]
-	relT := ws.rel[bestI]
-	a.bufferSwapRemove(bestI)
+	if bestC < 0 {
+		return nil // every gain is NaN
+	}
+	i := bestTk - a.dropped
+	t := a.buffer[i]
+	relT := ws.rel[bestC]
+	a.bufferSwapRemove(i)
 	a.syncQueueGauge()
 	a.assign(ws, t, relT)
 	return t

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -36,6 +37,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewAssigner(Config{Xmax: 2, BufferLimit: -1}); err == nil {
 		t.Error("negative buffer accepted")
+	}
+}
+
+// A worker whose weights are negative or not finite would make every
+// buffered gain compare below the pull scan's seed; AddWorker must reject
+// it, register nothing and leave the buffer alone.
+func TestAddWorkerRejectsBadWeights(t *testing.T) {
+	a := mustAssigner(t, Config{Xmax: 2})
+	for i := 0; i < 4; i++ {
+		if _, err := a.OfferTask(task(fmt.Sprintf("t%d", i), i, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, ab := range [][2]float64{{-5, -5}, {nan, 0.5}, {0.5, nan}, {-0.1, 1}, {1, -0.1}, {inf, 0}, {0, inf}} {
+		w := &core.Worker{ID: "bad", Alpha: ab[0], Beta: ab[1], Keywords: bitset.FromIndices(32, 0, 1)}
+		got, err := a.AddWorker(w)
+		if err == nil {
+			t.Fatalf("alpha=%v beta=%v accepted, drained %v", ab[0], ab[1], taskIDList(got))
+		}
+		if a.NumWorkers() != 0 || a.BufferLen() != 4 || a.FreeCapacity() != 0 {
+			t.Fatalf("alpha=%v beta=%v: rejected worker left state behind: %d workers, %d buffered, %d free",
+				ab[0], ab[1], a.NumWorkers(), a.BufferLen(), a.FreeCapacity())
+		}
+	}
+	// Zero weights are valid: the worker still drains the buffer.
+	got, err := a.AddWorker(&core.Worker{ID: "zero", Keywords: bitset.FromIndices(32, 0, 1)})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("zero weights: drained %v, %v", taskIDList(got), err)
 	}
 }
 
