@@ -18,7 +18,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-check the parallel diversity kernel and everything it touches.
+# Race-check the internal packages: the shard actors, the cluster and the
+# platform handlers run concurrently.
 test-race:
 	$(GO) test -race ./internal/...
 

@@ -62,70 +62,17 @@ func runSolver(b *testing.B, in *core.Instance, solve func(*core.Instance, ...so
 	b.ReportMetric(lastObjective, "objective")
 }
 
-// runSolverParallel is runSolver with the cached diversity kernel enabled.
-// A fresh instance is built (off the clock) every iteration so each measured
-// solve pays the full precompute — the honest single-shot comparison against
-// the serial rows, with no warm cache carried between iterations.
-func runSolverParallel(b *testing.B, numTasks, numGroups, numWorkers int, solve func(*core.Instance, ...solver.Option) (*solver.Result, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var lastObjective float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		in := benchInstance(b, numTasks, numGroups, numWorkers)
-		b.StartTimer()
-		res, err := solve(in, solver.WithParallelism(-1), solver.WithRand(rand.New(rand.NewSource(int64(i)))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastObjective = res.Objective
-	}
-	b.ReportMetric(lastObjective, "objective")
-}
-
 // BenchmarkFig2a: the |T| sweep of Figure 2a at 1/10 the paper's sizes
-// (paper: 4,000–10,000 tasks, 200 workers, 200 groups). The *-parallel rows
-// run the same solve with the cached diversity kernel on all cores; the
-// reported objective is identical by construction.
+// (paper: 4,000–10,000 tasks, 200 workers, 200 groups).
 func BenchmarkFig2a(b *testing.B) {
 	for _, numTasks := range []int{400, 700, 1000} {
 		in := benchInstance(b, numTasks, 20, 20)
 		b.Run(fmt.Sprintf("app/tasks=%d", numTasks), func(b *testing.B) {
 			runSolver(b, in, solver.HTAAPP)
 		})
-		b.Run(fmt.Sprintf("app-parallel/tasks=%d", numTasks), func(b *testing.B) {
-			runSolverParallel(b, numTasks, 20, 20, solver.HTAAPP)
-		})
 		b.Run(fmt.Sprintf("gre/tasks=%d", numTasks), func(b *testing.B) {
 			runSolver(b, in, solver.HTAGRE)
 		})
-		b.Run(fmt.Sprintf("gre-parallel/tasks=%d", numTasks), func(b *testing.B) {
-			runSolverParallel(b, numTasks, 20, 20, solver.HTAGRE)
-		})
-	}
-}
-
-// BenchmarkDiversityPrecompute: the tentpole kernel in isolation — filling
-// the packed lower-triangular distance matrix serially vs with all cores.
-// Instance construction runs off the clock; every iteration fills a cold
-// cache.
-func BenchmarkDiversityPrecompute(b *testing.B) {
-	for _, numTasks := range []int{500, 1000, 2000} {
-		for _, cfg := range []struct {
-			name string
-			p    int
-		}{{"serial", 1}, {"parallel", -1}} {
-			b.Run(fmt.Sprintf("%s/tasks=%d", cfg.name, numTasks), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					in := benchInstance(b, numTasks, 20, 20)
-					b.StartTimer()
-					in.Precompute(cfg.p)
-				}
-			})
-		}
 	}
 }
 
@@ -267,11 +214,11 @@ func BenchmarkLSAP(b *testing.B) {
 			b.Run("grouped/"+name, classed(lsap.NewBlock(classOf, grouped)))
 			b.Run("greedy/"+name, func(b *testing.B) {
 				ws := lsap.NewWorkspace()
-				lsap.GreedyWS(costs, 1, ws)
+				lsap.GreedyWS(costs, ws)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					lsap.GreedyWS(costs, 1, ws)
+					lsap.GreedyWS(costs, ws)
 				}
 			})
 		}

@@ -99,8 +99,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	xmax := flag.Int("xmax", 20, "per-worker capacity Xmax")
 	skipAPP := flag.Bool("skip-app", false, "skip the O(|T|^3) HTA-APP runs")
-	parallel := flag.Int("parallel", 0,
-		"diversity-kernel parallelism: 0 = serial (paper's path), N > 0 = N goroutines, -1 = all cores; results are bit-identical")
 	format := flag.String("format", "table", "output format: table or csv")
 	jsonPath := flag.String("json", "", "with a -fig prN report: also write it as JSON to this path (e.g. BENCH_PR2.json)")
 	traceOut := flag.String("trace-out", "", "with -fig pr4: write a sample solver trace as Chrome trace-event JSON to this path")
@@ -144,10 +142,7 @@ func main() {
 	}
 	asCSV := *format == "csv"
 
-	opts := experiments.Options{
-		Scale: *scale, Runs: *runs, Seed: *seed, Xmax: *xmax, SkipAPP: *skipAPP,
-		Parallelism: *parallel,
-	}
+	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Xmax: *xmax, SkipAPP: *skipAPP}
 	start := time.Now()
 	var err error
 	switch *fig {
@@ -180,8 +175,8 @@ func main() {
 	case "pr2":
 		// Not a paper figure: the before/after report of the PR 2 LSAP
 		// class collapse (dense Hungarian → capacitated class-level
-		// Hungarian) plus the precompute gating fix.
-		fmt.Printf("PR 2 report: class-collapsed exact LSAP + gated precompute (Xmax = %d)\n\n", opts.Xmax)
+		// Hungarian) and the class-pair M_B against the all-pairs one.
+		fmt.Printf("PR 2 report: class-collapsed exact LSAP + class-pair M_B (Xmax = %d)\n\n", opts.Xmax)
 		var report *experiments.PR2Report
 		report, err = experiments.SweepPR2(opts)
 		if err == nil {

@@ -72,8 +72,6 @@ func main() {
 		"run the paper's full selection pipeline: worker qualification, overtime and incomplete-session filters, top-N by completions")
 	chart := flag.Bool("chart", false, "render the Figure 5a-5c curves as ASCII charts")
 	sessionsOut := flag.String("out", "", "archive raw sessions as JSON lines to this file (analyze with hta-report)")
-	parallel := flag.Int("parallel", 0,
-		"diversity-kernel parallelism per session engine: 0 = serial, N > 0 = N goroutines, -1 = all cores; sessions are bit-identical")
 	metricsAddr := flag.String("metrics", "",
 		"serve the obs registry on this address (/metrics, /healthz, /debug/pprof) while the study runs; empty disables")
 	flag.Parse()
@@ -94,7 +92,6 @@ func main() {
 
 	params := crowd.DefaultParams()
 	params.SessionMinutes = *minutes
-	params.Parallelism = *parallel
 	start := time.Now()
 	res, err := experiments.Fig5(experiments.Fig5Options{
 		SessionsPerStrategy: *sessions,

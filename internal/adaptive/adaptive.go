@@ -55,15 +55,6 @@ type Config struct {
 	// HTA-GRE has no (α, β) estimates yet; the non-adaptive strategies
 	// (DIV, REL) ignore the estimates and need no cold start.
 	DisableRandomColdStart bool
-	// Parallelism enables the cached diversity kernel across iterations:
-	// > 0 uses that many goroutines, < 0 uses runtime.NumCPU(), 0 (the
-	// zero value) keeps the legacy serial path. With the kernel on, the
-	// engine retains the pairwise distance matrix between NextIteration
-	// calls — pairs whose tasks both survive in the pool are carried
-	// forward, assigned tasks drop out by omission — and passes
-	// solver.WithParallelism to the configured Solve. Assignments are
-	// bit-identical to the serial path.
-	Parallelism int
 	// Metrics receives the engine's telemetry (iteration latency, pool
 	// size, α/β drift). Nil uses the process-wide instruments on
 	// obs.Default(); pass NewMetrics over a private registry for
@@ -112,14 +103,8 @@ type Engine struct {
 	workers   map[string]*WorkerState
 	order     []string // worker registration order, for deterministic instances
 	iteration int
-	kernel    *core.DistKernel // cross-iteration distance cache; nil when Parallelism == 0
-	lsapWS    *lsap.Workspace  // scratch reused by every iteration's LSAP solve
+	lsapWS    *lsap.Workspace // scratch reused by every iteration's LSAP solve
 	metrics   *Metrics
-	// KernelReused/KernelComputed accumulate the pair counts the kernel
-	// carried forward vs computed fresh across all iterations — the
-	// incremental-invalidation win reported by the iteration benches.
-	KernelReused   int
-	KernelComputed int
 }
 
 // NewEngine validates the configuration and returns an empty engine.
@@ -159,9 +144,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.metrics = cfg.Metrics
 	if e.metrics == nil {
 		e.metrics = sharedMetrics()
-	}
-	if cfg.Parallelism != 0 {
-		e.kernel = core.NewDistKernel()
 	}
 	return e, nil
 }
@@ -376,8 +358,7 @@ func (e *Engine) NextIteration() (map[string][]*core.Task, error) {
 }
 
 // NextIterationCtx is NextIteration with trace propagation: the round
-// runs under an "adaptive.iteration" span joined to ctx's trace, the
-// cross-iteration kernel precompute gets its own child span, and the
+// runs under an "adaptive.iteration" span joined to ctx's trace, and the
 // context flows into the solver (solver.WithContext) so the trace shows
 // the full endpoint → iteration → solver-phase hierarchy.
 func (e *Engine) NextIterationCtx(ctx context.Context) (map[string][]*core.Task, error) {
@@ -420,23 +401,7 @@ func (e *Engine) NextIterationCtx(ctx context.Context) (map[string][]*core.Task,
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: building instance: %w", err)
 		}
-		solveOpts := []solver.Option{
-			solver.WithContext(ctx), solver.WithRand(e.cfg.Rand), solver.WithWorkspace(e.lsapWS),
-		}
-		if e.kernel != nil {
-			// Materialize this iteration's distance matrix, carrying
-			// forward every pair whose tasks both survive from the last
-			// iteration; assigned tasks dropped out of the pool and are
-			// invalidated simply by not being carried forward.
-			_, preSpan := trace.Start(ctx, "adaptive.precompute")
-			reused, computed := e.kernel.Precompute(in, e.cfg.Parallelism)
-			preSpan.SetAttrs(trace.Int("reused", reused), trace.Int("computed", computed))
-			preSpan.End()
-			e.KernelReused += reused
-			e.KernelComputed += computed
-			solveOpts = append(solveOpts, solver.WithParallelism(e.cfg.Parallelism))
-		}
-		res, err := e.cfg.Solve(in, solveOpts...)
+		res, err := e.cfg.Solve(in, solver.WithContext(ctx), solver.WithRand(e.cfg.Rand), solver.WithWorkspace(e.lsapWS))
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: solving iteration %d: %w", e.iteration, err)
 		}

@@ -95,8 +95,8 @@ func (s *Set) IntersectionCount(t *Set) int {
 
 // IntersectionUnionCount returns |s ∩ t| and |s ∪ t| in a single pass over
 // the words — the two aggregates Jaccard needs, at half the memory traffic
-// of calling IntersectionCount and UnionCount separately. It is the batch
-// primitive behind the precomputed diversity kernel.
+// of calling IntersectionCount and UnionCount separately.
+// Pack.IntersectionUnionCountAt is its packed counterpart.
 func (s *Set) IntersectionUnionCount(t *Set) (inter, union int) {
 	a, b := s.words, t.words
 	if len(b) < len(a) {

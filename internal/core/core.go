@@ -10,12 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/htacs/ata/internal/bitset"
+	"github.com/htacs/ata/internal/matching"
 	"github.com/htacs/ata/internal/metric"
-	"github.com/htacs/ata/internal/par"
 )
 
 // Task is a unit of crowd work described by a Boolean keyword vector
@@ -58,129 +56,46 @@ func (w *Worker) NormalizeWeights() {
 
 // Instance is one HTA problem: the tasks and workers available at an
 // iteration, the capacity Xmax, and the diversity distance.
+//
+// Under the paper's model (Equations 1–3) diversity and relevance depend
+// only on keyword sets, and AMT-style corpora repeat one keyword set over a
+// whole task group. So the instance numbers its tasks' keyword classes once
+// and keeps every per-task quantity per class: a |W|×C relevance table and,
+// when the classes pay for it, a packed C×C distance table.
 type Instance struct {
 	Tasks   []*Task
 	Workers []*Worker
 	Xmax    int
 	Dist    metric.Distance
 
-	rel   [][]float64            // rel[q][k] = rel(t_k, w_q), precomputed
-	divFn func(k, l int) float64 // nil → compute from keyword bitsets
-	div   *divCache              // optional packed pairwise-distance matrix
+	class []int     // class[k]: the keyword class of task k
+	nc    int       // number of classes C
+	rel   []float64 // rel[q*nc+c] = rel(class c, w_q)
+	// div[classPair(a, b)] = d(class a, class b), diagonal included; nil
+	// when there is no distance table and Diversity computes on the fly.
+	div   []float64
+	divFn func(a, b int) float64 // oracle over classes (NewCustomInstance); nil → keyword bitsets
 }
 
-// divCache holds the precomputed pairwise diversity matrix in packed
-// lower-triangular form: vals[k*(k-1)/2 + l] = d(t_k, t_l) for k > l.
-// It lives behind a pointer so Instance copies (WithUniformWeights) share
-// one cache, and behind an atomic so concurrent solvers can race a first
-// Precompute against cache reads safely: readers either see the finished
-// matrix or fall back to on-demand computation of the very same values.
-type divCache struct {
-	once sync.Once
-	vals atomic.Pointer[[]float64]
-}
-
-// cachedDiv returns the packed matrix, or nil when not (yet) precomputed.
-func (in *Instance) cachedDiv() []float64 {
-	if in.div == nil {
-		return nil
+// classPair is the packed lower-triangular offset of class pair (a, b),
+// diagonal included.
+func classPair(a, b int) int {
+	if a < b {
+		a, b = b, a
 	}
-	if p := in.div.vals.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// triIndex is the packed lower-triangular offset of pair (k, l), k > l.
-func triIndex(k, l int) int { return k*(k-1)/2 + l }
-
-// Precompute materializes the pairwise diversity matrix once, sharding
-// triangular row blocks across p goroutines (p >= 1 is literal, p <= 0
-// means runtime.NumCPU()). After it returns, Diversity/SetDiversity/Motiv
-// read the cache in O(1) instead of recomputing keyword distances.
-//
-// The cache stores exactly the values the on-demand path would produce, so
-// precomputing never changes solver output — only when distances are
-// computed. Memory is |T|·(|T|−1)/2 float64s (≈400 MB at the paper's
-// 10,000-task scale), which is why it is opt-in rather than part of
-// NewInstance. Idempotent and safe for concurrent use; the first caller
-// computes, later callers return once the matrix is published.
-func (in *Instance) Precompute(p int) {
-	if in.div == nil || in.cachedDiv() != nil {
-		return
-	}
-	in.div.once.Do(func() {
-		vals := in.computeTriangle(par.N(p))
-		in.div.vals.Store(&vals)
-	})
-}
-
-// HasDiversityCache reports whether the pairwise diversity matrix has been
-// precomputed (by Precompute or a DistKernel).
-func (in *Instance) HasDiversityCache() bool { return in.cachedDiv() != nil }
-
-// computeTriangle fills the packed lower triangle with p goroutines. Row k
-// holds k entries, so chunks are weight-balanced by row index.
-func (in *Instance) computeTriangle(p int) []float64 {
-	n := in.NumTasks()
-	vals := make([]float64, n*(n-1)/2)
-	if n < 2 {
-		return vals
-	}
-	fillRows := in.rowFiller()
-	par.DoWeighted(n, p, func(k int) int { return k }, fillRows(vals))
-	return vals
-}
-
-// rowFiller returns a constructor of chunk workers that fill triangular
-// rows [lo, hi) of a packed matrix, choosing the fastest available path:
-// explicit oracle, batch row distance, or per-pair distance.
-func (in *Instance) rowFiller() func(vals []float64) func(lo, hi int) {
-	if in.divFn != nil {
-		return func(vals []float64) func(lo, hi int) {
-			return func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					base := triIndex(k, 0)
-					for l := 0; l < k; l++ {
-						vals[base+l] = in.divFn(k, l)
-					}
-				}
-			}
-		}
-	}
-	keys := make([]*bitset.Set, len(in.Tasks))
-	for k, t := range in.Tasks {
-		keys[k] = t.Keywords
-	}
-	if rd, ok := in.Dist.(metric.RowDistancer); ok {
-		return func(vals []float64) func(lo, hi int) {
-			return func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					base := triIndex(k, 0)
-					rd.DistanceRow(keys[k], keys[:k], vals[base:base+k])
-				}
-			}
-		}
-	}
-	return func(vals []float64) func(lo, hi int) {
-		return func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				base := triIndex(k, 0)
-				for l := 0; l < k; l++ {
-					vals[base+l] = in.Dist.Distance(keys[k], keys[l])
-				}
-			}
-		}
-	}
+	return a*(a+1)/2 + b
 }
 
 // ErrNonMetric is wrapped into errors returned when a caller requests an
 // approximation guarantee but the configured distance is not a metric.
 var ErrNonMetric = errors.New("distance is not a metric; approximation factors do not hold")
 
-// NewInstance validates and builds an Instance, precomputing the
-// |W|×|T| relevance matrix (diversities stay on-demand: the |T|² matrix
-// would not fit for the paper's 10k-task experiments).
+// NewInstance validates and builds an Instance. It numbers the tasks'
+// keyword classes and fills the |W|×C relevance table, one relevance per
+// (worker, class). When the classes at least halve the task count and
+// their C(C+1)/2 pairs fit matching.DefaultEdgeListLimit, it also fills
+// the packed C×C distance table; otherwise diversities stay on demand (the
+// |T|² matrix would not fit for the paper's 10k-task experiments).
 func NewInstance(tasks []*Task, workers []*Worker, xmax int, dist metric.Distance) (*Instance, error) {
 	if xmax < 1 {
 		return nil, fmt.Errorf("core: Xmax = %d, must be >= 1", xmax)
@@ -206,16 +121,53 @@ func NewInstance(tasks []*Task, workers []*Worker, xmax int, dist metric.Distanc
 			return nil, err
 		}
 	}
-	inst := &Instance{Tasks: tasks, Workers: workers, Xmax: xmax, Dist: dist, div: &divCache{}}
-	inst.rel = make([][]float64, len(workers))
+	class, reps := keywordClasses(tasks)
+	nc := len(reps)
+	rel := make([]float64, len(workers)*nc)
 	for q, w := range workers {
-		row := make([]float64, len(tasks))
-		for k, t := range tasks {
-			row[k] = metric.Relevance(dist, t.Keywords, w.Keywords)
+		for c, s := range reps {
+			rel[q*nc+c] = metric.Relevance(dist, s, w.Keywords)
 		}
-		inst.rel[q] = row
+	}
+	inst := &Instance{Tasks: tasks, Workers: workers, Xmax: xmax, Dist: dist, class: class, nc: nc, rel: rel}
+	if nc <= len(tasks)/2 && nc*(nc+1)/2 <= matching.DefaultEdgeListLimit {
+		inst.div = make([]float64, nc*(nc+1)/2)
+		for a := range reps {
+			for b := 0; b <= a; b++ {
+				inst.div[classPair(a, b)] = dist.Distance(reps[a], reps[b])
+			}
+		}
 	}
 	return inst, nil
+}
+
+// keywordClasses numbers the tasks' keyword sets 0, 1, … by first
+// appearance: tasks whose sets are equal, in bits and in capacity, share a
+// class. It returns each task's class and each class's keyword set.
+func keywordClasses(tasks []*Task) (class []int, reps []*bitset.Set) {
+	class = make([]int, len(tasks))
+	heads := make(map[uint64]int) // keyword hash → latest class with it
+	var next []int                // next[c]: earlier class with c's hash, or -1
+	for k, t := range tasks {
+		s := t.Keywords
+		h := s.Hash()
+		head, ok := heads[h]
+		if !ok {
+			head = -1
+		}
+		c := head
+		for c >= 0 && !(reps[c].Len() == s.Len() && reps[c].Equal(s)) {
+			c = next[c]
+		}
+		if c < 0 {
+			c = len(reps)
+			reps = append(reps, s)
+			next = append(next, head)
+			heads[h] = c
+		}
+		class[k] = c
+	}
+	return class, reps
 }
 
 // checkWeights validates a worker's motivation weights. The paper's model
@@ -237,6 +189,8 @@ func checkWeights(w *Worker) error {
 // platforms where these quantities are measured externally. div must be
 // symmetric with div(k,k) = 0; if metricDiv is false the instance reports a
 // non-metric distance and solvers lose their approximation guarantees.
+// Each task is its own class, since the oracle may tell any two tasks
+// apart, so the instance has no distance table.
 func NewCustomInstance(numTasks int, workers []*Worker, xmax int, rel [][]float64, div func(k, l int) float64, metricDiv bool) (*Instance, error) {
 	if xmax < 1 {
 		return nil, fmt.Errorf("core: Xmax = %d, must be >= 1", xmax)
@@ -262,21 +216,24 @@ func NewCustomInstance(numTasks int, workers []*Worker, xmax int, rel [][]float6
 		}
 	}
 	tasks := make([]*Task, numTasks)
+	class := make([]int, numTasks)
 	for k := range tasks {
 		tasks[k] = &Task{ID: fmt.Sprintf("t%d", k)}
+		class[k] = k
 	}
-	relCopy := make([][]float64, len(rel))
-	for q := range rel {
-		relCopy[q] = append([]float64(nil), rel[q]...)
+	relTable := make([]float64, 0, len(rel)*numTasks)
+	for _, row := range rel {
+		relTable = append(relTable, row...)
 	}
 	return &Instance{
 		Tasks:   tasks,
 		Workers: workers,
 		Xmax:    xmax,
 		Dist:    oracleDistance{metric: metricDiv},
-		rel:     relCopy,
+		class:   class,
+		nc:      numTasks,
+		rel:     relTable,
 		divFn:   div,
-		div:     &divCache{},
 	}, nil
 }
 
@@ -291,9 +248,9 @@ func (d oracleDistance) Metric() bool { return d.metric }
 func (oracleDistance) Name() string   { return "oracle" }
 
 // WithUniformWeights returns a copy of the instance whose workers all carry
-// weights (alpha, beta), sharing the precomputed relevance matrix. It backs
-// the paper's non-adaptive baselines HTA-GRE-DIV (α=1, β=0) and
-// HTA-GRE-REL (α=0, β=1) from Section V-C.
+// weights (alpha, beta), sharing everything else, the class tables
+// included. It backs the paper's non-adaptive baselines HTA-GRE-DIV (α=1,
+// β=0) and HTA-GRE-REL (α=0, β=1) from Section V-C.
 func (in *Instance) WithUniformWeights(alpha, beta float64) (*Instance, error) {
 	probe := &Worker{ID: "probe", Alpha: alpha, Beta: beta}
 	if err := checkWeights(probe); err != nil {
@@ -311,11 +268,12 @@ func (in *Instance) WithUniformWeights(alpha, beta float64) (*Instance, error) {
 }
 
 // Permuted returns a view of the instance whose task index i refers to the
-// receiver's task perm[i]; workers, weights and Xmax are shared. Solvers
-// use a random permutation to break ties: corpora contain many tasks with
-// identical keyword vectors (AMT task groups), and with a deterministic
-// index order the LSAP's tied profits pack same-group tasks into a single
-// worker's clique, collapsing its diversity.
+// receiver's task perm[i]; workers, weights, Xmax and the class tables are
+// shared, and only the class vector is permuted. Solvers use a random
+// permutation to break ties: corpora contain many tasks with identical
+// keyword vectors (AMT task groups), and with a deterministic index order
+// the LSAP's tied profits pack same-group tasks into a single worker's
+// clique, collapsing its diversity.
 func (in *Instance) Permuted(perm []int) (*Instance, error) {
 	n := in.NumTasks()
 	if len(perm) != n {
@@ -328,45 +286,14 @@ func (in *Instance) Permuted(perm []int) (*Instance, error) {
 		}
 		seen[p] = true
 	}
-	tasks := make([]*Task, n)
+	out := *in
+	out.Tasks = make([]*Task, n)
+	out.class = make([]int, n)
 	for i, p := range perm {
-		tasks[i] = in.Tasks[p]
+		out.Tasks[i] = in.Tasks[p]
+		out.class[i] = in.class[p]
 	}
-	rel := make([][]float64, len(in.rel))
-	for q, row := range in.rel {
-		newRow := make([]float64, n)
-		for i, p := range perm {
-			newRow[i] = row[p]
-		}
-		rel[q] = newRow
-	}
-	out := &Instance{
-		Tasks:   tasks,
-		Workers: in.Workers,
-		Xmax:    in.Xmax,
-		Dist:    in.Dist,
-		rel:     rel,
-		div:     &divCache{},
-	}
-	if vals := in.cachedDiv(); vals != nil {
-		// Read through the receiver's precomputed matrix instead of
-		// recomputing distances for the permuted view. Same float64s,
-		// just found at permuted offsets.
-		out.divFn = func(k, l int) float64 {
-			pk, pl := perm[k], perm[l]
-			if pk == pl {
-				return 0
-			}
-			if pk < pl {
-				pk, pl = pl, pk
-			}
-			return vals[triIndex(pk, pl)]
-		}
-	} else if in.divFn != nil {
-		inner := in.divFn
-		out.divFn = func(k, l int) float64 { return inner(perm[k], perm[l]) }
-	}
-	return out, nil
+	return &out, nil
 }
 
 // NumTasks returns |T^i|.
@@ -376,87 +303,44 @@ func (in *Instance) NumTasks() int { return len(in.Tasks) }
 func (in *Instance) NumWorkers() int { return len(in.Workers) }
 
 // Diversity returns the pairwise task diversity d(t_k, t_l): from the
-// precomputed matrix when Precompute has run, otherwise computed on demand
+// distance table when the instance has one, otherwise computed on demand
 // from the diversity oracle or the keyword bitsets.
 func (in *Instance) Diversity(k, l int) float64 {
 	if k == l {
 		return 0
 	}
-	if vals := in.cachedDiv(); vals != nil {
-		if k < l {
-			k, l = l, k
-		}
-		return vals[triIndex(k, l)]
+	if in.div != nil {
+		return in.div[classPair(in.class[k], in.class[l])]
 	}
 	if in.divFn != nil {
-		return in.divFn(k, l)
+		return in.divFn(in.class[k], in.class[l])
 	}
 	return in.Dist.Distance(in.Tasks[k].Keywords, in.Tasks[l].Keywords)
 }
 
-// TaskClasses returns each task's class, numbered 0, 1, … by first
-// appearance. Tasks whose keyword sets are equal, in bits and in capacity,
-// share a class, so the diversity of two distinct tasks depends on their
-// classes alone: AMT-style corpora repeat a task group's keyword set over
-// the whole group. It returns nil for oracle-backed instances
-// (NewCustomInstance), whose diversity oracle may tell any two tasks apart.
-// The classes are computed on each call; the instance keeps no state.
+// TaskClasses returns each task's keyword class when the instance has a
+// distance table, and nil otherwise: when the classes do not halve the
+// task count, when their pairs exceed matching.DefaultEdgeListLimit, and
+// for oracle-backed instances (NewCustomInstance), whose diversity oracle
+// may tell any two tasks apart. Tasks whose keyword sets are equal, in bits
+// and in capacity, share a class, so the diversity of two distinct tasks
+// depends on their classes alone. Classes are numbered by first appearance
+// in the instance NewInstance built; a Permuted view keeps those numbers.
+// The returned slice is shared; callers must not modify it.
 func (in *Instance) TaskClasses() []int {
-	if _, ok := in.Dist.(oracleDistance); ok {
+	if in.div == nil {
 		return nil
 	}
-	classes := make([]int, len(in.Tasks))
-	heads := make(map[uint64]int) // keyword hash → latest class with it
-	var reps []*bitset.Set        // reps[c]: the keyword set of class c
-	var next []int                // next[c]: earlier class with c's hash, or -1
-	for k, t := range in.Tasks {
-		s := t.Keywords
-		h := s.Hash()
-		head, ok := heads[h]
-		if !ok {
-			head = -1
-		}
-		c := head
-		for c >= 0 && !(reps[c].Len() == s.Len() && reps[c].Equal(s)) {
-			c = next[c]
-		}
-		if c < 0 {
-			c = len(reps)
-			reps = append(reps, s)
-			next = append(next, head)
-			heads[h] = c
-		}
-		classes[k] = c
-	}
-	return classes
+	return in.class
 }
 
-// Relevance returns rel(t_k, w_q) from the precomputed matrix.
-func (in *Instance) Relevance(q, k int) float64 { return in.rel[q][k] }
-
-// RelevanceRow returns the precomputed relevance row of worker q. The
-// returned slice is shared; callers must not modify it.
-func (in *Instance) RelevanceRow(q int) []float64 { return in.rel[q] }
+// Relevance returns rel(t_k, w_q) from the relevance table.
+func (in *Instance) Relevance(q, k int) float64 { return in.rel[q*in.nc+in.class[k]] }
 
 // SetDiversity returns TD(T') = Σ_{k>l} d(t_k, t_l) over the given task
 // indices (Equation 1).
 func (in *Instance) SetDiversity(taskIdx []int) float64 {
 	var td float64
-	if vals := in.cachedDiv(); vals != nil {
-		for i := 1; i < len(taskIdx); i++ {
-			for j := 0; j < i; j++ {
-				k, l := taskIdx[i], taskIdx[j]
-				if k == l {
-					continue
-				}
-				if k < l {
-					k, l = l, k
-				}
-				td += vals[triIndex(k, l)]
-			}
-		}
-		return td
-	}
 	for i := 1; i < len(taskIdx); i++ {
 		for j := 0; j < i; j++ {
 			td += in.Diversity(taskIdx[i], taskIdx[j])
@@ -469,7 +353,7 @@ func (in *Instance) SetDiversity(taskIdx []int) float64 {
 func (in *Instance) SetRelevance(q int, taskIdx []int) float64 {
 	var tr float64
 	for _, k := range taskIdx {
-		tr += in.rel[q][k]
+		tr += in.Relevance(q, k)
 	}
 	return tr
 }

@@ -101,9 +101,6 @@ func TestDiversityAndRelevance(t *testing.T) {
 	if got := in.Relevance(1, 3); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Relevance(w1,t3) = %g, want 0.5", got)
 	}
-	if got := in.RelevanceRow(1)[3]; got != in.Relevance(1, 3) {
-		t.Errorf("RelevanceRow mismatch: %g", got)
-	}
 }
 
 func TestSetAggregates(t *testing.T) {
@@ -377,12 +374,13 @@ func TestTaskClasses(t *testing.T) {
 		mkTask("t6", 100),        // empty
 		mkTask("t7", 128, 70, 3), // t3's set
 		mkTask("t8", 100, 3, 70, 99),
+		mkTask("t9", 100, 99, 3, 70), // t8's set
 	}
 	in, err := NewInstance(tasks, []*Worker{mkWorker("w", 0.5, 100, 1)}, 2, metric.Jaccard{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 0, 2, 3, 1, 3, 2, 4}
+	want := []int{0, 1, 0, 2, 3, 1, 3, 2, 4, 4}
 	got := in.TaskClasses()
 	if len(got) != len(want) {
 		t.Fatalf("TaskClasses = %v, want %v", got, want)
@@ -402,7 +400,7 @@ func TestTaskClasses(t *testing.T) {
 			}
 		}
 	}
-	perm := []int{8, 7, 6, 5, 4, 3, 2, 1, 0}
+	perm := []int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
 	view, err := in.Permuted(perm)
 	if err != nil {
 		t.Fatal(err)
@@ -417,6 +415,11 @@ func TestTaskClasses(t *testing.T) {
 	}
 	if empty, _ := NewInstance(nil, nil, 1, metric.Jaccard{}); len(empty.TaskClasses()) != 0 {
 		t.Fatal("instance without tasks reports classes")
+	}
+	// Five classes over nine tasks do not halve the task count: no
+	// distance table, so no classes.
+	if few, _ := NewInstance(tasks[:9], nil, 1, metric.Jaccard{}); few.TaskClasses() != nil {
+		t.Fatal("instance whose classes do not halve its tasks reports classes")
 	}
 }
 

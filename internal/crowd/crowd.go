@@ -157,12 +157,6 @@ type Params struct {
 	// session's engine.
 	PoolPerSession int
 
-	// Parallelism is forwarded to adaptive.Config.Parallelism: 0 keeps the
-	// legacy serial solver path, > 0 enables the cached diversity kernel
-	// with that many goroutines per session engine, < 0 uses all CPUs.
-	// Session outcomes are bit-identical either way.
-	Parallelism int
-
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -336,7 +330,6 @@ func (s *Simulator) runSessionSeeded(strategy Strategy, worker *SimWorker, seed 
 		ExtraRandomTasks:       p.DisplayExtra,
 		Rand:                   rng,
 		DisableRandomColdStart: strategy != StrategyGRE,
-		Parallelism:            p.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -10,16 +10,17 @@ import (
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/lsap"
+	"github.com/htacs/ata/internal/matching"
 	"github.com/htacs/ata/internal/metric"
 	"github.com/htacs/ata/internal/solver"
 	"github.com/htacs/ata/internal/workload"
 )
 
 // PR2SolverPoint is one before/after measurement of a full solver run for
-// the PR 2 report. "Before" is the pre-PR configuration — the dense O(|T|³)
-// Hungarian for HTA-APP, the unconditional eager distance precompute for
-// HTA-GRE — and "after" is the shipped default (class-collapsed LSAP,
-// gated precompute). Times are averaged ns/op over the sweep's runs; both
+// the PR 2 report. "Before" is the dense O(|T|³) Hungarian for HTA-APP and
+// the greedy M_B over all task pairs (solver.WithMatcher(matching.GreedySort))
+// for HTA-GRE; "after" is the shipped default (class-collapsed LSAP, M_B
+// over class pairs). Times are averaged ns/op over the sweep's runs; both
 // sides solve identical instances with identical seeds under WithoutFlip.
 type PR2SolverPoint struct {
 	Algorithm string `json:"algorithm"`
@@ -71,7 +72,7 @@ type PR2Report struct {
 func SweepPR2(o Options) (*PR2Report, error) {
 	o.applyDefaults()
 	report := &PR2Report{
-		Note: "before = dense Hungarian (app) / eager precompute (gre); after = class-collapsed LSAP + gated precompute. Identical instances and seeds, WithoutFlip.",
+		Note: "before = dense Hungarian (app) / all-pairs M_B via WithMatcher(GreedySort) (gre); after = class-collapsed LSAP + class-pair M_B. Identical instances and seeds, WithoutFlip.",
 	}
 
 	for _, numTasks := range []int{400, 700, 1000} {
@@ -84,8 +85,7 @@ func SweepPR2(o Options) (*PR2Report, error) {
 		report.Solvers = append(report.Solvers, app)
 
 		gre, err := measurePR2Solver(o, "hta-gre", numTasks, numGroups, numWorkers,
-			[]solver.Option{solver.WithParallelism(1), solver.WithEagerPrecompute()},
-			[]solver.Option{solver.WithParallelism(1)})
+			[]solver.Option{solver.WithMatcher(matching.GreedySort)}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pr2 gre |T|=%d: %w", numTasks, err)
 		}
@@ -121,17 +121,13 @@ func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers in
 		if err != nil {
 			return point, err
 		}
-		tasks := gen.Tasks(numGroups, perGroup)
-		workers := gen.Workers(numWorkers)
+		in, err := core.NewInstance(gen.Tasks(numGroups, perGroup), gen.Workers(numWorkers), o.Xmax, metric.Jaccard{})
+		if err != nil {
+			return point, err
+		}
 		seed := o.Seed + int64(run)
 
 		measureOne := func(extra []solver.Option) (*solver.Result, error) {
-			// Fresh instance per side so neither inherits the other's
-			// diversity cache.
-			in, err := core.NewInstance(tasks, workers, o.Xmax, metric.Jaccard{})
-			if err != nil {
-				return nil, err
-			}
 			opts := append([]solver.Option{
 				solver.WithoutFlip(),
 				solver.WithRand(rand.New(rand.NewSource(seed))),
@@ -147,7 +143,7 @@ func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers in
 		if err != nil {
 			return point, err
 		}
-		beforeTotal += before.TotalTime // TotalTime already includes any precompute
+		beforeTotal += before.TotalTime
 		afterTotal += after.TotalTime
 		beforeLSAP += before.LSAPTime
 		afterLSAP += after.LSAPTime
@@ -192,8 +188,8 @@ func lsapValueDelta(o Options, numTasks, numGroups, numWorkers int) (float64, er
 		val    *float64
 		assign func(c lsap.Costs) lsap.Solution
 	}{
-		{&denseVal, func(c lsap.Costs) lsap.Solution { return lsap.Hungarian(c) }},
-		{&classedVal, func(c lsap.Costs) lsap.Solution { return lsap.Auto(c, 1) }},
+		{&denseVal, lsap.Hungarian},
+		{&classedVal, lsap.Auto},
 	} {
 		in, err := core.NewInstance(tasks, workers, o.Xmax, metric.Jaccard{})
 		if err != nil {
@@ -260,7 +256,7 @@ func measurePR2Micro(o Options, n, numWorkers int) (PR2MicroPoint, error) {
 		return nil
 	})
 	point.GreedyNs = minDuration(o.Runs, func() error {
-		lsap.GreedyWS(costs, 1, ws)
+		lsap.GreedyWS(costs, ws)
 		return nil
 	})
 	point.ValueEqual = math.Abs(denseVal-classedVal) <= 1e-9

@@ -15,7 +15,7 @@ import (
 func WriteRowsCSV(w io.Writer, rows []Row) error {
 	cw := csv.NewWriter(w)
 	header := []string{"tasks", "workers", "groups", "algorithm",
-		"precompute_seconds", "matching_seconds", "lsap_seconds", "total_seconds", "objective"}
+		"matching_seconds", "lsap_seconds", "total_seconds", "objective"}
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("experiments: writing CSV header: %w", err)
 	}
@@ -25,7 +25,6 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 			strconv.Itoa(r.NumWorkers),
 			strconv.Itoa(r.NumGroups),
 			r.Algorithm,
-			strconv.FormatFloat(r.PrecomputeSeconds, 'f', 6, 64),
 			strconv.FormatFloat(r.MatchingSeconds, 'f', 6, 64),
 			strconv.FormatFloat(r.LSAPSeconds, 'f', 6, 64),
 			strconv.FormatFloat(r.TotalSeconds, 'f', 6, 64),

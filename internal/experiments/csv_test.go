@@ -25,7 +25,7 @@ func TestWriteRowsCSV(t *testing.T) {
 	if len(records) != len(rows)+1 {
 		t.Fatalf("%d records for %d rows", len(records), len(rows))
 	}
-	if records[0][0] != "tasks" || records[0][4] != "precompute_seconds" || records[0][8] != "objective" {
+	if records[0][0] != "tasks" || records[0][4] != "matching_seconds" || records[0][7] != "objective" {
 		t.Fatalf("header = %v", records[0])
 	}
 	for i, r := range rows {
@@ -33,9 +33,9 @@ func TestWriteRowsCSV(t *testing.T) {
 		if rec[3] != r.Algorithm {
 			t.Fatalf("row %d algorithm %q != %q", i, rec[3], r.Algorithm)
 		}
-		v, err := strconv.ParseFloat(rec[7], 64)
+		v, err := strconv.ParseFloat(rec[6], 64)
 		if err != nil || v < r.TotalSeconds-1e-6 || v > r.TotalSeconds+1e-6 {
-			t.Fatalf("row %d total %q != %g", i, rec[7], r.TotalSeconds)
+			t.Fatalf("row %d total %q != %g", i, rec[6], r.TotalSeconds)
 		}
 	}
 }

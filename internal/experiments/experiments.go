@@ -49,10 +49,6 @@ type Options struct {
 	Xmax int
 	// SkipAPP drops the cubic HTA-APP runs (useful at large scales).
 	SkipAPP bool
-	// Parallelism enables the cached diversity kernel in every measured
-	// solve: > 0 uses that many goroutines, < 0 all CPUs, 0 (default)
-	// keeps the paper's serial path. Objectives are bit-identical.
-	Parallelism int
 }
 
 func (o *Options) applyDefaults() {
@@ -83,11 +79,10 @@ type Row struct {
 	NumGroups  int
 	Algorithm  string
 	// Measurements, averaged over Options.Runs.
-	PrecomputeSeconds float64
-	MatchingSeconds   float64
-	LSAPSeconds       float64
-	TotalSeconds      float64
-	Objective         float64
+	MatchingSeconds float64
+	LSAPSeconds     float64
+	TotalSeconds    float64
+	Objective       float64
 }
 
 type solveFn func(in *core.Instance, opts ...solver.Option) (*solver.Result, error)
@@ -119,22 +114,16 @@ func measure(o Options, algo string, solve solveFn, numGroups, tasksPerGroup, nu
 		if err != nil {
 			return row, err
 		}
-		solveOpts := []solver.Option{solver.WithRand(rand.New(rand.NewSource(o.Seed + int64(run))))}
-		if o.Parallelism != 0 {
-			solveOpts = append(solveOpts, solver.WithParallelism(o.Parallelism))
-		}
-		res, err := solve(in, solveOpts...)
+		res, err := solve(in, solver.WithRand(rand.New(rand.NewSource(o.Seed+int64(run)))))
 		if err != nil {
 			return row, err
 		}
-		row.PrecomputeSeconds += res.PrecomputeTime.Seconds()
 		row.MatchingSeconds += res.MatchingTime.Seconds()
 		row.LSAPSeconds += res.LSAPTime.Seconds()
 		row.TotalSeconds += res.TotalTime.Seconds()
 		row.Objective += res.Objective
 	}
 	n := float64(o.Runs)
-	row.PrecomputeSeconds /= n
 	row.MatchingSeconds /= n
 	row.LSAPSeconds /= n
 	row.TotalSeconds /= n
@@ -310,7 +299,6 @@ func SweepIterationLatency(o Options) ([]LatencyRow, error) {
 				Xmax:                   o.Xmax,
 				Rand:                   rand.New(rand.NewSource(o.Seed + int64(run))),
 				DisableRandomColdStart: true,
-				Parallelism:            o.Parallelism,
 			})
 			if err != nil {
 				return nil, err
@@ -382,11 +370,11 @@ func RenderRows(w io.Writer, rows []Row, kind string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	switch kind {
 	case "time":
-		fmt.Fprintln(tw, "|T|\t|W|\tgroups\talgorithm\tprecompute(s)\tmatching(s)\tlsap(s)\ttotal(s)")
+		fmt.Fprintln(tw, "|T|\t|W|\tgroups\talgorithm\tmatching(s)\tlsap(s)\ttotal(s)")
 		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%.4f\t%.4f\t%.4f\t%.4f\n",
+			fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%.4f\t%.4f\t%.4f\n",
 				r.NumTasks, r.NumWorkers, r.NumGroups, r.Algorithm,
-				r.PrecomputeSeconds, r.MatchingSeconds, r.LSAPSeconds, r.TotalSeconds)
+				r.MatchingSeconds, r.LSAPSeconds, r.TotalSeconds)
 		}
 	case "objective":
 		fmt.Fprintln(tw, "|T|\t|W|\tgroups\talgorithm\tobjective")

@@ -445,16 +445,14 @@ func sameBits(a, b []float64) bool {
 // capacities derived from the column census; everything else falls back to
 // the dense Hungarian. Both paths are exact, so the returned Value is the
 // LSAP optimum either way — only tie-breaking among equal-value optima may
-// differ. p is accepted for signature parity with GreedyP (the exact
-// solvers are sequential; pipeline parallelism applies around them).
-func Auto(c Costs, p int) Solution {
-	return AutoWS(c, p, nil)
+// differ.
+func Auto(c Costs) Solution {
+	return AutoWS(c, nil)
 }
 
 // AutoWS is Auto drawing scratch from ws (see HungarianClassedWS and
 // HungarianWS for the aliasing contract). A nil ws uses a private workspace.
-func AutoWS(c Costs, p int, ws *Workspace) Solution {
-	_ = p
+func AutoWS(c Costs, ws *Workspace) Solution {
 	if cc, ok := c.(ColumnClassed); ok {
 		if n, nc := cc.N(), cc.NumClasses(); nc > 0 && 2*nc <= n {
 			if ws == nil {

@@ -181,13 +181,13 @@ func TestAutoDispatch(t *testing.T) {
 
 	// Classed costs with 2·nc ≤ n: Auto must still return the exact optimum.
 	c := cliqueBlock(r, 90, 3, 15)
-	if got, want := Auto(c, 1), Hungarian(c); math.Abs(got.Value-want.Value) > 1e-9 {
+	if got, want := Auto(c), Hungarian(c); math.Abs(got.Value-want.Value) > 1e-9 {
 		t.Fatalf("Auto on classed costs: %.12f, dense %.12f", got.Value, want.Value)
 	}
 
 	// Dense costs (no ColumnClassed): falls back to Hungarian exactly.
 	d := randDense(r, 40)
-	got, want := Auto(d, 1), Hungarian(d)
+	got, want := Auto(d), Hungarian(d)
 	if got.Value != want.Value {
 		t.Fatalf("Auto on dense costs: %.12f, dense %.12f", got.Value, want.Value)
 	}
@@ -199,7 +199,7 @@ func TestAutoDispatch(t *testing.T) {
 
 	// Too many classes to pay off (2·nc > n): dense path, still optimal.
 	small := randBlock(r, 7, 5)
-	if got, want := Auto(small, 1), BruteForce(denseView{small}); math.Abs(got.Value-want.Value) > 1e-9 {
+	if got, want := Auto(small), BruteForce(denseView{small}); math.Abs(got.Value-want.Value) > 1e-9 {
 		t.Fatalf("Auto below profitability cutoff: %.12f, want %.12f", got.Value, want.Value)
 	}
 }
@@ -218,7 +218,7 @@ func (b badClass) Class(j int) int {
 func TestAutoFallsBackOnBadMetadata(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	c := badClass{randBlock(r, 30, 3)}
-	got := Auto(c, 1)
+	got := Auto(c)
 	want := Hungarian(denseView{c.blockCosts})
 	if math.Abs(got.Value-want.Value) > 1e-9 {
 		t.Fatalf("Auto with bad class metadata: %.12f, want dense %.12f", got.Value, want.Value)
@@ -268,7 +268,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 		}
 
 		freshG := Greedy(c)
-		reusedG := GreedyWS(c, 1, ws)
+		reusedG := GreedyWS(c, ws)
 		if freshG.Value != reusedG.Value {
 			t.Fatalf("GreedyWS value drift: %.12f vs %.12f", reusedG.Value, freshG.Value)
 		}
@@ -292,9 +292,9 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	if _, err := HungarianClassedWS(grouped, caps, ws); err != nil {
 		t.Fatal(err)
 	}
-	GreedyWS(c, 1, ws)
-	GreedyWS(d, 1, ws)
-	AutoWS(c, 1, ws)
+	GreedyWS(c, ws)
+	GreedyWS(d, ws)
+	AutoWS(c, ws)
 
 	checks := []struct {
 		name string
@@ -311,9 +311,9 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"GreedyWS/classed", func() { GreedyWS(c, 1, ws) }},
-		{"GreedyWS/dense", func() { GreedyWS(d, 1, ws) }},
-		{"AutoWS/classed", func() { AutoWS(c, 1, ws) }},
+		{"GreedyWS/classed", func() { GreedyWS(c, ws) }},
+		{"GreedyWS/dense", func() { GreedyWS(d, ws) }},
+		{"AutoWS/classed", func() { AutoWS(c, ws) }},
 	}
 	for _, check := range checks {
 		if allocs := testing.AllocsPerRun(20, check.fn); allocs != 0 {

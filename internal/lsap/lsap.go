@@ -20,8 +20,6 @@ package lsap
 import (
 	"fmt"
 	"math"
-
-	"github.com/htacs/ata/internal/par"
 )
 
 // Costs is a square matrix of assignment profits. Implementations must be
@@ -195,50 +193,29 @@ type greedyEdge struct {
 // the full edge set under a tie-break that prefers lower column indices
 // within a class.
 func Greedy(c Costs) Solution {
-	return GreedyWS(c, 1, nil)
+	return GreedyWS(c, nil)
 }
 
-// GreedyP is Greedy with the candidate profit list built by p goroutines
-// (p >= 1 literal, p <= 0 → runtime.NumCPU()) — the parallel construction
-// of the auxiliary LSAP profit matrix in the HTA-GRE hot path. Each
-// candidate is written to its position-determined slot, so the sorted order
-// (decreasing w, then increasing (row, col)) and the returned solution are
-// identical to Greedy's for any p. c must be safe for concurrent reads, as
-// the Costs contract already requires.
-func GreedyP(c Costs, p int) Solution {
-	return GreedyWS(c, p, nil)
-}
-
-// GreedyWS is GreedyP drawing scratch (and the returned RowToCol) from ws;
-// with p == 1 and a warm workspace it allocates nothing. A nil ws uses a
-// private workspace.
-func GreedyWS(c Costs, p int, ws *Workspace) Solution {
+// GreedyWS is Greedy drawing scratch (and the returned RowToCol) from ws;
+// with a warm workspace it allocates nothing. A nil ws uses a private
+// workspace.
+func GreedyWS(c Costs, ws *Workspace) Solution {
 	if ws == nil {
 		ws = &Workspace{}
 	}
 	if cc, ok := c.(ColumnClassed); ok {
-		return greedyClassed(cc, p, ws)
+		return greedyClassed(cc, ws)
 	}
-	return greedyDense(c, p, ws)
+	return greedyDense(c, ws)
 }
 
-func greedyDense(c Costs, p int, ws *Workspace) Solution {
+func greedyDense(c Costs, ws *Workspace) Solution {
 	n := c.N()
 	edges := growEdges(&ws.edges, n*n)
-	if p <= 1 {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				edges[i*n+j] = greedyEdge{w: c.At(i, j), row: int32(i), col: int32(j)}
-			}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			edges[i*n+j] = greedyEdge{w: c.At(i, j), row: int32(i), col: int32(j)}
 		}
-	} else {
-		par.Do(n, p, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for j := 0; j < n; j++ {
-					edges[i*n+j] = greedyEdge{w: c.At(i, j), row: int32(i), col: int32(j)}
-				}
-			}
-		})
 	}
 	sorted := ws.sortEdges(edges)
 	rowToCol := growInts(&ws.rowToCol, n)
@@ -264,7 +241,7 @@ func greedyDense(c Costs, p int, ws *Workspace) Solution {
 	return Solution{RowToCol: rowToCol, Value: value(c, rowToCol)}
 }
 
-func greedyClassed(c ColumnClassed, p int, ws *Workspace) Solution {
+func greedyClassed(c ColumnClassed, ws *Workspace) Solution {
 	n := c.N()
 	nc := c.NumClasses()
 	// Remaining capacity and, in cols, the columns of each class in
@@ -290,20 +267,10 @@ func greedyClassed(c ColumnClassed, p int, ws *Workspace) Solution {
 		cursor[cl]++
 	}
 	edges := growEdges(&ws.edges, n*nc)
-	if p <= 1 {
-		for i := 0; i < n; i++ {
-			for cl := 0; cl < nc; cl++ {
-				edges[i*nc+cl] = greedyEdge{w: c.AtClass(i, cl), row: int32(i), col: int32(cl)}
-			}
+	for i := 0; i < n; i++ {
+		for cl := 0; cl < nc; cl++ {
+			edges[i*nc+cl] = greedyEdge{w: c.AtClass(i, cl), row: int32(i), col: int32(cl)}
 		}
-	} else {
-		par.Do(n, p, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for cl := 0; cl < nc; cl++ {
-					edges[i*nc+cl] = greedyEdge{w: c.AtClass(i, cl), row: int32(i), col: int32(cl)}
-				}
-			}
-		})
 	}
 	sorted := ws.sortEdges(edges)
 	rowToCol := growInts(&ws.rowToCol, n)

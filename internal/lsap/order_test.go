@@ -85,7 +85,7 @@ func TestSortEdgesMatchesComparator(t *testing.T) {
 				}
 			}
 			d := NewDense(rows)
-			if got, want := GreedyWS(d, 1, ws).RowToCol, refGreedyDense(d); !slices.Equal(got, want) {
+			if got, want := GreedyWS(d, ws).RowToCol, refGreedyDense(d); !slices.Equal(got, want) {
 				t.Fatalf("%s n=%d: GreedyWS %v, reference %v", c.Name, n, got, want)
 			}
 		}

@@ -13,11 +13,7 @@ package matching
 // measure how much the greedy M_B costs (BenchmarkAblationMatching) and
 // gives the tests a ground truth beyond the O(2ⁿ) subset DP.
 
-import (
-	"math"
-
-	"github.com/htacs/ata/internal/par"
-)
+import "math"
 
 // blossomEdge is one positive-weight edge of the graph Blossom runs on.
 type blossomEdge struct {
@@ -25,48 +21,19 @@ type blossomEdge struct {
 	wt   float64
 }
 
-// blossomEdges builds the positive-weight edge list in row-major order
-// with p goroutines: each row's edges are collected into that row's own
-// bucket (disjoint writes, no locks) and the buckets are concatenated in
-// row order, so the list — and therefore every tie-dependent choice of the
-// primal-dual algorithm — is identical to the serial construction.
-func blossomEdges(n int, w WeightFunc, p int) []blossomEdge {
-	rows := make([][]blossomEdge, n)
-	par.DoWeighted(n, p, func(i int) int { return n - 1 - i }, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var local []blossomEdge
-			for j := i + 1; j < n; j++ {
-				if wt := w(i, j); wt > 0 {
-					local = append(local, blossomEdge{i, j, wt})
-				}
-			}
-			rows[i] = local
-		}
-	})
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	edges := make([]blossomEdge, 0, total)
-	for _, r := range rows {
-		edges = append(edges, r...)
-	}
-	return edges
-}
-
 // Blossom computes a maximum-weight matching on the complete graph over n
 // vertices with the given weight function. Edges with non-positive weight
 // are ignored (they can never improve a maximum-weight matching).
 func Blossom(n int, w WeightFunc) Matching {
-	return BlossomP(n, w, 1)
-}
-
-// BlossomP is Blossom with the edge-weight evaluation sharded across p
-// goroutines (p >= 1 literal, p <= 0 → runtime.NumCPU()); the matching is
-// identical to Blossom's. w must be safe for concurrent calls.
-func BlossomP(n int, w WeightFunc, p int) Matching {
 	type edge = blossomEdge
-	edges := blossomEdges(n, w, p)
+	var edges []edge
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if wt := w(i, j); wt > 0 {
+				edges = append(edges, edge{i, j, wt})
+			}
+		}
+	}
 	nedge := len(edges)
 	mate := make([]int, n)
 	for i := range mate {

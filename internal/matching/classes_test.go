@@ -72,7 +72,7 @@ func TestGreedyClassesMatchesReference(t *testing.T) {
 					t.Fatalf("%s n=%d classes=%v: class path %v (%g), reference %v (%g)",
 						name, n, classes, got.Mate, got.Weight, want.Mate, want.Weight)
 				}
-				if got := AutoP(n, w, classes, 2); !sameMatching(got, want) {
+				if got := AutoP(n, w, classes); !sameMatching(got, want) {
 					t.Fatalf("%s n=%d classes=%v: AutoP %v (%g), reference %v (%g)",
 						name, n, classes, got.Mate, got.Weight, want.Mate, want.Weight)
 				}
@@ -81,9 +81,10 @@ func TestGreedyClassesMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAutoPClassDispatch: AutoP takes the class path exactly when the
-// classes at least halve the vertex count. A weight function that breaks
-// the class contract tells the two paths apart.
+// TestAutoPClassDispatch: AutoP takes the class path whenever it is given
+// classes, whether or not they halve the vertex count (core only hands out
+// classes that do). A weight function that breaks the class contract tells
+// the two paths apart.
 func TestAutoPClassDispatch(t *testing.T) {
 	n := 6
 	// Vertices 0 and 1 share a class but w(0, 2) ≠ w(1, 2): only the flat
@@ -95,12 +96,30 @@ func TestAutoPClassDispatch(t *testing.T) {
 		classed bool
 	}{
 		{[]int{0, 0, 1, 1, 2, 2}, true},
-		{[]int{0, 0, 1, 2, 3, 4}, false},
+		{[]int{0, 0, 1, 2, 3, 4}, true},
 		{nil, false},
 	} {
-		got := AutoP(n, w, c.classes, 1)
+		got := AutoP(n, w, c.classes)
 		if sameMatching(got, flat) == c.classed {
 			t.Errorf("classes %v: AutoP took the class path = %v, want %v", c.classes, !c.classed, c.classed)
+		}
+	}
+}
+
+// TestAutoPParity: AutoP without classes is Auto, and with every vertex in
+// its own class the class path returns the same matching.
+func TestAutoPParity(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	n := 60
+	w := randWeights(r, n)
+	want := Auto(n, w)
+	singletons := make([]int, n)
+	for v := range singletons {
+		singletons[v] = v
+	}
+	for _, classes := range [][]int{nil, singletons} {
+		if got := AutoP(n, w, classes); !sameMatching(got, want) {
+			t.Fatalf("classes %v: AutoP diverges from Auto", classes)
 		}
 	}
 }
@@ -113,7 +132,7 @@ func TestAutoPRejectsBadClasses(t *testing.T) {
 					t.Errorf("classes %v: expected panic", classes)
 				}
 			}()
-			AutoP(3, func(i, j int) float64 { return 1 }, classes, 1)
+			AutoP(3, func(i, j int) float64 { return 1 }, classes)
 		}()
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/htacs/ata/internal/par"
 	"github.com/htacs/ata/internal/radix"
 )
 
@@ -98,47 +97,32 @@ func (m Matching) Validate(w WeightFunc) error {
 // following garbage collection.
 const DefaultEdgeListLimit = 3_000_000
 
-// Auto is AutoP without vertex classes, serial.
+// Auto is AutoP without vertex classes.
 func Auto(n int, w WeightFunc) Matching {
-	return AutoP(n, w, nil, 1)
+	return AutoP(n, w, nil)
 }
 
 // AutoP returns the greedy matching (heaviest first, ties by lower (i, j))
 // by whichever algorithm fits the input. classes, when not nil, gives each
 // vertex a class in [0, n) such that w(i, j), i ≠ j, depends only on the
-// classes of i and j; tasks with equal keyword sets are such a class. When
-// the classes at least halve the vertex count, the greedy sorts and sweeps
-// the class pairs instead of the vertex pairs, at O(n·C + C² log C) for C
-// classes instead of Θ(n²). Otherwise GreedySortP sorts all n(n−1)/2
-// edges. Either gives way to Suitor when its record count exceeds
-// DefaultEdgeListLimit. All three return the same matching.
-//
-// p shards the edge-list fill of GreedySortP across goroutines (p >= 1
-// literal, p <= 0 → runtime.NumCPU()); the matching is the same for any
-// p, so w must be safe for concurrent calls (all weight functions in this
-// repository are: they read immutable instances).
-func AutoP(n int, w WeightFunc, classes []int, p int) Matching {
-	if classes != nil && len(classes) != n {
-		panic(fmt.Sprintf("matching: %d classes for %d vertices", len(classes), n))
-	}
-	records := n * (n - 1) / 2
-	var class []int32
-	numClasses := 0
-	if classes != nil {
-		class, numClasses = denseClasses(classes)
-		if numClasses <= n/2 {
-			records = numClasses * (numClasses + 1) / 2
-		} else {
-			class = nil
-		}
-	}
+// classes of i and j; tasks with equal keyword sets are such a class
+// (core.Instance.TaskClasses hands them out when they pay). Given classes,
+// the greedy sorts and sweeps the class pairs instead of the vertex pairs,
+// at O(n·C + C² log C) for C classes instead of Θ(n²). Otherwise
+// GreedySort sorts all n(n−1)/2 edges, giving way to Suitor when that
+// count exceeds DefaultEdgeListLimit. All three return the same matching.
+func AutoP(n int, w WeightFunc, classes []int) Matching {
 	switch {
-	case records > DefaultEdgeListLimit:
-		return Suitor(n, w)
-	case class != nil:
+	case classes != nil:
+		if len(classes) != n {
+			panic(fmt.Sprintf("matching: %d classes for %d vertices", len(classes), n))
+		}
+		class, numClasses := denseClasses(classes)
 		return greedyClasses(n, w, class, numClasses)
+	case n*(n-1)/2 > DefaultEdgeListLimit:
+		return Suitor(n, w)
 	default:
-		return GreedySortP(n, w, p)
+		return GreedySort(n, w)
 	}
 }
 
@@ -153,19 +137,6 @@ type edge struct {
 // maximum-weight matching and, on a complete graph, leaves at most one
 // vertex unmatched.
 func GreedySort(n int, w WeightFunc) Matching {
-	return GreedySortP(n, w, 1)
-}
-
-// rowBase is the edge-list offset of row i in the row-major upper-triangle
-// layout GreedySort uses: edge (i, j), j > i, lives at rowBase(n, i)+j-i-1.
-func rowBase(n, i int) int { return i * (2*n - i - 1) / 2 }
-
-// GreedySortP is GreedySort with the edge list filled by p goroutines
-// (p >= 1 literal, p <= 0 → runtime.NumCPU()). Each edge is written to its
-// position-determined slot, so the list — and with it the sorted order and
-// the matching — is identical to the serial one. w must be safe for
-// concurrent calls.
-func GreedySortP(n int, w WeightFunc, p int) Matching {
 	sc := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(sc)
 	mate := make([]int, n)
@@ -174,7 +145,7 @@ func GreedySortP(n int, w WeightFunc, p int) Matching {
 	}
 	var total float64
 	matched := 0
-	for _, e := range sc.sortedEdges(n, w, p) {
+	for _, e := range sc.sortedEdges(n, w) {
 		if matched >= n-1 {
 			break
 		}
@@ -187,7 +158,7 @@ func GreedySortP(n int, w WeightFunc, p int) Matching {
 	return Matching{Mate: mate, Weight: total}
 }
 
-// greedyScratch is GreedySortP's edge list and sorter. Solves reuse them
+// greedyScratch is GreedySort's edge list and sorter. Solves reuse them
 // through greedyPool — the adaptive loop re-solves a shrinking pool every
 // iteration — and the pool drops them at garbage collection, so an idle
 // process does not hold Θ(n²) memory.
@@ -199,23 +170,19 @@ type greedyScratch struct {
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
 // sortedEdges returns the edges of the complete graph on n vertices in
-// greedy order, heaviest first and ties by lower (i, j), with the weights
-// evaluated by p goroutines. The result aliases sc's memory.
-func (sc *greedyScratch) sortedEdges(n int, w WeightFunc, p int) []edge {
+// greedy order, heaviest first and ties by lower (i, j). The result aliases
+// sc's memory.
+func (sc *greedyScratch) sortedEdges(n int, w WeightFunc) []edge {
 	m := n * (n - 1) / 2
 	if cap(sc.edges) < m {
 		sc.edges = make([]edge, m)
 	}
-	edges := sc.edges[:m]
-	// Row i contributes n-1-i edges; weight the chunks accordingly.
-	par.DoWeighted(n, p, func(i int) int { return n - 1 - i }, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := rowBase(n, i)
-			for j := i + 1; j < n; j++ {
-				edges[base+j-i-1] = edge{w: w(i, j), i: int32(i), j: int32(j)}
-			}
+	edges := sc.edges[:0]
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, edge{w: w(i, j), i: int32(i), j: int32(j)})
 		}
-	})
+	}
 	// The fill wrote edges in ascending (i, j) order, the tie-break, so a
 	// stable sort on the weight alone yields the greedy order.
 	return sc.sorter.Desc(edges, func(e *edge) float64 { return e.w })

@@ -263,7 +263,7 @@ func BenchmarkGreedySort(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if classes != nil {
-					AutoP(c.n, w, classes, 1)
+					AutoP(c.n, w, classes)
 				} else {
 					GreedySort(c.n, w)
 				}

@@ -77,8 +77,7 @@ func sameMatching(a, b Matching) bool {
 }
 
 // TestSortedEdgesMatchesEdgeLess: the radix-sorted edge list is the
-// edgeLess order, edge for edge, serial and parallel, on every weight
-// distribution, and the greedy matchings over the two agree.
+// edgeLess order, edge for edge, on every weight distribution, and the greedy matchings over the two agree.
 func TestSortedEdgesMatchesEdgeLess(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	var sc greedyScratch // reused from larger n to smaller, as greedyPool does
@@ -86,15 +85,13 @@ func TestSortedEdgesMatchesEdgeLess(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 4, 9, 40} {
 			w := symmetricTable(n, func() float64 { return c.Draw(r) })
 			want := refSortedEdges(n, w)
-			for _, p := range []int{1, 3} {
-				got := sc.sortedEdges(n, w, p)
-				if len(got) != len(want) {
-					t.Fatalf("%s n=%d p=%d: %d edges, want %d", c.Name, n, p, len(got), len(want))
-				}
-				for k := range got {
-					if got[k].i != want[k].i || got[k].j != want[k].j || math.Float64bits(got[k].w) != math.Float64bits(want[k].w) {
-						t.Fatalf("%s n=%d p=%d: edge %d is %+v, want %+v", c.Name, n, p, k, got[k], want[k])
-					}
+			got := sc.sortedEdges(n, w)
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: %d edges, want %d", c.Name, n, len(got), len(want))
+			}
+			for k := range got {
+				if got[k].i != want[k].i || got[k].j != want[k].j || math.Float64bits(got[k].w) != math.Float64bits(want[k].w) {
+					t.Fatalf("%s n=%d: edge %d is %+v, want %+v", c.Name, n, k, got[k], want[k])
 				}
 			}
 			if g, ref := GreedySort(n, w), refGreedy(n, w); !sameMatching(g, ref) {
@@ -122,7 +119,7 @@ func TestGreedySortConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
 				k := (g + it) % len(sizes)
-				if got := GreedySortP(sizes[k], ws[k], 1+it%2); !sameMatching(got, want[k]) {
+				if got := GreedySort(sizes[k], ws[k]); !sameMatching(got, want[k]) {
 					t.Errorf("goroutine %d, n=%d: matching differs from the reference", g, sizes[k])
 					return
 				}

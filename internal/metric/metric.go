@@ -29,20 +29,6 @@ type Distance interface {
 	Name() string
 }
 
-// RowDistancer is implemented by distances that can compute a whole row of
-// distances from one set to many in a single call. The diversity kernel
-// (core.Instance.Precompute) uses it to fill triangular rows of its cached
-// distance matrix without per-pair interface dispatch, and with single-pass
-// set aggregates where the distance allows (Jaccard). Implementations MUST
-// produce bit-identical values to calling Distance pair by pair — callers
-// rely on cached and direct paths being interchangeable.
-type RowDistancer interface {
-	Distance
-	// DistanceRow stores d(from, to[i]) into out[i] for every i.
-	// len(out) must be >= len(to).
-	DistanceRow(from *bitset.Set, to []*bitset.Set, out []float64)
-}
-
 // Jaccard is the paper's default distance: d(a,b) = 1 − |a∩b| / |a∪b|.
 // Two empty sets are at distance 0 by convention. Jaccard distance is a
 // metric (Besicovitch 1926, cited as [19] in the paper).
@@ -55,19 +41,6 @@ func (Jaccard) Distance(a, b *bitset.Set) float64 {
 		return 0
 	}
 	return 1 - float64(a.IntersectionCount(b))/float64(union)
-}
-
-// DistanceRow implements RowDistancer with a single pass over each pair's
-// words (intersection and union counted together).
-func (Jaccard) DistanceRow(from *bitset.Set, to []*bitset.Set, out []float64) {
-	for i, b := range to {
-		inter, union := from.IntersectionUnionCount(b)
-		if union == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = 1 - float64(inter)/float64(union)
-	}
 }
 
 // Metric implements Distance. Jaccard distance satisfies the triangle
@@ -94,13 +67,6 @@ func (Hamming) Distance(a, b *bitset.Set) float64 {
 	return float64(a.SymmetricDifferenceCount(b)) / float64(n)
 }
 
-// DistanceRow implements RowDistancer.
-func (h Hamming) DistanceRow(from *bitset.Set, to []*bitset.Set, out []float64) {
-	for i, b := range to {
-		out[i] = h.Distance(from, b)
-	}
-}
-
 // Metric implements Distance.
 func (Hamming) Metric() bool { return true }
 
@@ -122,13 +88,6 @@ func (Euclidean) Distance(a, b *bitset.Set) float64 {
 		return 0
 	}
 	return math.Sqrt(float64(a.SymmetricDifferenceCount(b)) / float64(n))
-}
-
-// DistanceRow implements RowDistancer.
-func (e Euclidean) DistanceRow(from *bitset.Set, to []*bitset.Set, out []float64) {
-	for i, b := range to {
-		out[i] = e.Distance(from, b)
-	}
 }
 
 // Metric implements Distance.

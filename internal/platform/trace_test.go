@@ -103,7 +103,7 @@ func TestEndToEndTrace(t *testing.T) {
 	}
 	for _, want := range []string{
 		"adaptive.reestimate", "adaptive.iteration", "solver.run",
-		"solver.precompute", "solver.matching", "solver.lsap", "solver.flip",
+		"solver.matching", "solver.lsap", "solver.flip",
 	} {
 		if byName[want] == 0 {
 			t.Fatalf("trace missing span %q; got %v", want, byName)

@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"github.com/htacs/ata/internal/core"
-	"github.com/htacs/ata/internal/par"
 )
 
 // Mapping is the MAXQAP view of an HTA instance. It stores only O(|T| + |W|)
@@ -151,22 +150,15 @@ func (m *Mapping) DegA(v int) float64 {
 // the padded problem: bM[k] = B(k, mate[k]) when real task k is matched in
 // M_B, 0 for unmatched vertices and virtual padding. It is the per-task
 // half of the auxiliary LSAP profits f[k][l] = bM(t_k)·degA(l) + c[k][l]
-// (Lines 3–10 of Algorithm 1), computed with p goroutines (p >= 1 literal,
-// p <= 0 → runtime.NumCPU()). mate may be shorter than N(); missing entries
-// are treated as unmatched.
-func (m *Mapping) MatchedEdgeWeights(mate []int, p int) []float64 {
+// (Lines 3–10 of Algorithm 1). mate may be shorter than N(); missing
+// entries are treated as unmatched.
+func (m *Mapping) MatchedEdgeWeights(mate []int) []float64 {
 	bM := make([]float64, m.n)
-	real := m.NumReal()
-	if real > len(mate) {
-		real = len(mate)
-	}
-	par.Do(real, p, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if mateK := mate[k]; mateK != -1 {
-				bM[k] = m.inst.Diversity(k, mateK)
-			}
+	for k, mateK := range mate[:min(len(mate), m.NumReal())] {
+		if mateK != -1 {
+			bM[k] = m.inst.Diversity(k, mateK)
 		}
-	})
+	}
 	return bM
 }
 

@@ -448,3 +448,45 @@ func TestQuickObjectiveSwapInvariantWithinClique(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMatchedEdgeWeights checks bM against its definition — B(k,
+// mate[k]) for matched real tasks, 0 elsewhere — including mate slices
+// shorter than N().
+func TestMatchedEdgeWeights(t *testing.T) {
+	div := func(k, l int) float64 {
+		if k == l {
+			return 0
+		}
+		return float64(k*7+l*3) / 100
+	}
+	in := tableIInstance(t, func(k, l int) float64 { return div(min(k, l), max(k, l)) })
+	m := NewMapping(in)
+	r := rand.New(rand.NewSource(101))
+
+	for trial := 0; trial < 20; trial++ {
+		mateLen := r.Intn(m.N() + 1)
+		mate := make([]int, mateLen)
+		for k := range mate {
+			if r.Intn(3) == 0 {
+				mate[k] = -1
+			} else {
+				mate[k] = r.Intn(m.NumReal())
+			}
+		}
+		want := make([]float64, m.N())
+		for k := 0; k < m.NumReal() && k < len(mate); k++ {
+			if mate[k] != -1 {
+				want[k] = m.Instance().Diversity(k, mate[k])
+			}
+		}
+		got := m.MatchedEdgeWeights(mate)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: len %d, want %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: bM[%d] = %v, want %v", trial, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -103,7 +103,7 @@ func TestClassedDenseLSAPValueParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = HTAWith(in, "classed-probe", func(c lsap.Costs) lsap.Solution {
-			sol := lsap.Auto(c, 1)
+			sol := lsap.Auto(c)
 			classedVal = sol.Value
 			return sol
 		}, WithoutFlip(), WithRand(rand.New(rand.NewSource(7))))
@@ -152,9 +152,8 @@ func TestWorkspaceOptionParity(t *testing.T) {
 // classes when equal keyword sets at least halve the task count, returns
 // the same M_B as the all-pairs sort, so HTA-APP and HTA-GRE return the
 // same assignment and objective with either. Covered: task groups with and
-// without singletons, on both sides of the class-count dispatch, the
-// precomputed-distance path, no shuffle, and an oracle instance, which has
-// no classes.
+// without singletons, on both sides of the class-count dispatch, no
+// shuffle, and an oracle instance, which has no classes.
 func TestClassMatcherParity(t *testing.T) {
 	grouped := func(seed int64, groups, perGroup, singles int) *core.Instance {
 		gen, err := workload.NewGenerator(workload.Config{Universe: 60, Seed: seed})
@@ -197,7 +196,6 @@ func TestClassMatcherParity(t *testing.T) {
 		{"groups30x2", grouped(3, 30, 2, 0), nil},
 		{"groups20x4+singles", grouped(4, 20, 4, 10), nil},
 		{"groups10x6+singles", grouped(4, 10, 6, 50), nil}, // C > |T|/2: all pairs
-		{"precomputed", grouped(5, 12, 15, 3), []Option{WithParallelism(2), WithEagerPrecompute()}},
 		{"no-shuffle", grouped(6, 12, 15, 3), []Option{WithoutTaskShuffle()}},
 		{"oracle", oracle, nil},
 	}

@@ -14,11 +14,10 @@ import (
 // hta-bench -fig pr3 holds the total under 2% of a full solve — with
 // obs.SetEnabled(false) as the global kill switch.
 var (
-	phasePrecompute = phaseHist("precompute")
-	phaseMatching   = phaseHist("matching")
-	phaseLSAP       = phaseHist("lsap")
-	phaseFlip       = phaseHist("flip")
-	phaseTotal      = phaseHist("total")
+	phaseMatching = phaseHist("matching")
+	phaseLSAP     = phaseHist("lsap")
+	phaseFlip     = phaseHist("flip")
+	phaseTotal    = phaseHist("total")
 
 	lastObjective = func(algo string) *obs.Gauge {
 		return obs.Default().Gauge("hta_solver_last_objective",
@@ -67,7 +66,7 @@ func startPhase(ctx context.Context, name string, h *obs.Histogram, attrs ...tra
 }
 
 // recordRunMetrics publishes one finished run into the registry. Phase
-// histograms (precompute/matching/lsap/flip) are fed by startPhase at
+// histograms (matching/lsap/flip) are fed by startPhase at
 // each call site; this records the run-level totals and sanity gauges.
 func recordRunMetrics(in *core.Instance, res *Result) {
 	if !obs.Enabled() {

@@ -25,7 +25,6 @@ import (
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/lsap"
 	"github.com/htacs/ata/internal/matching"
-	"github.com/htacs/ata/internal/par"
 	"github.com/htacs/ata/internal/qap"
 	"github.com/htacs/ata/internal/trace"
 )
@@ -43,26 +42,17 @@ type Result struct {
 	MatchingTime time.Duration
 	LSAPTime     time.Duration
 	TotalTime    time.Duration
-	// PrecomputeTime is the time spent materializing the pairwise distance
-	// matrix when WithParallelism enabled the diversity kernel. Zero when
-	// the kernel is off, when the instance already carried a cache (e.g.
-	// the adaptive engine precomputed it across iterations), or when the
-	// precomputeMinTasks gate decided the fill would not amortize (small
-	// instances and GRE-family solvers; see WithEagerPrecompute).
-	PrecomputeTime time.Duration
 }
 
 type config struct {
-	ctx             context.Context
-	rng             *rand.Rand
-	skipFlip        bool
-	skipShuffle     bool
-	allowNonMetric  bool
-	matcher         func(n int, w matching.WeightFunc) matching.Matching
-	parallel        int // 0 = serial legacy path; >= 1 = diversity kernel with that many goroutines
-	denseLSAP       bool
-	eagerPrecompute bool
-	ws              *lsap.Workspace
+	ctx            context.Context
+	rng            *rand.Rand
+	skipFlip       bool
+	skipShuffle    bool
+	allowNonMetric bool
+	matcher        func(n int, w matching.WeightFunc) matching.Matching
+	denseLSAP      bool
+	ws             *lsap.Workspace
 }
 
 // Option customizes a solver run.
@@ -102,32 +92,14 @@ func WithoutTaskShuffle() Option { return func(c *config) { c.skipShuffle = true
 func AllowNonMetric() Option { return func(c *config) { c.allowNonMetric = true } }
 
 // WithMatcher overrides the algorithm used for the diversity matching M_B.
-// The default is matching.AutoP at the run's parallelism level, given the
-// instance's task classes (core.Instance.TaskClasses): the greedy over
-// class pairs when equal keyword sets at least halve the task count, the
-// sort-greedy over all task pairs otherwise, and suitor above the
-// record-list memory threshold — the same ½-approximate greedy matching
-// every time. An explicit matcher sees no classes, so
-// WithMatcher(matching.GreedySort) forces the all-pairs sort; it wins over
-// WithParallelism for the matching phase.
+// The default is matching.AutoP given the instance's task classes
+// (core.Instance.TaskClasses): the greedy over class pairs when the
+// instance has a class distance table, the sort-greedy over all task pairs
+// otherwise, and suitor above the record-list memory threshold — the same
+// ½-approximate greedy matching every time. An explicit matcher sees no
+// classes, so WithMatcher(matching.GreedySort) forces the all-pairs sort.
 func WithMatcher(m func(n int, w matching.WeightFunc) matching.Matching) Option {
 	return func(c *config) { c.matcher = m }
-}
-
-// WithParallelism enables the cached diversity kernel: before solving, the
-// instance's full pairwise distance matrix is materialized with p goroutines
-// (p >= 1 literal, p <= 0 → runtime.NumCPU()), and the matching, profit and
-// LSAP construction phases shard their loops across the same p. Results are
-// bit-identical to the serial path for every p — parallelism only changes
-// when distances are computed, never what the solver sees — so this is a
-// pure time/memory trade: the cache costs O(|T|²/2) float64s (~400 MB at
-// the paper's 10k-task scale). The precompute cost is reported in
-// Result.PrecomputeTime; instances that already carry a cache (e.g. from
-// adaptive's cross-iteration kernel) skip it, and run skips the eager fill
-// when it would not amortize (see precomputeMinTasks / WithEagerPrecompute)
-// while still sharding the remaining phases across p.
-func WithParallelism(p int) Option {
-	return func(c *config) { c.parallel = par.N(p) }
 }
 
 // WithDenseLSAP forces HTAAPP's auxiliary LSAP through the dense O(|T|³)
@@ -143,12 +115,6 @@ func WithDenseLSAP() Option { return func(c *config) { c.denseLSAP = true } }
 // concurrently need one workspace per goroutine (or none — a nil workspace
 // allocates privately, which is the default).
 func WithWorkspace(ws *lsap.Workspace) Option { return func(c *config) { c.ws = ws } }
-
-// WithEagerPrecompute forces the diversity-kernel precompute (full pairwise
-// distance materialization) whenever WithParallelism is active, regardless
-// of the instance-size/solver-family gate that run applies by default. See
-// the precomputeMinTasks commentary; DESIGN.md documents the threshold.
-func WithEagerPrecompute() Option { return func(c *config) { c.eagerPrecompute = true } }
 
 func newConfig(opts []Option) *config {
 	c := &config{
@@ -167,11 +133,11 @@ func newConfig(opts []Option) *config {
 // solves it in O(|T|²·|W|) instead of the dense O(|T|³) — same optimum,
 // same guarantee. WithDenseLSAP forces the dense path.
 func HTAAPP(in *core.Instance, opts ...Option) (*Result, error) {
-	return run(in, "hta-app", false, func(c lsap.Costs, p int, cfg *config) lsap.Solution {
+	return run(in, "hta-app", func(c lsap.Costs, cfg *config) lsap.Solution {
 		if cfg.denseLSAP {
 			return lsap.HungarianWS(c, cfg.ws)
 		}
-		return lsap.AutoWS(c, p, cfg.ws)
+		return lsap.AutoWS(c, cfg.ws)
 	}, opts)
 }
 
@@ -182,12 +148,12 @@ func HTAAPP(in *core.Instance, opts ...Option) (*Result, error) {
 // groups, C distinct keyword sets, M_B sorts the C² class pairs instead and
 // the whole run is O(|T|·(C+|W|)).
 func HTAGRE(in *core.Instance, opts ...Option) (*Result, error) {
-	return run(in, "hta-gre", true, greedyAssign, opts)
+	return run(in, "hta-gre", greedyAssign, opts)
 }
 
 // greedyAssign is the Line-11 step of every GRE-family solver.
-func greedyAssign(c lsap.Costs, p int, cfg *config) lsap.Solution {
-	return lsap.GreedyWS(c, p, cfg.ws)
+func greedyAssign(c lsap.Costs, cfg *config) lsap.Solution {
+	return lsap.GreedyWS(c, cfg.ws)
 }
 
 // HTAWith runs the shared Algorithm 1/2 pipeline with a caller-supplied
@@ -203,7 +169,7 @@ func HTAWith(in *core.Instance, name string, assign func(lsap.Costs) lsap.Soluti
 	if name == "" {
 		name = "hta-custom"
 	}
-	return run(in, name, false, func(c lsap.Costs, _ int, _ *config) lsap.Solution { return assign(c) }, opts)
+	return run(in, name, func(c lsap.Costs, _ *config) lsap.Solution { return assign(c) }, opts)
 }
 
 // HTAGREDiv runs HTA-GRE with every worker's weights forced to α=1, β=0 —
@@ -213,7 +179,7 @@ func HTAGREDiv(in *core.Instance, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(div, "hta-gre-div", true, greedyAssign, opts)
+	res, err := run(div, "hta-gre-div", greedyAssign, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +195,7 @@ func HTAGRERel(in *core.Instance, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(rel, "hta-gre-rel", true, greedyAssign, opts)
+	res, err := run(rel, "hta-gre-rel", greedyAssign, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -237,25 +203,9 @@ func HTAGRERel(in *core.Instance, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
-// precomputeMinTasks gates the eager diversity precompute inside run: with
-// WithParallelism on, the full O(|T|²) distance materialization only pays
-// for itself when the downstream solver re-reads enough pairs. GRE-family
-// solvers read each pair at most a handful of times and small instances
-// finish before the cache fill amortizes — BENCH_PR1.json recorded exactly
-// that serial regression (GRE slower WITH the kernel at every size). So run
-// precomputes eagerly only for non-greedy solvers on instances of at least
-// this many tasks; everything else computes distances on demand (the lazy
-// path is pure and thread-safe, so parallel phases stay correct without the
-// cache). WithEagerPrecompute restores the old unconditional behavior, and
-// instances already carrying a cache (adaptive's cross-iteration kernel)
-// are unaffected. The threshold is documented in DESIGN.md.
-const precomputeMinTasks = 512
-
 // run is the shared pipeline of Algorithms 1 and 2; assign solves the
-// auxiliary LSAP (Line 11), the only step in which they differ, with the
-// run's parallelism level (1 when the kernel is off) and the run config.
-// greFamily marks the greedy solvers for the precompute gate above.
-func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs, int, *config) lsap.Solution, opts []Option) (*Result, error) {
+// auxiliary LSAP (Line 11), the only step in which they differ.
+func run(in *core.Instance, name string, assign func(lsap.Costs, *config) lsap.Solution, opts []Option) (*Result, error) {
 	cfg := newConfig(opts)
 	if !in.Dist.Metric() && !cfg.allowNonMetric {
 		return nil, fmt.Errorf("solver: %s on %q distance: %w", name, in.Dist.Name(), core.ErrNonMetric)
@@ -267,29 +217,6 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 		trace.Int("workers", in.NumWorkers()),
 		trace.Int("xmax", in.Xmax))
 	defer runSpan.End()
-
-	// Kernel phase: materialize the pairwise distance matrix once, before
-	// the permuted view is taken so the view reads through the base cache.
-	// Every later Diversity read — matching weights, bM profits, the flip's
-	// objective — becomes an O(1) lookup of the exact float64 the serial
-	// path would have computed. The span is emitted even when the
-	// precomputeMinTasks gate skips the fill, so every trace shows all four
-	// pipeline phases.
-	p := cfg.parallel
-	doPrecompute := p > 0 && !in.HasDiversityCache() &&
-		(cfg.eagerPrecompute || (!greFamily && in.NumTasks() >= precomputeMinTasks))
-	var precomputeTime time.Duration
-	endPrecompute := startPhase(ctx, "solver.precompute", phasePrecompute,
-		trace.Bool("skipped", !doPrecompute))
-	if doPrecompute {
-		in.Precompute(p)
-		precomputeTime = endPrecompute()
-	} else {
-		endPrecompute()
-	}
-	if p < 1 {
-		p = 1
-	}
 
 	// Randomize task indexing so that ties in the auxiliary LSAP (identical
 	// tasks from the same group have identical profits) break uniformly
@@ -315,7 +242,7 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 	matcher := cfg.matcher
 	if matcher == nil {
 		matcher = func(n int, w matching.WeightFunc) matching.Matching {
-			return matching.AutoP(n, w, solveIn.TaskClasses(), p)
+			return matching.AutoP(n, w, solveIn.TaskClasses())
 		}
 	}
 	endMatching := startPhase(ctx, "solver.matching", phaseMatching)
@@ -324,12 +251,12 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 
 	// Lines 3–10: auxiliary LSAP profits
 	// f[k][l] = bM(t_k)·degA(l) + c[k][l].
-	costs := newAuxCosts(m, mb, p)
+	costs := newAuxCosts(m, mb)
 
 	// Line 11: solve the LSAP (class-collapsed Hungarian for APP, greedy
 	// for GRE).
 	endLSAP := startPhase(ctx, "solver.lsap", phaseLSAP)
-	sol := assign(costs, p, cfg)
+	sol := assign(costs, cfg)
 	lsapTime := endLSAP()
 	perm := sol.RowToCol
 
@@ -358,13 +285,12 @@ func run(in *core.Instance, name string, greFamily bool, assign func(lsap.Costs,
 		}
 	}
 	res := &Result{
-		Assignment:     a,
-		Objective:      in.Objective(a),
-		Algorithm:      name,
-		MatchingTime:   matchingTime,
-		LSAPTime:       lsapTime,
-		TotalTime:      time.Since(start),
-		PrecomputeTime: precomputeTime,
+		Assignment:   a,
+		Objective:    in.Objective(a),
+		Algorithm:    name,
+		MatchingTime: matchingTime,
+		LSAPTime:     lsapTime,
+		TotalTime:    time.Since(start),
 	}
 	runSpan.SetAttrs(trace.Float("objective", res.Objective))
 	recordRunMetrics(in, res)
@@ -383,9 +309,9 @@ type auxCosts struct {
 	xmax       int
 }
 
-func newAuxCosts(m *qap.Mapping, mb matching.Matching, p int) *auxCosts {
+func newAuxCosts(m *qap.Mapping, mb matching.Matching) *auxCosts {
 	in := m.Instance()
-	bM := m.MatchedEdgeWeights(mb.Mate, p)
+	bM := m.MatchedEdgeWeights(mb.Mate)
 	return &auxCosts{m: m, bM: bM, n: m.N(), numWorkers: in.NumWorkers(), xmax: in.Xmax}
 }
 

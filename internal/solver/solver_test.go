@@ -341,7 +341,7 @@ func TestAuxCostsConsistency(t *testing.T) {
 	in := randInstance(t, r, 10, 2, 3, 10)
 	m := qap.NewMapping(in)
 	mb := matching.GreedySort(m.NumReal(), in.Diversity)
-	costs := newAuxCosts(m, mb, 1)
+	costs := newAuxCosts(m, mb)
 	if costs.NumClasses() != 3 {
 		t.Fatalf("NumClasses = %d, want 3", costs.NumClasses())
 	}
@@ -400,7 +400,7 @@ func TestExample3Trace(t *testing.T) {
 			t.Fatalf("M_B mate of t%d = %d, want %d", pair[0]+1, mb.Mate[pair[0]], pair[1])
 		}
 	}
-	costs := newAuxCosts(m, mb, 1)
+	costs := newAuxCosts(m, mb)
 	if got := costs.At(0, 0); math.Abs(got-0.848) > 1e-12 {
 		t.Fatalf("f[1][1] = %g, want 0.848", got)
 	}
