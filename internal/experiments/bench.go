@@ -77,15 +77,13 @@ func SweepPR2(o Options) (*PR2Report, error) {
 
 	for _, numTasks := range []int{400, 700, 1000} {
 		const numGroups, numWorkers = 20, 20
-		app, err := measurePR2Solver(o, "hta-app", numTasks, numGroups, numWorkers,
-			[]solver.Option{solver.WithDenseLSAP()}, nil)
+		app, err := measurePR2Solver(o, "hta-app", numTasks, numGroups, numWorkers, solver.WithDenseLSAP())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pr2 app |T|=%d: %w", numTasks, err)
 		}
 		report.Solvers = append(report.Solvers, app)
 
-		gre, err := measurePR2Solver(o, "hta-gre", numTasks, numGroups, numWorkers,
-			[]solver.Option{solver.WithMatcher(matching.GreedySort)}, nil)
+		gre, err := measurePR2Solver(o, "hta-gre", numTasks, numGroups, numWorkers, solver.WithMatcher(matching.GreedySort))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pr2 gre |T|=%d: %w", numTasks, err)
 		}
@@ -102,10 +100,9 @@ func SweepPR2(o Options) (*PR2Report, error) {
 	return report, nil
 }
 
-// measurePR2Solver times one algorithm in its before and after
-// configurations on identical instances. beforeOpts/afterOpts are the
-// configuration deltas (afterOpts nil = shipped default).
-func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers int, beforeOpts, afterOpts []solver.Option) (PR2SolverPoint, error) {
+// measurePR2Solver times one algorithm before (the shipped default plus
+// beforeOpt) and after (the shipped default) on identical instances.
+func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers int, beforeOpt solver.Option) (PR2SolverPoint, error) {
 	point := PR2SolverPoint{Algorithm: algo, NumTasks: numTasks, Workers: numWorkers}
 	solve := solver.HTAGRE
 	if algo == "hta-app" {
@@ -127,7 +124,7 @@ func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers in
 		}
 		seed := o.Seed + int64(run)
 
-		measureOne := func(extra []solver.Option) (*solver.Result, error) {
+		measureOne := func(extra ...solver.Option) (*solver.Result, error) {
 			opts := append([]solver.Option{
 				solver.WithoutFlip(),
 				solver.WithRand(rand.New(rand.NewSource(seed))),
@@ -135,11 +132,11 @@ func measurePR2Solver(o Options, algo string, numTasks, numGroups, numWorkers in
 			return solve(in, opts...)
 		}
 
-		before, err := measureOne(beforeOpts)
+		before, err := measureOne(beforeOpt)
 		if err != nil {
 			return point, err
 		}
-		after, err := measureOne(afterOpts)
+		after, err := measureOne()
 		if err != nil {
 			return point, err
 		}
