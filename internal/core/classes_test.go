@@ -302,6 +302,58 @@ func TestInstanceClassTables(t *testing.T) {
 	}
 }
 
+// TestPrecomputeBitIdentical: the distance table NewInstance precomputes
+// over keyword classes holds, for every pair of tasks, the exact float64
+// Dist.Distance returns for their keyword sets, and Diversity returns it.
+func TestPrecomputeBitIdentical(t *testing.T) {
+	for _, dist := range classTestDists {
+		r := rand.New(rand.NewSource(11))
+		in, err := NewInstance(classTasks(r, 40, 5, 0, 32), classWorkers(r, 1, 32), 2, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.TaskClasses() == nil {
+			t.Fatalf("%T: five templates over 40 tasks: no distance table", dist)
+		}
+		for k := 0; k < 40; k++ {
+			for l := 0; l < 40; l++ {
+				want := 0.0
+				if k != l {
+					want = dist.Distance(in.Tasks[k].Keywords, in.Tasks[l].Keywords)
+				}
+				if got := in.Diversity(k, l); !sameFloat(got, want) {
+					t.Fatalf("%T: Diversity(%d,%d) = %v, want %v", dist, k, l, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPrecomputeOracleInstance: a custom (oracle-backed) instance has no
+// keyword classes and serves its oracle's values, zero on the diagonal.
+func TestPrecomputeOracleInstance(t *testing.T) {
+	div := func(k, l int) float64 { return float64(k+l) / 10 }
+	workers := []*Worker{mkWorker("w0", 0.5, 4, 0)}
+	in, err := NewCustomInstance(6, workers, 2, [][]float64{{0, 0, 0, 0, 0, 0}}, div, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.TaskClasses() != nil {
+		t.Fatal("oracle instance reports task classes")
+	}
+	for k := 0; k < 6; k++ {
+		for l := 0; l < 6; l++ {
+			want := div(k, l)
+			if k == l {
+				want = 0
+			}
+			if got := in.Diversity(k, l); got != want {
+				t.Fatalf("Diversity(%d,%d) = %v, want %v", k, l, got, want)
+			}
+		}
+	}
+}
+
 // TestPermutedReadsThroughCache: a permuted view shares its base's class
 // tables, and serves the base's values through the permutation.
 func TestPermutedReadsThroughCache(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/stream"
@@ -131,6 +132,7 @@ func TestConservationUnderConcurrentChurn(t *testing.T) {
 	}()
 
 	wg.Wait()
+	awaitCompletion(e)
 	close(stop)
 	pollers.Wait()
 
@@ -144,6 +146,18 @@ func TestConservationUnderConcurrentChurn(t *testing.T) {
 	}
 	if st.Completed == 0 {
 		t.Fatal("no task completed — completers never ran against live workers")
+	}
+}
+
+// awaitCompletion waits until the completers have finished at least one
+// task. The offerers can be done before a completer goroutine is first
+// scheduled, so stopping the completers right after them could end the run
+// with none completed. It gives up after ten seconds and leaves the
+// caller's assertion to report that.
+func awaitCompletion(e *Engine) {
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Completed == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -315,6 +315,7 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 	}()
 
 	wg.Wait()
+	awaitCompletion(e)
 	close(stop)
 	pollers.Wait()
 	// One final sweep at a far-future instant: whatever deadlined work is
