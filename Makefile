@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-shard test-quality vet bench bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 smoke-cluster experiments live crowd clean
+.PHONY: all build test test-short test-race test-shard test-quality vet bench bench-gate bench-pr8 bench-pr9 bench-pr10 smoke-cluster experiments live crowd clean
 
 all: build vet test
 
@@ -23,29 +23,22 @@ test-short:
 test-race:
 	$(GO) test -race ./internal/...
 
-# The sharded-engine conservation and determinism properties, repeated
-# under the race detector (mirrors the dedicated CI step).
+# The sharded-engine conservation and determinism properties and the
+# routing decision's tests, repeated under the race detector (the same
+# run as the dedicated CI step).
 test-shard:
-	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism'
+	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit'
 
 # The quality layer (aggregation, gold grading, reputation) plus its
 # engine/tracker integration properties, under the race detector.
 test-quality:
 	$(GO) test -race ./internal/quality
 
-# Regenerate the shard throughput report (BENCH_PR5.json).
-bench-pr5:
-	$(GO) run ./cmd/hta-bench -fig pr5 -json BENCH_PR5.json
-
-# Regenerate the incremental hot-path report (BENCH_PR6.json): the pr5
-# churn workload vs the recorded pr5 single-shard baseline.
-bench-pr6:
-	$(GO) run ./cmd/hta-bench -fig pr6 -runs 5 -json BENCH_PR6.json
-
-# Regenerate the cluster gateway report (BENCH_PR7.json): 1/2/4 nodes
-# over real loopback HTTP, batched frames vs the per-op control.
-bench-pr7:
-	$(GO) run ./cmd/hta-bench -fig pr7 -json BENCH_PR7.json
+# The layered-bench CI gate: a short run of each workload, checked for
+# correctness, decision digests and per-workload throughput and latency
+# limits (see scripts/bench-gate.sh).
+bench-gate:
+	bash scripts/bench-gate.sh
 
 # Regenerate the quality/trust report (BENCH_PR8.json): majority vs
 # accuracy-weighted vs EM aggregation at k=1/3/5 under a 40% spammy crowd.

@@ -14,9 +14,8 @@
 //	hta-gen -workers 200 -windows 0.5 -windows-out windows.jsonl
 //
 // With -churn N the generator also emits a worker arrival/departure trace
-// over a horizon of N logical event steps (see workload.ChurnEvent); the
-// pr5 shard benchmark replays such traces to exercise assignment under
-// worker churn.
+// over a horizon of N logical event steps (see workload.ChurnEvent), for
+// replaying assignment under worker churn.
 //
 // With -gold-out the generator samples a gold answer key over the task
 // set: each task is gold with probability -gold, carrying a known answer

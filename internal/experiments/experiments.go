@@ -14,8 +14,8 @@
 // shapes — HTA-GRE ≪ HTA-APP, HTA-APP's sensitivity to worker count and
 // task diversity — are what the runners demonstrate. (Since the
 // class-collapsed LSAP of PR 2, the exact assignment step no longer
-// dominates HTA-APP the way the paper's cubic Hungarian did; SweepPR2
-// quantifies that before/after.)
+// dominates HTA-APP the way the paper's cubic Hungarian did;
+// BENCH_PR2.json records that before/after.)
 package experiments
 
 import (

@@ -369,6 +369,20 @@ func runPR10(seed int64, shape pr10Shape, predictive bool) (pr10Result, error) {
 	return res, nil
 }
 
+// medianNs returns the median of the samples in nanoseconds.
+func medianNs(ds []time.Duration) int64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	mid := len(sorted) / 2
+	if len(sorted)%2 == 1 {
+		return sorted[mid].Nanoseconds()
+	}
+	return (sorted[mid-1].Nanoseconds() + sorted[mid].Nanoseconds()) / 2
+}
+
 // medianF returns the median of a float64 sample set.
 func medianF(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -1,20 +1,25 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/htacs/ata/internal/cluster"
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/ops"
 	"github.com/htacs/ata/internal/shard"
 	"github.com/htacs/ata/internal/stream"
 	"github.com/htacs/ata/internal/trace"
+	"github.com/htacs/ata/internal/workload"
 )
 
 // PR9Point is the observability-overhead measurement for the cluster
@@ -56,6 +61,42 @@ type PR9Report struct {
 // carry a SpanContext into the cluster frames.
 const pr9SampleEvery = 16
 
+// pr7Shape fixes the cluster workload the pr9 sweep replays, the one the
+// retired pr7 throughput sweep measured (BENCH_PR7.json). Concurrency
+// (drivers) is what gives the per-peer mailboxes something to coalesce:
+// G in-flight ops per moment means score scatters and commits from
+// different drivers share frames. The timed mix is complete-dominated
+// (completesPerOffer completions per fresh task): completions route to
+// one pinned node and pay the pullBest fold over that node's share of
+// the backlog; offers scatter a score op to every node.
+type pr7Shape struct {
+	workers           int
+	churners          int
+	xmax              int
+	totalBuffer       int
+	steps             int // timed steps per driver
+	completesPerOffer int
+	drivers           int
+	departFrac        float64
+}
+
+var defaultPR7Shape = pr7Shape{
+	workers:           32,
+	churners:          8,
+	xmax:              12,
+	totalBuffer:       32768,
+	steps:             40,
+	completesPerOffer: 4,
+	drivers:           32,
+	departFrac:        0.6,
+}
+
+// totalEvents is the logical event count of the timed phase: every
+// complete and every offer is one event.
+func (s pr7Shape) totalEvents() int {
+	return s.drivers * s.steps * (s.completesPerOffer + 1)
+}
+
 // SweepPR9 measures the end-to-end cost of the PR 9 observability stack
 // on the pr7 cluster workload at 3 nodes: enabled and disabled runs
 // alternate on identical seeds so drift hits both sides equally, and the
@@ -65,7 +106,7 @@ func SweepPR9(o Options) (*PR9Report, error) {
 	defer obs.SetEnabled(true)
 	defer ops.SetEnabled(true)
 	report := &PR9Report{
-		Note:      "cluster observability overhead on the -fig pr7 gateway workload at 3 nodes: enabled = federated metrics + 1/16 head sampling with remote spans + ops journals (the shipped defaults), disabled = obs.SetEnabled(false) + ops.SetEnabled(false) + sampling 0. Identical seeds, interleaved runs, best-of-runs per-event ns on each side.",
+		Note:      "cluster observability overhead on the pr7 gateway workload (BENCH_PR7.json) at 3 nodes: enabled = federated metrics + 1/16 head sampling with remote spans + ops journals (the shipped defaults), disabled = obs.SetEnabled(false) + ops.SetEnabled(false) + sampling 0. Identical seeds, interleaved runs, best-of-runs per-event ns on each side.",
 		BudgetPct: 2.0,
 	}
 	point, err := measurePR9(o, 3, defaultPR7Shape)
@@ -92,16 +133,7 @@ func measurePR9(o Options, nodes int, shape pr7Shape) (PR9Point, error) {
 	var onRuns, offRuns []time.Duration
 
 	measureOne := func(seed int64, instrumented bool) (time.Duration, error) {
-		obs.SetEnabled(instrumented)
-		ops.SetEnabled(instrumented)
-		defer obs.SetEnabled(true)
-		defer ops.SetEnabled(true)
-		c, err := startPR9Cluster(nodes, shape, instrumented)
-		if err != nil {
-			return 0, err
-		}
-		defer c.stop()
-		res, err := drivePR7(c, seed, shape)
+		res, err := runPR9(seed, nodes, shape, instrumented)
 		if err != nil {
 			return 0, err
 		}
@@ -145,12 +177,56 @@ func measurePR9(o Options, nodes int, shape pr7Shape) (PR9Point, error) {
 	return point, nil
 }
 
-// startPR9Cluster builds the same loopback cluster as the pr7 bench but
-// with the PR 9 observability stack wired end to end when instrumented:
-// per-node registries, recorders and journals, a sampling gateway
-// recorder, and journal-carrying engines. The uninstrumented side keeps
-// the identical topology with sampling 0 and isolated (but disabled)
-// registries, so the contrast isolates the observability writes.
+// runPR9 replays one seeded run on a fresh cluster of the given size,
+// with the observability stack on or off.
+func runPR9(seed int64, nodes int, shape pr7Shape, instrumented bool) (pr7Run, error) {
+	obs.SetEnabled(instrumented)
+	ops.SetEnabled(instrumented)
+	defer obs.SetEnabled(true)
+	defer ops.SetEnabled(true)
+	c, err := startPR9Cluster(nodes, shape, instrumented)
+	if err != nil {
+		return pr7Run{}, err
+	}
+	defer c.stop()
+	return drivePR7(c, seed, shape)
+}
+
+// pr7Run is one seeded run's outcome.
+type pr7Run struct {
+	elapsed   time.Duration
+	completed int64
+	conserved bool
+}
+
+// pr7Cluster is the in-process cluster under test: N single-shard
+// engines, each behind its own loopback HTTP listener serving the
+// cluster RPC plane, and the gateway routing across them.
+type pr7Cluster struct {
+	gw      *cluster.Gateway
+	engines []*shard.Engine
+	servers []*http.Server
+}
+
+func (c *pr7Cluster) stop() {
+	if c.gw != nil {
+		c.gw.Close()
+	}
+	for _, srv := range c.servers {
+		srv.Close()
+	}
+	for _, eng := range c.engines {
+		eng.Close()
+	}
+}
+
+// startPR9Cluster builds N single-shard nodes behind loopback listeners
+// and a gateway over them, with the cluster observability stack wired end
+// to end when instrumented: per-node registries, recorders and journals,
+// a sampling gateway recorder, and journal-carrying engines. The
+// uninstrumented side keeps the identical topology with sampling 0 and
+// isolated (but disabled) registries, so the contrast isolates the
+// observability writes.
 func startPR9Cluster(nodes int, shape pr7Shape, instrumented bool) (*pr7Cluster, error) {
 	c := &pr7Cluster{}
 	gwSample := 0
@@ -196,7 +272,6 @@ func startPR9Cluster(nodes int, shape pr7Shape, instrumented bool) (*pr7Cluster,
 		}
 		srv := &http.Server{Handler: node}
 		go srv.Serve(ln)
-		c.lns = append(c.lns, ln)
 		c.servers = append(c.servers, srv)
 		peers = append(peers, cluster.PeerSpec{Name: name, URL: "http://" + ln.Addr().String()})
 	}
@@ -214,6 +289,165 @@ func startPR9Cluster(nodes int, shape pr7Shape, instrumented bool) (*pr7Cluster,
 	}
 	c.gw = gw
 	return c, nil
+}
+
+// drivePR7 replays one seeded churn workload through an already-started
+// cluster — fill to steady state (untimed), then the timed driver loop —
+// and reports the run outcome.
+func drivePR7(c *pr7Cluster, seed int64, shape pr7Shape) (pr7Run, error) {
+	gen, err := workload.NewGenerator(workload.Config{Seed: seed})
+	if err != nil {
+		return pr7Run{}, err
+	}
+	pool := gen.Workers(shape.workers + shape.churners)
+	base, churners := pool[:shape.workers], pool[shape.workers:]
+	byID := make(map[string]*core.Worker, len(churners))
+	for _, w := range churners {
+		byID[w.ID] = w
+	}
+	churn, err := gen.Churn(churners, shape.steps, shape.departFrac)
+	if err != nil {
+		return pr7Run{}, err
+	}
+	need := shape.workers*shape.xmax + shape.totalBuffer + shape.drivers*shape.steps + 64
+	tasks := gen.Tasks(need/8+1, 8)[:need]
+	ctx := context.Background()
+
+	for _, w := range base {
+		if _, err := c.gw.AddWorkerCtx(ctx, w); err != nil {
+			return pr7Run{}, err
+		}
+	}
+
+	// Fill phase (untimed): saturate every worker slot, then the buffers.
+	// Offered concurrently — sequential RPC round trips would never share
+	// a frame and the fill would dominate the wall clock.
+	fill := shape.workers*shape.xmax + shape.totalBuffer
+	if err := pr7Concurrent(shape.drivers, tasks[:fill], func(t *core.Task) error {
+		if _, err := c.gw.OfferTaskCtx(ctx, t); err != nil && !errors.Is(err, stream.ErrBufferFull) {
+			return err
+		}
+		return nil
+	}); err != nil {
+		return pr7Run{}, err
+	}
+
+	// Each driver owns a disjoint slice of the base workers and completes
+	// only its own assignments, so the active-task records need no locks.
+	type driverState struct {
+		workers []*core.Worker
+		active  map[string][]string
+		offers  []*core.Task
+	}
+	drivers := make([]*driverState, shape.drivers)
+	for d := range drivers {
+		drivers[d] = &driverState{active: make(map[string][]string)}
+	}
+	for i, w := range base {
+		d := drivers[i%shape.drivers]
+		d.workers = append(d.workers, w)
+		ids, err := c.gw.ActiveTasks(w.ID)
+		if err != nil {
+			return pr7Run{}, err
+		}
+		for _, t := range ids {
+			d.active[w.ID] = append(d.active[w.ID], t.ID)
+		}
+	}
+	for i, t := range tasks[fill:] {
+		d := drivers[i%shape.drivers]
+		if len(d.offers) < shape.steps {
+			d.offers = append(d.offers, t)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, shape.drivers)
+	start := time.Now()
+	for di, d := range drivers {
+		wg.Add(1)
+		go func(di int, d *driverState) {
+			defer wg.Done()
+			churnIdx := 0
+			for step := 0; step < shape.steps; step++ {
+				// Driver 0 replays the churn trace on the shared step clock.
+				if di == 0 {
+					for churnIdx < len(churn) && churn[churnIdx].At <= step {
+						ev := churn[churnIdx]
+						churnIdx++
+						if ev.Arrive {
+							if _, err := c.gw.AddWorkerCtx(ctx, byID[ev.Worker]); err != nil {
+								errCh <- err
+								return
+							}
+						} else if _, err := c.gw.RemoveWorkerCtx(ctx, ev.Worker); err != nil {
+							errCh <- err
+							return
+						}
+					}
+				}
+				// The complete-dominated burst: each completion frees a slot
+				// and pulls the best buffered task on the worker's node —
+				// the B/N fold the cluster exists to shrink.
+				w := d.workers[step%len(d.workers)]
+				for b := 0; b < shape.completesPerOffer; b++ {
+					ids := d.active[w.ID]
+					if len(ids) == 0 {
+						break
+					}
+					next, err := c.gw.CompleteCtx(ctx, w.ID, ids[0])
+					if err != nil {
+						errCh <- fmt.Errorf("complete %s on %s: %w", ids[0], w.ID, err)
+						return
+					}
+					d.active[w.ID] = ids[1:]
+					if next != nil {
+						d.active[w.ID] = append(d.active[w.ID], next.ID)
+					}
+				}
+				if step < len(d.offers) {
+					if _, err := c.gw.OfferTaskCtx(ctx, d.offers[step]); err != nil && !errors.Is(err, stream.ErrBufferFull) {
+						errCh <- err
+						return
+					}
+				}
+			}
+		}(di, d)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(errCh)
+	for err := range errCh {
+		return pr7Run{}, err
+	}
+
+	st := c.gw.Stats()
+	return pr7Run{
+		elapsed:   elapsed,
+		completed: st.Completed,
+		conserved: st.Conserved(),
+	}, nil
+}
+
+// pr7Concurrent fans items over n workers, stopping on the first error.
+func pr7Concurrent(n int, items []*core.Task, f func(*core.Task) error) error {
+	var wg sync.WaitGroup
+	errCh := make(chan error, n)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(items); i += n {
+				if err := f(items[i]); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errCh)
+	return <-errCh
 }
 
 // minNs returns the fastest sample in nanoseconds.

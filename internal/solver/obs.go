@@ -10,8 +10,8 @@ import (
 )
 
 // Solver telemetry, registered on the process-wide obs registry. The
-// instruments are always on — every write is a few atomic operations, and
-// hta-bench -fig pr3 holds the total under 2% of a full solve — with
+// instruments are always on — every write is a few atomic operations,
+// under 2% of a full solve as BENCH_PR3.json records — with
 // obs.SetEnabled(false) as the global kill switch.
 var (
 	phaseMatching = phaseHist("matching")

@@ -10,7 +10,7 @@ import (
 	"github.com/htacs/ata/internal/workload"
 )
 
-// benchShape mirrors the pr5 sweep's single-shard point: a worker pool
+// benchShape mirrors the single-shard point of BENCH_PR5.json: a worker pool
 // saturated at Xmax and a deep backlog, so Offer lands in the buffer. The
 // BestGain and OfferTask benchmarks below measure their entry points on
 // that steady state; BenchmarkCompleteTask has shapes of its own.
