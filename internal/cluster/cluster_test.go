@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -720,4 +722,98 @@ func TestGatewayAllFullSendsNoCommit(t *testing.T) {
 		t.Fatalf("only %d of %d offers buffered; the fallback went untested", buffered, len(tasks))
 	}
 	checkConserved(t, gw, "after offers")
+}
+
+// TestGatewayWorkerReadsFromPin checks that the gateway answers worker
+// reads from the record it pinned at registration, without an RPC, and
+// that the copy goes when the pin does.
+func TestGatewayWorkerReadsFromPin(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 16, 2)
+	gw := tc.gw
+	workers, _ := testWorkload(t, 7, 4, 4)
+	for _, w := range workers {
+		if _, err := gw.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameWorker := func(got, want *core.Worker) bool {
+		return got.ID == want.ID && got.Alpha == want.Alpha && got.Beta == want.Beta &&
+			slices.Equal(got.Keywords.Indices(), want.Keywords.Indices())
+	}
+	frames := gw.FramesSent()
+	for _, w := range workers {
+		got, err := gw.Worker(w.ID)
+		if err != nil {
+			t.Fatalf("Worker(%s): %v", w.ID, err)
+		}
+		if !sameWorker(got, w) {
+			t.Fatalf("Worker(%s) = %+v, want %+v", w.ID, got, w)
+		}
+	}
+	if sent := gw.FramesSent() - frames; sent != 0 {
+		t.Fatalf("pinned worker reads sent %d frames, want 0", sent)
+	}
+
+	// Leaving and registering again with other keywords replaces the copy.
+	w0 := workers[0]
+	if _, err := gw.RemoveWorker(w0.ID); err != nil {
+		t.Fatal(err)
+	}
+	again := &core.Worker{ID: w0.ID, Keywords: workers[1].Keywords, Alpha: workers[1].Alpha, Beta: workers[1].Beta}
+	if _, err := gw.AddWorker(again); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := gw.Worker(w0.ID); err != nil || !sameWorker(got, again) {
+		t.Fatalf("Worker(%s) after re-registration = %+v, %v; want %+v", w0.ID, got, err, again)
+	}
+
+	// A gateway that never saw the registrations asks the owner once per
+	// worker and keeps the answer.
+	specs := make([]PeerSpec, len(tc.servers))
+	for i, srv := range tc.servers {
+		specs[i] = PeerSpec{Name: fmt.Sprintf("n%d", i), URL: srv.URL}
+	}
+	gw2, err := NewGateway(GatewayConfig{Peers: specs, HeartbeatInterval: -1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw2.Close() })
+	w1 := workers[1]
+	for round, want := range []int64{1, 0} {
+		frames := gw2.FramesSent()
+		got, err := gw2.Worker(w1.ID)
+		if err != nil || !sameWorker(got, w1) {
+			t.Fatalf("round %d: Worker(%s) = %+v, %v; want %+v", round, w1.ID, got, err, w1)
+		}
+		if sent := gw2.FramesSent() - frames; sent != want {
+			t.Fatalf("round %d: Worker(%s) sent %d frames, want %d", round, w1.ID, sent, want)
+		}
+	}
+
+	// A worker whose node is marked down gets ErrPeerDown, not its copy:
+	// the liveness check runs before the pin is read. dropNode marks the
+	// peer down before it unpins the node's workers.
+	gw2.mu.Lock()
+	owner := gw2.peers[gw2.workerLoc[w1.ID].node]
+	gw2.mu.Unlock()
+	owner.markDown()
+	if _, err := gw2.Worker(w1.ID); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("Worker(%s) on a down node: err = %v, want ErrPeerDown", w1.ID, err)
+	}
+
+	// Once the node is dropped, its workers' copies are gone with their
+	// pins: the read goes to the ring's new owner, which never heard of
+	// them.
+	gw.locMu.RLock()
+	victim := gw.workerLoc[w1.ID].node
+	gw.locMu.RUnlock()
+	for i, srv := range tc.servers {
+		if specs[i].Name == victim {
+			srv.Close()
+		}
+	}
+	gw.CheckHealth(context.Background())
+	if got, err := gw.Worker(w1.ID); err == nil {
+		t.Fatalf("Worker(%s) after its node was dropped = %+v, want an error", w1.ID, got)
+	}
 }

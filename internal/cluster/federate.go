@@ -20,7 +20,8 @@ import (
 // cluster view. These methods satisfy platform.ClusterObserver, which is
 // how the platform layer mounts them without importing this package.
 
-// fetch GETs base+path and hands the body to decode.
+// fetch GETs base+path and hands the body to decode. The decoders may
+// stop short of EOF, so the body is drained before it is closed.
 func (p *peer) fetch(ctx context.Context, path string, decode func(io.Reader) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+path, nil)
 	if err != nil {
@@ -30,9 +31,8 @@ func (p *peer) fetch(ctx context.Context, path string, decode func(io.Reader) er
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("cluster: %s%s: HTTP %d", p.name, path, resp.StatusCode)
 	}
 	return decode(resp.Body)

@@ -184,9 +184,14 @@ type Gateway struct {
 	// locMu guards the worker→node pin map. Workers are placed by ring
 	// lookup at registration and pinned, so membership changes never
 	// reroute an existing worker's calls to a node that has never heard
-	// of it — the ring decides placement, the pin decides routing.
+	// of it — the ring decides placement, the pin decides routing. A
+	// worker's record does not change after registration, so the pin also
+	// keeps it and Worker reads it without an RPC. locGen counts pin
+	// removals, so a read that fills a pin after its RPC can tell whether
+	// the worker left meanwhile.
 	locMu     sync.RWMutex
-	workerLoc map[string]string
+	workerLoc map[string]workerPin
+	locGen    uint64
 
 	ledgerMu sync.Mutex
 	ledger   map[string]ledgerEntry
@@ -201,6 +206,13 @@ type Gateway struct {
 	closed atomic.Bool
 	hbStop chan struct{}
 	hbDone chan struct{}
+}
+
+// workerPin is a worker's entry in the gateway's pin map: the node that
+// owns it and the record it registered with.
+type workerPin struct {
+	node   string
+	worker *core.Worker
 }
 
 // NewGateway validates the configuration, builds the ring and peer table,
@@ -278,7 +290,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		peers:       peers,
 		order:       names,
 		lastDropped: make(map[string]int64, len(peers)),
-		workerLoc:   make(map[string]string),
+		workerLoc:   make(map[string]workerPin),
 		ledger:      make(map[string]ledgerEntry),
 		seen:        make(map[string]struct{}),
 		hbStop:      make(chan struct{}),
@@ -362,8 +374,9 @@ func (g *Gateway) fanOut(ctx context.Context, op Op) ([]*peer, []OpResult) {
 // when one exists, the ring otherwise.
 func (g *Gateway) owner(workerID string) (*peer, error) {
 	g.locMu.RLock()
-	name, pinned := g.workerLoc[workerID]
+	pin, pinned := g.workerLoc[workerID]
 	g.locMu.RUnlock()
+	name := pin.node
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !pinned {
@@ -518,7 +531,7 @@ func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Tas
 		return nil, resultErr(res)
 	}
 	g.locMu.Lock()
-	g.workerLoc[w.ID] = p.name
+	g.workerLoc[w.ID] = workerPin{node: p.name, worker: w}
 	g.locMu.Unlock()
 	return wireTasks(res.Tasks)
 }
@@ -551,6 +564,7 @@ func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task,
 	}
 	g.locMu.Lock()
 	delete(g.workerLoc, id)
+	g.locGen++
 	g.locMu.Unlock()
 	g.ledgerMu.Lock()
 	for _, twr := range res.Tasks {
@@ -614,13 +628,22 @@ func (g *Gateway) ActiveTasks(workerID string) ([]*core.Task, error) {
 	return wireTasks(res.Tasks)
 }
 
-// Worker returns the registered worker record.
+// Worker returns the registered worker record. A worker this gateway
+// registered is answered from its pin; one registered before the gateway
+// started costs one RPC to its owner, and the answer pins it there.
 func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
 	p, err := g.owner(workerID)
 	if err != nil {
 		return nil, err
+	}
+	g.locMu.RLock()
+	pin, pinned := g.workerLoc[workerID]
+	gen := g.locGen
+	g.locMu.RUnlock()
+	if pinned {
+		return pin.worker, nil
 	}
 	res, err := p.do(Op{Op: opWorker, WorkerID: workerID})
 	if err != nil {
@@ -629,7 +652,16 @@ func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
 	if !res.OK || res.Worker == nil {
 		return nil, resultErr(res)
 	}
-	return wireToWorker(*res.Worker)
+	w, err := wireToWorker(*res.Worker)
+	if err != nil {
+		return nil, err
+	}
+	g.locMu.Lock()
+	if _, pinned := g.workerLoc[workerID]; !pinned && g.locGen == gen {
+		g.workerLoc[workerID] = workerPin{node: p.name, worker: w}
+	}
+	g.locMu.Unlock()
+	return w, nil
 }
 
 // Trust returns the worker's trust multiplier from its owning node.
@@ -921,11 +953,12 @@ func (g *Gateway) dropNode(name string) {
 	g.met.NodeDrops.Inc()
 
 	g.locMu.Lock()
-	for id, n := range g.workerLoc {
-		if n == name {
+	for id, pin := range g.workerLoc {
+		if pin.node == name {
 			delete(g.workerLoc, id)
 		}
 	}
+	g.locGen++
 	g.locMu.Unlock()
 
 	g.ledgerMu.Lock()

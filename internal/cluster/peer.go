@@ -286,13 +286,12 @@ func (p *peer) roundTrip(frame *Frame) (*FrameResult, error) {
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			drainClose(resp.Body)
 			lastErr = fmt.Errorf("HTTP %d", resp.StatusCode)
 			continue
 		}
 		if resp.StatusCode >= 400 {
-			defer resp.Body.Close()
+			drainClose(resp.Body)
 			return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
 		}
 		var out FrameResult
@@ -316,6 +315,21 @@ func decodeBody(r io.Reader, v any) error {
 		return err
 	}
 	return json.Unmarshal(b.Bytes(), v)
+}
+
+// maxDrain caps how much of a response body drainClose reads after the
+// caller is done with it; past the cap the body is closed, and the
+// connection with it.
+const maxDrain = 64 << 10
+
+// drainClose reads a response body to EOF, up to maxDrain bytes, and
+// closes it. net/http returns a keep-alive connection to its idle pool
+// only once the body has reached EOF; a body closed unread closes the
+// connection, and the peer's next request dials a new one.
+func drainClose(body io.ReadCloser) {
+	// A failed read only costs the connection, which Close then drops.
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // markDown flips the peer unhealthy: queued and future ops fail fast with
@@ -364,7 +378,7 @@ func (p *peer) snapshot(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: snapshot %s: HTTP %d", p.name, resp.StatusCode)
 	}
@@ -387,7 +401,7 @@ func (p *peer) health(ctx context.Context) (*Health, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: health %s: HTTP %d", p.name, resp.StatusCode)
 	}

@@ -701,7 +701,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		// retryable when the context itself is done.
 		return ctx.Err() == nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		var apiErr apiError
 		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
@@ -716,6 +716,22 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		return false, fmt.Errorf("platform: decoding response: %w", err)
 	}
 	return false, nil
+}
+
+// maxDrain caps how much of a response body drainClose reads after the
+// caller is done with it; past the cap the body is closed, and the
+// connection with it.
+const maxDrain = 64 << 10
+
+// drainClose reads a response body to EOF, up to maxDrain bytes, and
+// closes it. net/http returns a keep-alive connection to its idle pool
+// only once the body has reached EOF; a body closed unread (a response the
+// caller ignores, an error, a JSON decode that stops before a chunked
+// body's terminator) closes the connection, and the next call dials again.
+func drainClose(body io.ReadCloser) {
+	// A failed read only costs the connection, which Close then drops.
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // AddTasks uploads tasks to the pool.

@@ -2,12 +2,18 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/htacs/ata/internal/adaptive"
+	"github.com/htacs/ata/internal/bitset"
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/question"
 	"github.com/htacs/ata/internal/shard"
@@ -244,5 +250,112 @@ func TestShardedSnapshotMergesShards(t *testing.T) {
 	if want.Submitted != got.Submitted || want.Active != got.Active ||
 		want.Buffered != got.Buffered || !got.Conserved() {
 		t.Fatalf("snapshot round trip drifted:\n want %+v\n got  %+v", want, got)
+	}
+}
+
+// chunkedCounter is a RoundTripper that counts the responses sent with
+// chunked transfer encoding.
+type chunkedCounter struct {
+	next    http.RoundTripper
+	chunked atomic.Int64
+}
+
+func (c *chunkedCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.next.RoundTrip(req)
+	if err == nil && len(resp.TransferEncoding) > 0 && resp.TransferEncoding[0] == "chunked" {
+		c.chunked.Add(1)
+	}
+	return resp, err
+}
+
+// TestClientReusesConnection runs one client's whole session (successes,
+// errors and a chunked response) over a transport limited to one
+// connection, and checks that the server saw exactly one: the client
+// reads every response to EOF, so net/http keeps the connection alive.
+func TestClientReusesConnection(t *testing.T) {
+	eng, err := shard.New(shard.Config{
+		Shards:        2,
+		StealInterval: -1,
+		Registry:      obs.NewRegistry(),
+		Stream:        stream.Config{Xmax: 3, BufferLimit: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	srv, err := NewServer(ServerConfig{Shards: eng, Universe: universe, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	t.Cleanup(tr.CloseIdleConnections)
+	rt := &chunkedCounter{next: tr}
+	client := NewClient(ts.URL, &http.Client{Transport: rt})
+
+	// Enough workers that the stats response outgrows the server's
+	// 2 KiB pre-chunking buffer.
+	const workers = 40
+	for i := 0; i < workers; i++ {
+		if _, err := client.Register(fmt.Sprintf("w%d", i), sixKeywords(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := workload.NewGenerator(workload.Config{Seed: 5, Universe: universe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.AddTasks(g.Tasks(4, 5)); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.WorkerSet) != workers {
+		t.Fatalf("stats list %d workers, want %d", len(stats.WorkerSet), workers)
+	}
+	if rt.chunked.Load() == 0 {
+		t.Fatal("no response was chunked; the stats response went untested")
+	}
+	var worker string
+	var active []TaskView
+	for i := 0; i < workers && len(active) == 0; i++ {
+		worker = fmt.Sprintf("w%d", i)
+		if active, err = client.Tasks(worker); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(active) == 0 {
+		t.Fatal("no worker was assigned a task")
+	}
+	if _, err := client.Complete(worker, active[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Leave(worker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Complete("ghost", "t0"); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
+		t.Fatalf("complete for an unknown worker: err = %v, want HTTP 404", err)
+	}
+	bad := &core.Task{ID: "bad", Keywords: bitset.FromIndices(universe+1, universe)}
+	if err := client.AddTasks([]*core.Task{bad}); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("upload outside the universe: err = %v, want HTTP 400", err)
+	}
+	// One call after the errors, which would redial had they closed the
+	// connection.
+	if _, err := client.ShardStats(); err != nil {
+		t.Fatal(err)
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("the session opened %d connections, want 1", n)
 	}
 }

@@ -19,9 +19,9 @@ trap 'rm -rf "$out"' EXIT
 
 # workload, digest checked, events_per_s >=, wait_p50_ms <=, side_p50_ms <=
 limits=(
-	"stream-deep yes 2450 0.48 0.19"
-	"stream-wide yes 2550 0.25 0.17"
-	"cluster-rpc no 1500 1.3 0.8"
+	"stream-deep yes 3460 0.286 0.159"
+	"stream-wide yes 2890 0.234 0.17"
+	"cluster-rpc no 2190 0.723 0.625"
 	"batch-solve yes 74000 7.5 3.1"
 )
 
