@@ -35,6 +35,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	latency := reg.Histogram("hta_http_request_seconds",
 		"request latency by endpoint", obs.DurationBuckets(), obs.L("endpoint", endpoint))
 	inFlight := reg.Gauge("hta_http_in_flight", "requests currently being served")
+	// The endpoint's success series, resolved by its first 2xx response
+	// rather than up front, so /metrics lists only the codes served.
+	var success atomic.Pointer[codeCounter]
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -58,14 +61,28 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		span.End()
 		latency.Observe(elapsed.Seconds())
 		inFlight.Add(-1)
-		reg.Counter("hta_http_requests_total", "requests served by endpoint and status code",
-			obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(rec.status))).Inc()
+		if c := success.Load(); c != nil && c.code == rec.status {
+			c.Inc()
+		} else {
+			c := reg.Counter("hta_http_requests_total", "requests served by endpoint and status code",
+				obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(rec.status)))
+			c.Inc()
+			if rec.status < 300 {
+				success.CompareAndSwap(nil, &codeCounter{code: rec.status, Counter: c})
+			}
+		}
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
 				slog.String("endpoint", endpoint), slog.Int("code", rec.status),
 				slog.Duration("duration", elapsed))
 		}
 	}
+}
+
+// codeCounter is a request counter series with its status code.
+type codeCounter struct {
+	code int
+	*obs.Counter
 }
 
 // draining flips when the process enters graceful shutdown; /healthz

@@ -321,7 +321,9 @@ func putJSONBuf(b *bytes.Buffer) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if b, ok := appendWire(buf.AvailableBuffer(), v); ok {
+		buf.Write(append(b, '\n'))
+	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -330,12 +332,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// readJSON decodes a request body through pooled scratch.
+// readJSON decodes a request body through pooled scratch, with the wire
+// codec's fast path and json.Unmarshal for whatever it declines.
 func readJSON(r *http.Request, v any) error {
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return err
+	}
+	if decodeWire(buf.Bytes(), v) {
+		return nil
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }
@@ -649,8 +655,8 @@ func (c *Client) do(method, path string, body, out any) error {
 // fresh idempotency key and retries under the same policy, with the
 // server deduplicating by key (see idempotency.go).
 func (c *Client) doCtx(ctx context.Context, method, path string, body, out any) error {
-	var payload []byte
-	if body != nil {
+	payload, ok := appendWire(nil, body)
+	if !ok && body != nil {
 		var err error
 		if payload, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("platform: encoding request: %w", err)
@@ -712,7 +718,14 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 	if out == nil {
 		return false, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	buf := getJSONBuf()
+	defer putJSONBuf(buf)
+	if _, err := buf.ReadFrom(resp.Body); err == nil && decodeWire(buf.Bytes(), out) {
+		return false, nil
+	}
+	// Declined or cut short: encoding/json decodes what was read and then
+	// whatever the body still yields, as it would from the body itself.
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), resp.Body)).Decode(out); err != nil {
 		return false, fmt.Errorf("platform: decoding response: %w", err)
 	}
 	return false, nil

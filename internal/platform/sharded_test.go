@@ -21,7 +21,7 @@ import (
 	"github.com/htacs/ata/internal/workload"
 )
 
-func newShardedServer(t *testing.T, shards, numTasks int) (*shard.Engine, *Client) {
+func newShardedServer(t testing.TB, shards, numTasks int) (*shard.Engine, *Client) {
 	t.Helper()
 	eng, err := shard.New(shard.Config{
 		Shards:        shards,

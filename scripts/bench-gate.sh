@@ -19,8 +19,8 @@ trap 'rm -rf "$out"' EXIT
 
 # workload, digest checked, events_per_s >=, wait_p50_ms <=, side_p50_ms <=
 limits=(
-	"stream-deep yes 3460 0.286 0.159"
-	"stream-wide yes 2890 0.234 0.17"
+	"stream-deep yes 4530 0.193 0.131"
+	"stream-wide yes 3770 0.15 0.113"
 	"cluster-rpc no 2190 0.723 0.625"
 	"batch-solve yes 74000 7.5 3.1"
 )
