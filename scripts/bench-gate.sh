@@ -19,8 +19,8 @@ trap 'rm -rf "$out"' EXIT
 
 # workload, digest checked, events_per_s >=, wait_p50_ms <=, side_p50_ms <=
 limits=(
-	"stream-deep yes 4530 0.193 0.131"
-	"stream-wide yes 3770 0.15 0.113"
+	"stream-deep yes 4080 0.212 0.142"
+	"stream-wide yes 3280 0.163 0.121"
 	"cluster-rpc no 2190 0.723 0.625"
 	"batch-solve yes 74000 7.5 3.1"
 )
