@@ -19,7 +19,7 @@ func TestRequestCounterSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.http.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestRequestCounterSeries(t *testing.T) {
 	do("POST", "/api/workers/w1/complete", `{"task_id":`, 400)
 	do("DELETE", "/api/workers/w3", "", 200)
 
-	resp, err := http.Get(client.base + "/metrics")
+	resp, err := client.http.Get(client.base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,7 +306,8 @@ func isASCII(b []byte) bool {
 }
 
 // wireServerBodies drives a sharded server over raw HTTP and returns the
-// request and response bodies of a short session, to seed the fuzzer.
+// request and response bodies of an upload, a registration, a completion
+// and a read, to seed the fuzzer.
 func wireServerBodies(t testing.TB) [][]byte {
 	_, client := newShardedServer(t, 2, 0)
 	var bodies [][]byte
@@ -315,7 +316,7 @@ func wireServerBodies(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.http.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +362,7 @@ func TestWireNonCanonicalBodies(t *testing.T) {
 	eng, client := newShardedServer(t, 1, 0) // one shard: w1 sees both tasks
 	post := func(path, body string) (int, []byte) {
 		t.Helper()
-		resp, err := http.Post(client.base+path, "application/json", strings.NewReader(body))
+		resp, err := client.http.Post(client.base+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
