@@ -424,8 +424,10 @@ func decList[T any](d *wireDec, p *[]T, elem func(*wireDec, *T) bool) bool {
 	if !d.next(']') {
 		if s == nil {
 			// A fresh slice can be sized up front: only the storage a
-			// duplicate key reuses is visible, and that is the same.
-			s = make([]T, 0, d.elems())
+			// duplicate key reuses is visible, and that is the same. The
+			// hint is capped, so input that will be declined cannot make
+			// a large allocation; longer arrays grow as they decode.
+			s = make([]T, 0, min(d.elems(), maxElemsHint))
 		}
 		for {
 			if i == cap(s) {
@@ -477,6 +479,10 @@ func (d *wireDec) elems() int {
 	}
 	return n
 }
+
+// maxElemsHint caps the capacity elems can ask for; display sets are
+// far shorter.
+const maxElemsHint = 64
 
 // wireDelim marks the bytes elems looks at.
 var wireDelim = [256]bool{'"': true, '[': true, '{': true, ']': true, '}': true, ',': true}

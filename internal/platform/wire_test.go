@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -293,6 +294,23 @@ func TestWireDecodeMatchesJSON(t *testing.T) {
 		if plain := !bytes.ContainsAny(b, `\`) && !bytes.Contains(b, []byte("null")) && isASCII(b); plain && n == 0 {
 			t.Fatalf("declined the encoder's own output %s", b)
 		}
+	}
+}
+
+// TestWireDeclineAllocatesLittle feeds a megabyte of separators, which
+// the decoder declines: it must not size a slice from them.
+func TestWireDeclineAllocatesLittle(t *testing.T) {
+	body := []byte(`{"tasks":[` + strings.Repeat(",", 1<<20) + `]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req addTasksRequest
+	accepted := decodeWire(body, &req)
+	runtime.ReadMemStats(&after)
+	if accepted {
+		t.Fatal("accepted an array of bare commas")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("declining allocated %d bytes", n)
 	}
 }
 
