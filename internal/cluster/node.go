@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -143,10 +144,20 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxFrameBytes bounds a /cluster/batch body: the platform's default
+// MaxBodyBytes. hta-server -node mounts the node outside the platform's
+// body limit, so the node applies its own.
+const maxFrameBytes = 8 << 20
+
 func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var frame Frame
-	if err := json.NewDecoder(r.Body).Decode(&frame); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+	frame, err := readFrame(w, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), status)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -186,6 +197,24 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		n.frames.commit(frame.ID, buf.Bytes())
 	}
 	_, _ = w.Write(buf.Bytes())
+}
+
+// readFrame reads a request body of at most maxFrameBytes through a
+// pooled buffer and decodes its first JSON value: through the frame codec,
+// or, when it declines, through json.Decoder.Decode, which ignores what
+// follows the value.
+func readFrame(w http.ResponseWriter, r *http.Request) (Frame, error) {
+	var frame Frame
+	b := getBuf()
+	defer putBuf(b)
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxFrameBytes)); err != nil {
+		return frame, err
+	}
+	if decodeFrame(b.Bytes(), &frame) {
+		return frame, nil
+	}
+	err := json.NewDecoder(bytes.NewReader(b.Bytes())).Decode(&frame)
+	return frame, err
 }
 
 // apply runs one op against the engine. An op carrying a sampled trace

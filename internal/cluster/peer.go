@@ -307,12 +307,17 @@ func (p *peer) roundTrip(frame *Frame) (*FrameResult, error) {
 }
 
 // decodeBody reads the full response through a pooled buffer before
-// unmarshalling — the decode scratch is reused frame to frame.
+// unmarshalling — the decode scratch is reused frame to frame. A
+// FrameResult goes through the frame codec first; whatever it declines,
+// json.Unmarshal decodes, so trailing data stays an error.
 func decodeBody(r io.Reader, v any) error {
 	b := getBuf()
 	defer putBuf(b)
 	if _, err := b.ReadFrom(r); err != nil {
 		return err
+	}
+	if res, ok := v.(*FrameResult); ok && decodeFrameResult(b.Bytes(), res) {
+		return nil
 	}
 	return json.Unmarshal(b.Bytes(), v)
 }

@@ -204,9 +204,15 @@ func putBuf(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// encodeJSON marshals v into a pooled buffer. The caller must putBuf it.
+// encodeJSON marshals v into a pooled buffer, with json.Encoder's
+// trailing newline: frames and results through the frame codec, anything
+// it declines through encoding/json. The caller must putBuf it.
 func encodeJSON(v any) (*bytes.Buffer, error) {
 	b := getBuf()
+	if out, ok := appendFrame(b.AvailableBuffer(), v); ok {
+		b.Write(append(out, '\n'))
+		return b, nil
+	}
 	if err := json.NewEncoder(b).Encode(v); err != nil {
 		putBuf(b)
 		return nil, err

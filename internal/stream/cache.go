@@ -314,9 +314,10 @@ func (a *Assigner) releaseWorkerCache(ws *workerState) {
 }
 
 // scoreFresh prices a task that is not in the buffer (an arriving offer)
-// against one worker: the same Δ(q, k) the cache stores, computed through
-// the pack kernel over the worker's active set in slot order.
-func (a *Assigner) scoreFresh(ws *workerState, t *core.Task) (gain, rel float64) {
+// against one worker, given their relevance: the same Δ(q, k) the cache
+// stores, computed through the pack kernel over the worker's active set
+// in slot order.
+func (a *Assigner) scoreFresh(ws *workerState, t *core.Task, rel float64) float64 {
 	var sumDiv float64
 	if n := len(ws.active); n > 0 {
 		a.scratchA = growScratch(a.scratchA, n)
@@ -325,7 +326,6 @@ func (a *Assigner) scoreFresh(ws *workerState, t *core.Task) (gain, rel float64)
 			sumDiv += v
 		}
 	}
-	rel = metric.Relevance(a.cfg.Dist, t.Keywords, ws.worker.Keywords)
 	w := ws.worker
-	return 2*w.Alpha*sumDiv + w.Beta*(ws.sumRel+float64(len(ws.active))*rel), rel
+	return 2*w.Alpha*sumDiv + w.Beta*(ws.sumRel+float64(len(ws.active))*rel)
 }

@@ -55,8 +55,14 @@ func taskIDs(ts []*core.Task) []string {
 // they return different tasks, or where their buffers or active sets
 // differ afterwards. Offers draw keyword sets from a few templates (and
 // now and then a fresh one), so classes repeat, gains tie, and classes
-// empty and reopen as tasks come and go.
-func checkParity(t *testing.T, data []byte) {
+// empty and reopen as tasks come and go. A worker can also empty its
+// whole active set, so offers meet free workers whose gain is 0 and only
+// the relevance tiebreak decides.
+func checkParity(t *testing.T, data []byte) { runParity(t, data) }
+
+// runParity is checkParity; it returns how many offers met a registered
+// worker with an empty active set.
+func runParity(t *testing.T, data []byte) (emptyOffers int) {
 	r := &opReader{data: data}
 	now := int64(1)
 	clock := func() int64 { return now }
@@ -104,7 +110,7 @@ func checkParity(t *testing.T, data []byte) {
 	taskN := 0
 	for step := 0; r.more(); step++ {
 		ids := a.WorkerIDs()
-		switch op := r.next() % 9; op {
+		switch op := r.next() % 10; op {
 		case 0, 1, 2: // offer
 			tpl, dl := r.next(), r.next()
 			kw := randKeywords(rng, universe)
@@ -115,6 +121,12 @@ func checkParity(t *testing.T, data []byte) {
 			taskN++
 			if dl%3 != 0 {
 				tk.Deadline = now + int64(dl%20) - 4
+			}
+			for _, id := range ids {
+				if active, _ := a.ActiveTasks(id); len(active) == 0 {
+					emptyOffers++
+					break
+				}
 			}
 			got, err := a.OfferTask(tk)
 			want, full := ref.Offer(tk)
@@ -162,6 +174,23 @@ func checkParity(t *testing.T, data []byte) {
 		case 7: // steal-shaped drop from the buffer front
 			n := 1 + r.next()%4
 			same(step, "take", a.TakeBuffered(n), ref.TakeBuffered(n))
+		case 8: // a worker empties: the buffer goes, then its active set completes
+			if len(ids) == 0 {
+				continue
+			}
+			id := ids[r.next()%len(ids)]
+			n := len(a.Buffered())
+			same(step, "take all", a.TakeBuffered(n), ref.TakeBuffered(n))
+			active, _ := a.ActiveTasks(id)
+			for _, tk := range active {
+				got, err := a.Complete(id, tk.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := ref.Complete(id, tk.ID); got != nil || want != nil {
+					t.Fatalf("step %d: complete %s/%s on an empty buffer: classed pulled %v, reference %v", step, id, tk.ID, got, want)
+				}
+			}
 		default: // time passes; expire, or declare a window
 			now += int64(r.next() % 6)
 			if b := r.next(); b&1 == 0 {
@@ -180,6 +209,7 @@ func checkParity(t *testing.T, data []byte) {
 			same(step, "active "+id, active, ref.Active(id))
 		}
 	}
+	return emptyOffers
 }
 
 // FuzzClassedPull pits the class-collapsed gain cache against the
@@ -201,9 +231,13 @@ func FuzzClassedPull(f *testing.F) {
 // empty and reopen.
 func TestClassedPullMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	emptyOffers := 0
 	for i := 0; i < 40; i++ {
 		data := make([]byte, 4000)
 		rng.Read(data)
-		checkParity(t, data)
+		emptyOffers += runParity(t, data)
+	}
+	if emptyOffers < 1000 {
+		t.Fatalf("%d offers met a worker with an empty active set, want at least 1000", emptyOffers)
 	}
 }

@@ -493,8 +493,12 @@ func (a *Assigner) bestFree(t *core.Task) (id string, gain, rel float64) {
 
 // bestFreeScan is bestFree's selection loop. avoidBefore > 0 additionally
 // skips workers whose known availability window ends before that instant.
+// The first candidate prices t against every registered worker in one
+// packed row over wkrPack (aligned with order); rel(t, w) is 1 − d, bit
+// for bit what metric.Relevance returns under the PackDistancer contract.
 func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gain, rel float64) {
 	bestQ, bestGain, bestRel := "", -1.0, -1.0
+	priced := false
 	for i, wid := range a.order {
 		ws := a.states[i]
 		if len(ws.active) >= a.cfg.Xmax {
@@ -506,7 +510,13 @@ func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gai
 		if avoidBefore > 0 && ws.window > 0 && ws.window < avoidBefore {
 			continue // departing before the task's deadline
 		}
-		g, r := a.scoreFresh(ws, t)
+		if !priced {
+			a.scratchW = growScratch(a.scratchW, len(a.states))
+			metric.Row(a.cfg.Dist, t.Keywords, &a.wkrPack, a.workerKw, a.scratchW)
+			priced = true
+		}
+		r := 1 - a.scratchW[i]
+		g := a.scoreFresh(ws, t, r)
 		if a.cfg.WithTrust {
 			g *= ws.trust
 		}

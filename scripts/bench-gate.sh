@@ -21,7 +21,7 @@ trap 'rm -rf "$out"' EXIT
 limits=(
 	"stream-deep yes 4080 0.212 0.142"
 	"stream-wide yes 3280 0.163 0.121"
-	"cluster-rpc no 2190 0.723 0.625"
+	"cluster-rpc no 3180 0.411 0.409"
 	"batch-solve yes 74000 7.5 3.1"
 )
 
