@@ -104,24 +104,26 @@ func EncList[T any](e *Enc, s []T, elem func(*Enc, *T)) {
 // as json.Unmarshal requires. On false *out is untouched. *out must hold
 // its zero value, as encoding/json's would for the fallback to match.
 func Decode[T any](data []byte, out *T, dec func(*Dec, *T) bool) bool {
-	d := &Dec{b: data}
-	var v T
-	if !dec(d, &v) || !d.end() {
-		return false
-	}
-	*out = v
-	return true
+	return decode(data, out, dec, true)
 }
 
 // DecodeFirst is Decode for the first value in data: whatever follows it
 // is ignored, as json.Decoder.Decode ignores the rest of a stream.
 func DecodeFirst[T any](data []byte, out *T, dec func(*Dec, *T) bool) bool {
-	d := &Dec{b: data}
-	var v T
-	if !dec(d, &v) {
+	return decode(data, out, dec, false)
+}
+
+func decode[T any](data []byte, out *T, dec func(*Dec, *T) bool, whole bool) bool {
+	// The cursor and the value both escape through dec; one allocation
+	// holds the two.
+	s := &struct {
+		d Dec
+		v T
+	}{d: Dec{b: data}}
+	if !dec(&s.d, &s.v) || whole && !s.d.end() {
 		return false
 	}
-	*out = v
+	*out = s.v
 	return true
 }
 
