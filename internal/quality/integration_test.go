@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
@@ -104,7 +105,11 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 	// logical task, and on a trust update push the new value into the
 	// engine — the same loop handleSubmitAnswer runs. Spammy options make
 	// some workers fail gold checks and get quarantined mid-run.
+	// The first landed vote closes voted: the completers are not stopped
+	// before they had a chance to run, however fast the offerers finish.
 	var pollers sync.WaitGroup
+	voted := make(chan struct{})
+	var firstVote sync.Once
 	for c := 0; c < 3; c++ {
 		pollers.Add(1)
 		go func(c int) {
@@ -144,6 +149,7 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 					}
 					continue
 				}
+				firstVote.Do(func() { close(voted) })
 				if res.TrustUpdated {
 					if _, terr := e.SetTrust(wid, res.Trust); terr != nil {
 						t.Errorf("set trust: %v", terr)
@@ -155,6 +161,10 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 	}
 
 	wg.Wait()
+	select {
+	case <-voted:
+	case <-time.After(10 * time.Second):
+	}
 	close(stop)
 	pollers.Wait()
 
