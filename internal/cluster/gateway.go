@@ -582,32 +582,71 @@ func (g *Gateway) Complete(workerID, taskID string) (*core.Task, error) {
 // CompleteCtx marks the task finished on the worker's node and returns
 // the buffered task (if any) the completion pulled into the freed slot.
 func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error) {
+	res, err := g.complete(ctx, workerID, taskID)
+	if err != nil || res.Next == nil {
+		return nil, err
+	}
+	// The pulled task moved buffer→active on the same node; its ledger
+	// entry already points there.
+	return wireToTask(*res.Next)
+}
+
+// CompleteRead is CompleteCtx with the read-back the platform answers a
+// completion with: the node returns the worker's display set in the
+// complete op's result, so the whole call is one frame. A node that
+// predates the display marker returns no set; the gateway then reads it
+// with an active_tasks op, a second frame. The worker record comes from
+// the registration pin (see Worker).
+func (g *Gateway) CompleteRead(ctx context.Context, workerID, taskID string) (shard.Completion, error) {
+	var c shard.Completion
+	res, err := g.complete(ctx, workerID, taskID)
+	if err != nil {
+		return c, err
+	}
+	if res.Next != nil {
+		if c.Next, err = wireToTask(*res.Next); err != nil {
+			return c, err
+		}
+	}
+	if res.Display {
+		c.Active, err = wireTasks(res.Tasks)
+	} else {
+		c.Active, err = g.ActiveTasks(workerID)
+	}
+	if err == nil {
+		c.Worker, err = g.Worker(workerID)
+	}
+	if err != nil {
+		// The completion stands; only the read-back failed.
+		return shard.Completion{Next: c.Next}, nil
+	}
+	return c, nil
+}
+
+// complete is the body of CompleteCtx and CompleteRead: the complete op
+// on the worker's node and the gateway's accounting for it.
+func (g *Gateway) complete(ctx context.Context, workerID, taskID string) (OpResult, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
 	if g.closed.Load() {
-		return nil, shard.ErrClosed
+		return OpResult{}, shard.ErrClosed
 	}
 	p, err := g.owner(workerID)
 	if err != nil {
-		return nil, err
+		return OpResult{}, err
 	}
 	res, err := p.doCtx(ctx, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID})
 	if err != nil {
-		return nil, err
+		return OpResult{}, err
 	}
 	if !res.OK {
-		return nil, resultErr(res)
+		return OpResult{}, resultErr(res)
 	}
 	g.completed.Add(1)
 	g.ledgerMu.Lock()
 	delete(g.ledger, taskID)
 	g.ledgerMu.Unlock()
-	if res.Next == nil {
-		return nil, nil
-	}
-	// The pulled task moved buffer→active on the same node; its ledger
-	// entry already points there.
-	return wireToTask(*res.Next)
+	return res, nil
 }
 
 // ActiveTasks returns the worker's assigned tasks.

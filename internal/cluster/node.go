@@ -284,13 +284,15 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		}
 		return OpResult{OK: true}
 	case opComplete:
-		next, err := n.eng.CompleteCtx(ctx, op.WorkerID, op.TaskID)
+		c, err := n.eng.CompleteRead(ctx, op.WorkerID, op.TaskID)
 		if err != nil {
 			return fail(err)
 		}
-		r := OpResult{OK: true}
-		if next != nil {
-			tw := taskToWire(next)
+		// The display set rides back in the same result, so a completion
+		// costs the gateway one frame.
+		r := OpResult{OK: true, Tasks: tasksToWire(c.Active), Display: true}
+		if c.Next != nil {
+			tw := taskToWire(c.Next)
 			r.Next = &tw
 		}
 		return r

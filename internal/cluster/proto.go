@@ -24,7 +24,7 @@ const (
 	opScore        = "score"         // BestGain: the scatter half of an offer
 	opCommit       = "commit"        // TryAssign: commit the offer to this node
 	opBuffer       = "buffer"        // BufferAny: park on the least backlogged shard
-	opComplete     = "complete"      // Complete(worker, task); returns the pulled task
+	opComplete     = "complete"      // Complete(worker, task); returns the pulled task and the display set
 	opAddWorker    = "add_worker"    // AddWorker; returns drained tasks
 	opRemoveWorker = "remove_worker" // RemoveWorker; returns dropped tasks
 	opActiveTasks  = "active_tasks"  // ActiveTasks(worker)
@@ -171,6 +171,11 @@ type OpResult struct {
 	// Until answers a window read. Its own int64 field, not Value: a
 	// UnixNano does not fit float64 exactly.
 	Until int64 `json:"until,omitempty"`
+	// Display marks Tasks as the worker's display set after a complete;
+	// Tasks alone cannot say it, since an empty set and no set both omit
+	// it. A node without this field answers complete with neither, and
+	// the gateway then reads the set with an active_tasks op.
+	Display bool `json:"display,omitempty"`
 }
 
 // Frame is the body of POST /cluster/batch.

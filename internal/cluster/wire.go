@@ -181,6 +181,9 @@ func encOpResult(e *wire.Enc, v *OpResult) {
 		e.Raw(`,"until":`)
 		e.Int64(v.Until)
 	}
+	if v.Display {
+		e.Raw(`,"display":true`)
+	}
 	e.Raw(`}`)
 }
 
@@ -314,6 +317,8 @@ func decOpResult(d *wire.Dec, v *OpResult) bool {
 			return wire.Ptr(d, &v.Next, decTask)
 		case "tasks":
 			return wire.DecList(d, &v.Tasks, decTask)
+		case "display":
+			return d.Bool(&v.Display)
 		case "worker":
 			return wire.Ptr(d, &v.Worker, decWorker)
 		case "count":

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -179,7 +180,7 @@ func genOpResult(rng *rand.Rand, withStats bool) OpResult {
 		OK: rng.Intn(2) == 0, Err: genOptString(rng), Code: genOptString(rng),
 		Gain: genFloat(rng), Rel: genFloat(rng), Free: rng.Intn(2) == 0, Backlog: rng.Intn(5) - 1,
 		WorkerID: genOptString(rng), Tasks: genTasks(rng), Count: rng.Intn(4) - 1,
-		Value: genFloat(rng), Until: genInt64(rng),
+		Value: genFloat(rng), Until: genInt64(rng), Display: rng.Intn(2) == 0,
 	}
 	if rng.Intn(3) == 0 {
 		r.Next = genTask(rng)
@@ -265,6 +266,8 @@ func TestFrameEncodeMatchesJSON(t *testing.T) {
 			{OK: true, IDs: nil}, {OK: true, IDs: []string{}}, {OK: true, IDs: []string{"a", "b"}}}},
 		&FrameResult{Results: []OpResult{{OK: true, WorkerID: "w", Next: task}, {OK: true, Worker: worker}, {OK: true, Count: -3},
 			{OK: true, Value: 0.5}, {OK: true, Until: math.MaxInt64}, {Err: "cluster: full", Code: codeFull}}},
+		&FrameResult{Results: []OpResult{{OK: true, Display: true}, {OK: true, Tasks: []taskWire{}, Display: true},
+			{OK: true, Next: task, Tasks: []taskWire{*task}, Display: true}, {OK: false, Err: "x", Display: true}}},
 	} {
 		checkFrameEncode(t, v)
 	}
@@ -389,6 +392,7 @@ var declinedFrames = []string{
 	`{"results":[{"ok":True}]}`, `{"results":[{"ok":truex}]}`, `{"results":[{"stats":{}}]}`, `{"results":[{"stats":null}]}`,
 	`{"results":[{"gain":.5}]}`, `{"results":[{"gain":5.}]}`, `{"results":[{"backlog":1.5}]}`, `{"results":[{"ids":[1]}]}`,
 	`{"results":[{"next":[]}]}`, `{"results":[{"tasks":{}}]}`, `{"results":[{"worker":{"alpha":1,"keywords":[x]}}]}`,
+	`{"results":[{"display":null}]}`, `{"results":[{"display":1}]}`, `{"results":[{"display":"true"}]}`, `{"results":[{"Display":true}]}`,
 	`{"id":"f",}`, `{,}`, `{"id" "f"}`, `{"ops":[{}`, `{"ops":[{},]}`, `{"ops":[,]}`,
 }
 
@@ -404,6 +408,8 @@ var acceptedFrames = []string{
 	`{"results":[{"ok":true,"tasks":[{"id":"a","universe":4,"keywords":[0,3]},{"id":"b","universe":4,"keywords":[]}]}]}`,
 	`{"results":[{"ok":true,"worker_id":"w","next":{"id":"t","universe":4,"keywords":[1]}},{"ok":true,"ids":["a","b"]},{"ok":true,"ids":[]}]}`,
 	`{"results":[{"ok":true,"count":3,"value":0.25,"until":9223372036854775807,"worker":{"id":"w","alpha":1E+2,"beta":2.5e-3,"universe":1,"keywords":[]}}]}`,
+	`{"results":[{"ok":true,"next":{"id":"t","universe":4,"keywords":[1]},"tasks":[{"id":"t","universe":4,"keywords":[1]}],"display":true},{"ok":true,"display":true},{"display":false}]}`,
+	`{"results":[{"display":true,"ok":true,"display":false}]}`,
 	// Duplicate keys: pointers are decoded into in place, slices reuse
 	// the first array's storage.
 	`{"ops":[{"task":{"id":"a","group":"g","keywords":[1,2]}},{"op":"x"}],"ops":[{"task":{"reward":2}}]}`,
@@ -611,6 +617,20 @@ func TestFrameSessionBodies(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Error("no op carried a span")
+	}
+	displays := 0
+	for _, b := range bodies {
+		var r FrameResult
+		if decodeFrameResult(b, &r) {
+			for _, res := range r.Results {
+				if res.Display {
+					displays++
+				}
+			}
+		}
+	}
+	if displays == 0 {
+		t.Error("no complete result carried the display set")
 	}
 }
 
@@ -825,4 +845,88 @@ func BenchmarkFrameWire(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestCompleteResultUnderOldReading posts a complete op to a node and
+// reads the result as a gateway that predates the display marker does:
+// its frame decoder declines the unknown key and json.Unmarshal into its
+// OpResult, which lacks Display, ignores the marker and the set. The
+// completion must read as before, and the current reading must carry the
+// worker's display set.
+func TestCompleteResultUnderOldReading(t *testing.T) {
+	tc := newTestCluster(t, 1, 1, 16, 2)
+	workers, tasks := testWorkload(t, 5, 1, 4)
+	w := workers[0]
+	if _, err := tc.gw.AddWorker(w); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range tasks {
+		if _, err := tc.gw.OfferTask(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active, err := tc.engines[0].ActiveTasks(w.ID)
+	if err != nil || len(active) != 2 {
+		t.Fatalf("active tasks: %v, %d", err, len(active))
+	}
+	frame := &Frame{ID: "old-gateway", Ops: []Op{{Op: opComplete, WorkerID: w.ID, TaskID: active[0].ID}}}
+	body, err := json.Marshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	tc.nodes[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	after, err := tc.engines[0].ActiveTasks(w.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// OpResult as it was before Display.
+	type oldOpResult struct {
+		OK       bool         `json:"ok"`
+		Err      string       `json:"err,omitempty"`
+		Code     string       `json:"code,omitempty"`
+		Gain     float64      `json:"gain,omitempty"`
+		Rel      float64      `json:"rel,omitempty"`
+		Free     bool         `json:"free,omitempty"`
+		Backlog  int          `json:"backlog,omitempty"`
+		WorkerID string       `json:"worker_id,omitempty"`
+		Next     *taskWire    `json:"next,omitempty"`
+		Tasks    []taskWire   `json:"tasks,omitempty"`
+		Worker   *workerWire  `json:"worker,omitempty"`
+		Count    int          `json:"count,omitempty"`
+		IDs      []string     `json:"ids,omitempty"`
+		Stats    *shard.Stats `json:"stats,omitempty"`
+		Value    float64      `json:"value,omitempty"`
+		Until    int64        `json:"until,omitempty"`
+	}
+	var old struct {
+		Results []oldOpResult `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &old); err != nil {
+		t.Fatalf("old reading: %v", err)
+	}
+	if len(old.Results) != 1 || !old.Results[0].OK || old.Results[0].Next == nil ||
+		old.Results[0].Next.ID != after[1].ID {
+		t.Fatalf("old reading of %s: %+v, want ok and the pulled task %s", rec.Body, old.Results, after[1].ID)
+	}
+
+	var cur FrameResult
+	if !decodeFrameResult(rec.Body.Bytes(), &cur) {
+		t.Fatalf("the frame codec declined %s", rec.Body)
+	}
+	if res := cur.Results[0]; !res.Display || !slices.Equal(wireIDs(res.Tasks), []string{after[0].ID, after[1].ID}) {
+		t.Fatalf("current reading: %+v, want the display set %v", res, after)
+	}
+}
+
+func wireIDs(ts []taskWire) []string {
+	ids := make([]string, len(ts))
+	for i, t := range ts {
+		ids[i] = t.ID
+	}
+	return ids
 }

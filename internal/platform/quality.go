@@ -28,17 +28,16 @@ func (s *Server) handleSubmitAnswer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
 		return
 	}
-	res, err := s.cfg.Quality.Submit(req.Worker, req.TaskID, req.Option)
+	res, err := s.cfg.Quality.SubmitPush(req.Worker, req.TaskID, req.Option, func(trust float64) {
+		// A gold grade moved the worker's reputation: push the new trust
+		// multiplier into the assignment engine (0 = quarantined, assign
+		// nothing), in grading order. Best-effort — the worker may have
+		// departed, and the next grade pushes again.
+		_, _ = s.cfg.Shards.SetTrust(req.Worker, trust)
+	})
 	if err != nil {
 		writeErr(w, answerErrStatus(err), err)
 		return
-	}
-	if res.TrustUpdated {
-		// A gold grade moved the worker's reputation: push the new trust
-		// multiplier into the assignment engine (0 = quarantined, assign
-		// nothing). Best-effort — the worker may have departed, and the
-		// next grade pushes again.
-		_, _ = s.cfg.Shards.SetTrust(req.Worker, res.Trust)
 	}
 	writeJSON(w, http.StatusOK, res)
 }

@@ -34,6 +34,10 @@ type StreamBackend interface {
 	AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error)
 	RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error)
 	CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error)
+	// CompleteRead is CompleteCtx plus the worker record and its display
+	// set after the completion, read in the same step: one actor call on
+	// the engine, one frame through the gateway.
+	CompleteRead(ctx context.Context, workerID, taskID string) (shard.Completion, error)
 	ActiveTasks(workerID string) ([]*core.Task, error)
 	Worker(workerID string) (*core.Worker, error)
 	Completed(workerID string) (int, error)
@@ -207,7 +211,7 @@ func (s *Server) handleShardComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	next, err := s.cfg.Shards.CompleteCtx(r.Context(), id, req.TaskID)
+	c, err := s.cfg.Shards.CompleteRead(r.Context(), id, req.TaskID)
 	if err != nil {
 		status := http.StatusConflict
 		if strings.Contains(err.Error(), "unknown worker") || strings.Contains(err.Error(), "not active") {
@@ -216,24 +220,22 @@ func (s *Server) handleShardComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, shardErrStatus(err, status), err)
 		return
 	}
-	wk, werr := s.cfg.Shards.Worker(id)
-	active, aerr := s.cfg.Shards.ActiveTasks(id)
-	if werr != nil || aerr != nil {
+	// In streaming mode "reassigned" means the freed slot pulled a
+	// buffered task, so the display set changed beyond the removal.
+	if c.Worker == nil {
 		// The worker left between the completion and the read-back; the
 		// completion itself stands.
-		writeJSON(w, http.StatusOK, CompleteResponse{Reassigned: next != nil})
+		writeJSON(w, http.StatusOK, CompleteResponse{Reassigned: c.Next != nil})
 		return
 	}
-	views := make([]TaskView, 0, len(active))
-	for _, t := range active {
+	views := make([]TaskView, 0, len(c.Active))
+	for _, t := range c.Active {
 		views = append(views, shardTaskView(t))
 	}
 	writeJSON(w, http.StatusOK, CompleteResponse{
-		// In streaming mode "reassigned" means the freed slot pulled a
-		// buffered task, so the display set changed beyond the removal.
-		Reassigned: next != nil,
-		Alpha:      wk.Alpha,
-		Beta:       wk.Beta,
+		Reassigned: c.Next != nil,
+		Alpha:      c.Worker.Alpha,
+		Beta:       c.Worker.Beta,
 		Tasks:      views,
 	})
 }

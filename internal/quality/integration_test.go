@@ -103,8 +103,9 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 
 	// Completers: complete an active replica, submit the vote for its
 	// logical task, and on a trust update push the new value into the
-	// engine — the same loop handleSubmitAnswer runs. Spammy options make
-	// some workers fail gold checks and get quarantined mid-run.
+	// engine through SubmitPush — the same loop handleSubmitAnswer runs.
+	// Spammy options make some workers fail gold checks and get
+	// quarantined mid-run.
 	// The first landed vote closes voted: the completers are not stopped
 	// before they had a chance to run, however fast the offerers finish.
 	var pollers sync.WaitGroup
@@ -137,7 +138,10 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 				if wid < "w05" || rng.Intn(10) == 0 {
 					opt = rng.Intn(4)
 				}
-				res, serr := tr.Submit(wid, taskID, opt)
+				var terr error
+				_, serr := tr.SubmitPush(wid, taskID, opt, func(trust float64) {
+					_, terr = e.SetTrust(wid, trust)
+				})
 				if serr != nil {
 					// Quarantined, duplicate (another replica of the same
 					// logical task), or already resolved: all expected.
@@ -150,11 +154,9 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 					continue
 				}
 				firstVote.Do(func() { close(voted) })
-				if res.TrustUpdated {
-					if _, terr := e.SetTrust(wid, res.Trust); terr != nil {
-						t.Errorf("set trust: %v", terr)
-						return
-					}
+				if terr != nil {
+					t.Errorf("set trust: %v", terr)
+					return
 				}
 			}
 		}(c)

@@ -182,6 +182,10 @@ type Tracker struct {
 	pendingPartial   int64 // votes held on unresolved non-gold tasks
 	goldGraded       int64
 	quarantinedNow   int64
+
+	// pushMu orders SubmitPush per worker: a worker's answers hash to
+	// one stripe, which also keeps the lock table fixed-size.
+	pushMu [64]sync.Mutex
 }
 
 // New validates the configuration and builds an empty tracker.
@@ -402,6 +406,24 @@ func (tr *Tracker) Submit(workerID, taskID string, option int) (SubmitResult, er
 	res.Quarantined = ws.quarantined
 	res.Trust = tr.trustLocked(ws)
 	return res, nil
+}
+
+// SubmitPush is Submit for a caller that mirrors trust into the
+// assignment engine: when the answer moved the worker's trust, push
+// receives the new value before SubmitPush returns. Grading and push run
+// under a per-worker lock, so concurrent answers from one worker push in
+// grading order and the engine ends on the tracker's value; with Submit
+// and a push of its own, a caller can push an older value last. The lock
+// is held across push, so push must not call SubmitPush.
+func (tr *Tracker) SubmitPush(workerID, taskID string, option int, push func(trust float64)) (SubmitResult, error) {
+	mu := &tr.pushMu[fnv1a64(0, workerID)%uint64(len(tr.pushMu))]
+	mu.Lock()
+	defer mu.Unlock()
+	res, err := tr.Submit(workerID, taskID, option)
+	if err == nil && res.TrustUpdated {
+		push(res.Trust)
+	}
+	return res, err
 }
 
 // accuracyLocked is the Laplace-smoothed gold accuracy estimate.

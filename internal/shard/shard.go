@@ -537,28 +537,58 @@ func (e *Engine) Complete(workerID, taskID string) (*core.Task, error) {
 
 // CompleteCtx is Complete with trace annotation.
 func (e *Engine) CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error) {
+	c, err := e.complete(ctx, workerID, taskID, false)
+	return c.Next, err
+}
+
+// Completion is one completion with its read-back: the task the freed
+// slot pulled (nil when none), the worker record, and the worker's
+// display set after the pull. Worker is nil when the read-back failed
+// after the completion stood, which a backend that reads back in a
+// second step allows (the worker left in between).
+type Completion struct {
+	Next   *core.Task
+	Worker *core.Worker
+	Active []*core.Task
+}
+
+// CompleteRead is CompleteCtx that also reads back the worker record and
+// its display set, in the same actor call as the completion — what
+// POST /api/workers/{id}/complete answers with.
+func (e *Engine) CompleteRead(ctx context.Context, workerID, taskID string) (Completion, error) {
+	return e.complete(ctx, workerID, taskID, true)
+}
+
+// complete is the body of CompleteCtx and CompleteRead: one actor call
+// that completes, pulls, and reads back when read is set.
+func (e *Engine) complete(ctx context.Context, workerID, taskID string, read bool) (c Completion, err error) {
 	release, err := e.begin()
 	if err != nil {
-		return nil, err
+		return c, err
 	}
 	defer release()
 	a := e.actors[e.ring.Lookup(workerID)]
-	var next *core.Task
-	a.call(func(asn *stream.Assigner) { next, err = asn.Complete(workerID, taskID) })
+	a.call(func(asn *stream.Assigner) {
+		c.Next, err = asn.Complete(workerID, taskID)
+		if err == nil && read {
+			c.Worker, _ = asn.Worker(workerID)
+			c.Active, _ = asn.ActiveTasks(workerID)
+		}
+	})
 	if err == nil {
 		a.completed.Add(1)
 		if e.forecast != nil {
 			e.forecast[a.id].RecordCompletions(1)
 		}
 		pulled := ""
-		if next != nil {
-			pulled = next.ID
+		if c.Next != nil {
+			pulled = c.Next.ID
 		}
 		trace.Event(ctx, "shard.complete",
 			trace.Str("worker", workerID), trace.Str("task", taskID),
 			trace.Int("shard", a.id), trace.Str("pulled", pulled))
 	}
-	return next, err
+	return c, err
 }
 
 // Active returns the worker's assigned task IDs.

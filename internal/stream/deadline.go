@@ -44,6 +44,7 @@ func (a *Assigner) SetWindow(workerID string, until int64) error {
 	if until < 0 {
 		return fmt.Errorf("stream: negative window end %d", until)
 	}
+	a.epoch++
 	ws.window = until
 	return nil
 }

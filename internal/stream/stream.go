@@ -145,6 +145,31 @@ type Assigner struct {
 	// fine for load estimation and never for correctness decisions.
 	backlogN atomic.Int64
 	freeCapN atomic.Int64
+
+	// epoch counts the mutations that can change bestFree's answer, and
+	// pick remembers the last BestGain's answer under it, so the commit
+	// that follows a score costs no second scan (see BestGain).
+	epoch uint64
+	pick  pickMemo
+}
+
+// pickMemo is one bestFree answer and the key it holds under: the epoch
+// it was computed at and the task's keyword set and deadline, the only
+// parts of a task bestFree reads. The zero memo, with no keyword set,
+// answers nothing.
+type pickMemo struct {
+	epoch    uint64
+	kw       *bitset.Set
+	deadline int64
+	id       string
+	rel      float64
+}
+
+// reusable reports whether the memo answers bestFree for t at epoch. The
+// keyword set compares by value, as probe compares class keys.
+func (p *pickMemo) reusable(epoch uint64, t *core.Task) bool {
+	return p.kw != nil && p.epoch == epoch && p.deadline == t.Deadline &&
+		p.kw.Len() == t.Keywords.Len() && p.kw.Equal(t.Keywords)
 }
 
 // NewAssigner validates the configuration.
@@ -266,6 +291,7 @@ func (a *Assigner) AddWorker(w *core.Worker) ([]*core.Task, error) {
 	if _, dup := a.workers[w.ID]; dup {
 		return nil, fmt.Errorf("stream: duplicate worker %q", w.ID)
 	}
+	a.epoch++
 	ws := &workerState{worker: w, trust: 1}
 	ws.activeKw = func(i int) *bitset.Set { return ws.active[i].Keywords }
 	a.workers[w.ID] = ws
@@ -317,6 +343,7 @@ func (a *Assigner) RemoveWorker(id string) (dropped []*core.Task, err error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown worker %q", id)
 	}
+	a.epoch++
 	delete(a.workers, id)
 	a.freeCapN.Add(-int64(a.cfg.Xmax - len(ws.active)))
 	for i, oid := range a.order {
@@ -412,6 +439,7 @@ func (a *Assigner) Complete(workerID, taskID string) (*core.Task, error) {
 	if idx == -1 {
 		return nil, fmt.Errorf("stream: task %q is not active for worker %q", taskID, workerID)
 	}
+	a.epoch++
 	ws.sumRel -= metric.Relevance(a.cfg.Dist, ws.active[idx].Keywords, ws.worker.Keywords)
 	a.removeActive(ws, idx)
 	ws.done++
@@ -527,13 +555,24 @@ func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gai
 	return bestQ, bestGain, bestRel
 }
 
-// BestGain scores t against this assigner's workers without mutating any
-// state: the scatter half of the sharded engine's routing protocol. It
-// returns the best marginal gain and the relevance tiebreak among workers
-// with free capacity; ok is false when every worker is full (the gain
-// values are then meaningless).
+// BestGain scores t against this assigner's workers without changing any
+// assignment: the scatter half of the sharded engine's routing protocol.
+// It returns the best marginal gain and the relevance tiebreak among
+// workers with free capacity; ok is false when every worker is full (the
+// gain values are then meaningless).
+//
+// The pick is remembered for the commit that usually follows: a
+// TryAssign of a task with an equal keyword set and deadline, with no
+// mutation in between, assigns the remembered worker without a second
+// scan. Every mutation that can change bestFree's answer — AddWorker,
+// RemoveWorker, assign (pulls, offers, TryAssign, ForceAssign),
+// Complete, SetTrust and SetWindow — advances the epoch the memo is keyed
+// by, so the reused pick is the one a rescan would make, bit for bit.
+// Registered worker records must not change under the assigner, which
+// the gain cache already assumes.
 func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
 	id, gain, rel := a.bestFree(t)
+	a.pick = pickMemo{epoch: a.epoch, kw: t.Keywords, deadline: t.Deadline, id: id, rel: rel}
 	return gain, rel, id != ""
 }
 
@@ -542,11 +581,19 @@ func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
 // the duplicate-task set — in the sharded engine deduplication is global
 // (the router's job), and a task rejected here will be committed to
 // another shard. Returns ("", false) when no worker has a free slot.
+// Right after a BestGain of an equal task it reuses that pick instead of
+// scanning again (see BestGain).
 func (a *Assigner) TryAssign(t *core.Task) (string, bool) {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return "", false
 	}
-	id, _, rel := a.bestFree(t)
+	var id string
+	var rel float64
+	if a.pick.reusable(a.epoch, t) {
+		id, rel = a.pick.id, a.pick.rel
+	} else {
+		id, _, rel = a.bestFree(t)
+	}
 	if id == "" {
 		return "", false
 	}
@@ -676,6 +723,7 @@ func (a *Assigner) SetTrust(workerID string, trust float64) ([]*core.Task, error
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown worker %q", workerID)
 	}
+	a.epoch++
 	wasQuarantined := ws.trust <= 0
 	ws.trust = trust
 	if !a.cfg.WithTrust || !wasQuarantined || trust <= 0 {
@@ -809,6 +857,7 @@ func (a *Assigner) pullBest(ws *workerState) *core.Task {
 // packed row over the remaining buffer) and sumRel extends by the cached
 // relevance, which is bit-identical to recomputing it.
 func (a *Assigner) assign(ws *workerState, t *core.Task, rel float64) {
+	a.epoch++
 	a.addActive(ws, t)
 	ws.sumRel += rel
 	a.freeCapN.Add(-1)
