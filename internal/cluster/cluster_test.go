@@ -593,6 +593,7 @@ func TestPeerPipelineWindowRecoversAfterErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	p := newPeer("n0", srv.URL, srv.Client(), obs.NewRegistry(), 8, 2, 2, time.Millisecond)
+	defer p.close()
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)

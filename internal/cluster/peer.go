@@ -53,12 +53,12 @@ func putCall(c *call) {
 }
 
 // peer is the client half of the batched RPC protocol for one node:
-// concurrent ops enqueue into a pending queue; senders drain the queue
-// into frames of up to maxBatch ops, with up to window frames in flight
-// at once (pipelining). The drain is the shard actor's mailbox-batching
-// idiom applied to the wire — under load, frames fill and per-op HTTP
-// overhead amortizes away; when traffic is light a frame carries one op
-// and latency matches unbatched RPC.
+// concurrent ops enqueue into a pending queue; up to window long-lived
+// sender goroutines drain the queue into frames of up to maxBatch ops,
+// one frame in flight each (pipelining). The drain is the shard actor's
+// mailbox-batching idiom applied to the wire — under load, frames fill
+// and per-op HTTP overhead amortizes away; when traffic is light a frame
+// carries one op and latency matches unbatched RPC.
 type peer struct {
 	name string
 	base string // e.g. http://127.0.0.1:9001
@@ -71,7 +71,11 @@ type peer struct {
 
 	mu       sync.Mutex
 	pending  []*call
-	inflight int
+	inflight int        // senders busy with a frame
+	senders  int        // sender goroutines started and not yet ended
+	idle     int        // senders waiting on wake and not yet signalled
+	wake     *sync.Cond // on mu: pending work for an idle sender, or close
+	ended    sync.WaitGroup
 	closed   bool
 
 	// telemetry: frames sent and ops carried, so benches can report the
@@ -110,6 +114,7 @@ func newPeer(name, base string, hc *http.Client, reg *obs.Registry, maxBatch, wi
 		retriesCtr: reg.Counter("hta_cluster_frame_retries_total",
 			"frame retry attempts (same frame ID, replay-deduplicated node-side)", obs.L("peer", name)),
 	}
+	p.wake = sync.NewCond(&p.mu)
 	binary.LittleEndian.PutUint64(p.idPrefix[:], rand.Uint64())
 	return p
 }
@@ -192,46 +197,74 @@ func (p *peer) wait(c *call) (OpResult, error) {
 	return res, err
 }
 
-// maybeSendLocked launches senders while there is pending work and a free
-// in-flight slot. Caller holds p.mu.
+// maybeSendLocked hands pending work to a sender: it wakes an idle one,
+// or starts one while fewer than window run. A sender that takes a batch
+// and leaves work behind calls it again, so up to window frames fill at
+// once. Caller holds p.mu.
 func (p *peer) maybeSendLocked() {
-	for p.inflight < p.window && len(p.pending) > 0 {
-		n := len(p.pending)
-		if n > p.maxBatch {
-			n = p.maxBatch
-		}
-		batch := make([]*call, n)
-		copy(batch, p.pending)
-		rest := copy(p.pending, p.pending[n:])
-		for i := rest; i < len(p.pending); i++ {
-			p.pending[i] = nil
-		}
-		p.pending = p.pending[:rest]
-		p.inflight++
-		p.windowOcc.Set(float64(p.inflight))
-		go p.send(batch)
+	switch {
+	case len(p.pending) == 0 || p.closed:
+	case p.idle > 0:
+		p.idle--
+		p.wake.Signal()
+	case p.senders < p.window:
+		p.senders++
+		p.ended.Add(1)
+		go p.sender()
 	}
 }
 
-// send ships one frame and resolves its calls. Transient failures (transport
-// errors, 5xx) retry the same frame ID with backoff — the node's replay
-// cache makes the retry idempotent even if the previous attempt was
-// applied and only the response was lost.
-func (p *peer) send(batch []*call) {
-	defer func() {
+// sender ships frames until the peer closes: it takes up to maxBatch
+// pending calls, sends them as one frame, and waits on wake when the
+// queue is empty. Long-lived senders keep their grown stacks and their
+// batch and frame slices from frame to frame.
+func (p *peer) sender() {
+	defer p.ended.Done()
+	var batch []*call
+	var ops []Op
+	p.mu.Lock()
+	for {
+		for len(p.pending) == 0 && !p.closed {
+			p.idle++
+			p.wake.Wait()
+		}
+		if p.closed {
+			p.senders--
+			p.mu.Unlock()
+			return
+		}
+		n := min(len(p.pending), p.maxBatch)
+		batch = append(batch[:0], p.pending[:n]...)
+		rest := copy(p.pending, p.pending[n:])
+		clear(p.pending[rest:])
+		p.pending = p.pending[:rest]
+		p.inflight++
+		p.windowOcc.Set(float64(p.inflight))
+		p.maybeSendLocked()
+		p.mu.Unlock()
+
+		ops = p.send(batch, ops)
+		clear(batch)
+		clear(ops)
+
 		p.mu.Lock()
 		p.inflight--
 		p.windowOcc.Set(float64(p.inflight))
-		if !p.closed {
-			p.maybeSendLocked()
-		}
-		p.mu.Unlock()
-	}()
-	p.batchSize.Observe(float64(len(batch)))
-	frame := Frame{ID: p.frameID(), Ops: make([]Op, len(batch))}
-	for i, c := range batch {
-		frame.Ops[i] = c.op
 	}
+}
+
+// send ships one frame and resolves its calls; ops is scratch for the
+// frame's op list, returned for reuse. Transient failures (transport
+// errors, 5xx) retry the same frame ID with backoff — the node's replay
+// cache makes the retry idempotent even if the previous attempt was
+// applied and only the response was lost.
+func (p *peer) send(batch []*call, ops []Op) []Op {
+	p.batchSize.Observe(float64(len(batch)))
+	ops = ops[:0]
+	for _, c := range batch {
+		ops = append(ops, c.op)
+	}
+	frame := Frame{ID: p.frameID(), Ops: ops}
 	res, err := p.roundTrip(&frame)
 	if err == nil && len(res.Results) != len(batch) {
 		err = fmt.Errorf("cluster: node %s answered %d results for %d ops", p.name, len(res.Results), len(batch))
@@ -242,7 +275,7 @@ func (p *peer) send(batch []*call) {
 			c.err = fmt.Errorf("cluster: node %s: %w", p.name, err)
 			c.done <- struct{}{}
 		}
-		return
+		return ops
 	}
 	p.fails.Store(0)
 	p.frames.Add(1)
@@ -251,6 +284,7 @@ func (p *peer) send(batch []*call) {
 		c.res = res.Results[i]
 		c.done <- struct{}{}
 	}
+	return ops
 }
 
 // roundTrip POSTs the frame, retrying transient failures with the same
@@ -273,6 +307,9 @@ func (p *peer) roundTrip(frame *Frame) (*FrameResult, error) {
 			time.Sleep(d)
 			if p.down.Load() {
 				return nil, ErrPeerDown
+			}
+			if p.isClosed() {
+				return nil, fmt.Errorf("%w: %s (closed)", ErrPeerDown, p.name)
 			}
 		}
 		req, err := http.NewRequest(http.MethodPost, p.base+"/cluster/batch", bytes.NewReader(body.Bytes()))
@@ -359,17 +396,29 @@ func (p *peer) markUp() {
 	p.down.Store(false)
 }
 
-// close fails all pending ops and stops accepting new ones.
+// close fails all pending ops, stops accepting new ones, and ends the
+// senders: idle ones at once, busy ones once their frame resolves (a
+// frame stops retrying when the peer closes).
 func (p *peer) close() {
 	p.mu.Lock()
 	p.closed = true
 	pending := p.pending
 	p.pending = nil
+	p.idle = 0
+	p.wake.Broadcast()
 	p.mu.Unlock()
 	for _, c := range pending {
 		c.err = fmt.Errorf("%w: %s (closed)", ErrPeerDown, p.name)
 		c.done <- struct{}{}
 	}
+	p.ended.Wait()
+}
+
+// isClosed reports whether close has run.
+func (p *peer) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
 }
 
 // snapshot fetches GET /cluster/snapshot — the node's quiesced engine

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/htacs/ata/internal/core"
@@ -120,14 +121,24 @@ func TestCompleteTaskSteadyStateAllocFree(t *testing.T) {
 
 // TestBestGainAllocFree pins the read-only scatter probe to zero
 // allocations — it is called once per shard per offer by the router, so
-// even one allocation would multiply across the fleet.
+// even one allocation would multiply across the fleet. The probes
+// alternate between two keyword sets, so every call misses the pick memo
+// and scans.
 func TestBestGainAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	a := newSteadyAssigner(t, 16, 4, 256)
-	tk := &core.Task{ID: "alloc-probe", Keywords: a.buffer[0].Keywords}
-	if avg := testing.AllocsPerRun(200, func() { a.BestGain(tk) }); avg != 0 {
+	other := slices.IndexFunc(a.cls, func(c int) bool { return c != a.cls[0] })
+	probes := []*core.Task{
+		{ID: "alloc-probe", Keywords: a.buffer[0].Keywords},
+		{ID: "alloc-probe-2", Keywords: a.buffer[other].Keywords},
+	}
+	next, scans := 0, a.scans
+	if avg := testing.AllocsPerRun(200, func() { a.BestGain(probes[next%2]); next++ }); avg != 0 {
 		t.Fatalf("BestGain allocates %.2f per op, want 0", avg)
+	}
+	if got := a.scans - scans; got != uint64(next) {
+		t.Fatalf("%d of %d probes scanned, want all", got, next)
 	}
 }

@@ -181,3 +181,99 @@ func prewarmSeen(a *Assigner, tasks []*core.Task) {
 		delete(a.seen, t.ID)
 	}
 }
+
+// BenchmarkOfferWide has the shape of one stream-wide bench shard: 512
+// workers at Xmax 15, keywords over a universe of 100, and tasks drawn
+// from 256 keyword groups, with an empty buffer, so each offer's cost is
+// the worker scan.
+//
+//   - fill: 3840 offers into fresh workers, the setup fill to half the
+//     slots. Greedy routing fills one worker at a time, so after it 256
+//     workers are full and 256 empty; ns/op is one whole fill, worker
+//     registration excluded.
+//   - steady: 16 of the full workers have completed one task each, and
+//     every op offers a task (it goes to a partial worker) and completes
+//     it again, which restores the state.
+func BenchmarkOfferWide(b *testing.B) {
+	const workers, xmax, universe, groups, fill = 512, 15, 100, 256, 512 * 15 / 2
+	gen, err := workload.NewGenerator(workload.Config{Universe: universe, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := gen.Workers(workers)
+	kws := gen.Tasks(groups, 1)
+	rng := rand.New(rand.NewSource(7))
+	newTasks := func(prefix string, n int) []*core.Task {
+		tasks := make([]*core.Task, n)
+		for i := range tasks {
+			tasks[i] = &core.Task{ID: fmt.Sprintf("%s-%d", prefix, i), Keywords: kws[rng.Intn(groups)].Keywords}
+		}
+		return tasks
+	}
+	// filled registers the pool with the timer stopped and offers tasks.
+	filled := func(b *testing.B, tasks []*core.Task) *Assigner {
+		b.StopTimer()
+		a, err := NewAssigner(Config{Xmax: xmax, BufferLimit: 1024, Metrics: NewMetrics(obs.NewRegistry())})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range pool {
+			if _, err := a.AddWorker(w); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for _, t := range tasks {
+			if wid, err := a.OfferTask(t); wid == "" || err != nil {
+				b.Fatalf("fill offer %s: %q, %v", t.ID, wid, err)
+			}
+		}
+		return a
+	}
+	fillTasks := newTasks("fill", fill)
+
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			filled(b, fillTasks)
+		}
+	})
+
+	b.Run("full-scan", func(b *testing.B) {
+		a := filled(b, fillTasks)
+		probes := newTasks("probe", 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := a.BestGain(probes[i%len(probes)]); !ok {
+				b.Fatal("no free worker")
+			}
+		}
+	})
+
+	b.Run("steady", func(b *testing.B) {
+		a := filled(b, fillTasks)
+		freed := 0
+		for _, ws := range a.states {
+			if len(ws.active) == xmax && freed < 16 {
+				if _, err := a.Complete(ws.worker.ID, ws.active[0].ID); err != nil {
+					b.Fatal(err)
+				}
+				freed++
+			}
+		}
+		supply := newTasks("steady", b.N)
+		prewarmSeen(a, supply)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, t := range supply {
+			wid, err := a.OfferTask(t)
+			if wid == "" || err != nil {
+				b.Fatalf("offer %s: %q, %v", t.ID, wid, err)
+			}
+			if _, err := a.Complete(wid, t.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -104,9 +104,10 @@ func runPickReuse(t *testing.T, data []byte) (st pickStats) {
 			t.Fatalf("step %d: %s: memo %v, plain %v", step, what, pickIDs(g), pickIDs(w))
 		}
 	}
-	// fresh checks a memo that claims to answer t against a fresh scan.
+	// fresh checks a memo that claims to answer t against a fresh full
+	// scan.
 	fresh := func(step int, t2 *core.Task) (string, float64, float64) {
-		id, gain, rel := memo.bestFree(t2)
+		id, gain, rel := fullBestFree(memo, t2)
 		if memo.pick.reusable(memo.epoch, t2) {
 			if p := memo.pick; p.id != id || math.Float64bits(p.rel) != math.Float64bits(rel) {
 				t.Fatalf("step %d: memo (%q, %v) for %s, fresh scan (%q, %v)", step, p.id, p.rel, t2.ID, id, rel)

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -87,6 +88,7 @@ type workerState struct {
 	done   int          // completed count
 	trust  float64      // reputation multiplier; 0 = quarantined (Config.WithTrust)
 	window int64        // availability-window end (SetWindow); 0 = unknown
+	pos    int          // index in the assigner's order, states and partial index
 
 	// Gain cache: rel[c] = rel(class c, worker); rows[s][c] =
 	// d(class c, active[s]). Both stay aligned with the assigner's
@@ -105,6 +107,11 @@ type Assigner struct {
 	workers map[string]*workerState
 	order   []string
 	states  []*workerState // aligned with order: hot loops iterate this, never the map
+	// free and partial are bitsets aligned with order: the workers with a
+	// free slot, and those of them whose gain for an offer can be anything
+	// but +0 (prune.go).
+	free    []uint64
+	partial []uint64
 	buffer  []*core.Task
 	seen    map[string]bool // task IDs ever accepted, to reject duplicates
 	metrics *Metrics
@@ -148,9 +155,12 @@ type Assigner struct {
 
 	// epoch counts the mutations that can change bestFree's answer, and
 	// pick remembers the last BestGain's answer under it, so the commit
-	// that follows a score costs no second scan (see BestGain).
+	// that follows a score, and a repeated score, cost no second scan
+	// (see BestGain). scans counts bestFree calls, so tests can tell a
+	// reused pick from a rescan.
 	epoch uint64
 	pick  pickMemo
+	scans uint64
 }
 
 // pickMemo is one bestFree answer and the key it holds under: the epoch
@@ -162,6 +172,7 @@ type pickMemo struct {
 	kw       *bitset.Set
 	deadline int64
 	id       string
+	gain     float64
 	rel      float64
 }
 
@@ -292,11 +303,15 @@ func (a *Assigner) AddWorker(w *core.Worker) ([]*core.Task, error) {
 		return nil, fmt.Errorf("stream: duplicate worker %q", w.ID)
 	}
 	a.epoch++
-	ws := &workerState{worker: w, trust: 1}
+	ws := &workerState{worker: w, trust: 1, pos: len(a.states)}
 	ws.activeKw = func(i int) *bitset.Set { return ws.active[i].Keywords }
 	a.workers[w.ID] = ws
 	a.order = append(a.order, w.ID)
 	a.states = append(a.states, ws)
+	if ws.pos>>6 == len(a.partial) {
+		a.free, a.partial = append(a.free, 0), append(a.partial, 0)
+	}
+	a.reindex(ws)
 	a.wkrPack.Append(w.Keywords)
 	// Seed the gain cache over the backlog's classes: one packed row gives
 	// rel(class c, w); there are no rows yet (empty active set).
@@ -346,16 +361,13 @@ func (a *Assigner) RemoveWorker(id string) (dropped []*core.Task, err error) {
 	a.epoch++
 	delete(a.workers, id)
 	a.freeCapN.Add(-int64(a.cfg.Xmax - len(ws.active)))
-	for i, oid := range a.order {
-		if oid == id {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			copy(a.states[i:], a.states[i+1:])
-			a.states[len(a.states)-1] = nil
-			a.states = a.states[:len(a.states)-1]
-			a.wkrPack.RemoveAt(i)
-			break
-		}
-	}
+	i := ws.pos
+	a.order = append(a.order[:i], a.order[i+1:]...)
+	copy(a.states[i:], a.states[i+1:])
+	a.states[len(a.states)-1] = nil
+	a.states = a.states[:len(a.states)-1]
+	a.wkrPack.RemoveAt(i)
+	a.unindex(i)
 	a.releaseWorkerCache(ws)
 	// Requeue through bufferAppend so the surviving workers' caches gain
 	// entries for the returned tasks (the departed worker is already out
@@ -442,6 +454,7 @@ func (a *Assigner) Complete(workerID, taskID string) (*core.Task, error) {
 	a.epoch++
 	ws.sumRel -= metric.Relevance(a.cfg.Dist, ws.active[idx].Keywords, ws.worker.Keywords)
 	a.removeActive(ws, idx)
+	a.reindex(ws)
 	ws.done++
 	a.freeCapN.Add(1)
 	a.metrics.Completed.Inc()
@@ -511,6 +524,7 @@ func (a *Assigner) Completed(workerID string) (int, error) {
 // departing too soon the filter is dropped rather than leaving the task
 // unplaced.
 func (a *Assigner) bestFree(t *core.Task) (id string, gain, rel float64) {
+	a.scans++
 	if a.cfg.DeadlineAware && t.Deadline > 0 {
 		if id, gain, rel = a.bestFreeScan(t, t.Deadline); id != "" {
 			return id, gain, rel
@@ -519,37 +533,53 @@ func (a *Assigner) bestFree(t *core.Task) (id string, gain, rel float64) {
 	return a.bestFreeScan(t, 0)
 }
 
-// bestFreeScan is bestFree's selection loop. avoidBefore > 0 additionally
+// bestFreeScan is bestFree's selection rule. avoidBefore > 0 additionally
 // skips workers whose known availability window ends before that instant.
-// The first candidate prices t against every registered worker in one
-// packed row over wkrPack (aligned with order); rel(t, w) is 1 − d, bit
-// for bit what metric.Relevance returns under the PackDistancer contract.
+// It answers from the partial workers alone when the empty ones cannot
+// change the answer (prune.go), and scans every worker otherwise.
 func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gain, rel float64) {
+	if id, gain, rel, ok := a.scanPartial(t, avoidBefore); ok {
+		return id, gain, rel
+	}
+	return a.scanAll(t, avoidBefore)
+}
+
+// scanAll is the selection loop over every worker with a free slot, in
+// arrival order. The first candidate prices t against every registered
+// worker in one packed row over wkrPack (aligned with order); rel(t, w)
+// is 1 − d, bit for bit what metric.Relevance returns under the
+// PackDistancer contract.
+func (a *Assigner) scanAll(t *core.Task, avoidBefore int64) (id string, gain, rel float64) {
 	bestQ, bestGain, bestRel := "", -1.0, -1.0
 	priced := false
-	for i, wid := range a.order {
-		ws := a.states[i]
-		if len(ws.active) >= a.cfg.Xmax {
-			continue
-		}
-		if a.cfg.WithTrust && ws.trust <= 0 {
-			continue // quarantined: never a candidate
-		}
-		if avoidBefore > 0 && ws.window > 0 && ws.window < avoidBefore {
-			continue // departing before the task's deadline
-		}
-		if !priced {
-			a.scratchW = growScratch(a.scratchW, len(a.states))
-			metric.Row(a.cfg.Dist, t.Keywords, &a.wkrPack, a.workerKw, a.scratchW)
-			priced = true
-		}
-		r := 1 - a.scratchW[i]
-		g := a.scoreFresh(ws, t, r)
-		if a.cfg.WithTrust {
-			g *= ws.trust
-		}
-		if g > bestGain+1e-12 || (g > bestGain-1e-12 && r > bestRel) {
-			bestQ, bestGain, bestRel = wid, g, r
+	for k, word := range a.free {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			ws := a.states[i]
+			if !a.eligible(ws, avoidBefore) {
+				continue
+			}
+			if !priced {
+				a.scratchW = growScratch(a.scratchW, len(a.states))
+				metric.Row(a.cfg.Dist, t.Keywords, &a.wkrPack, a.workerKw, a.scratchW)
+				priced = true
+			}
+			r := 1 - a.scratchW[i]
+			// An empty worker with sumRel = 0 needs no pricing: Δ = 2α·0 +
+			// β·(±0 + 0·r) is +0 for a finite r, and NaN, which no
+			// comparison takes, otherwise.
+			var g float64
+			if len(ws.active) > 0 || ws.sumRel != 0 {
+				g = a.scoreFresh(ws, t, r)
+			} else if r-r != 0 {
+				continue
+			}
+			if a.cfg.WithTrust {
+				g *= ws.trust
+			}
+			if g > bestGain+gainEps || (g > bestGain-gainEps && r > bestRel) {
+				bestQ, bestGain, bestRel = a.order[i], g, r
+			}
 		}
 	}
 	return bestQ, bestGain, bestRel
@@ -564,15 +594,20 @@ func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gai
 // The pick is remembered for the commit that usually follows: a
 // TryAssign of a task with an equal keyword set and deadline, with no
 // mutation in between, assigns the remembered worker without a second
-// scan. Every mutation that can change bestFree's answer — AddWorker,
+// scan, and a BestGain of such a task returns the remembered score (a
+// multi-shard engine's commit walk scores every shard again). Every
+// mutation that can change bestFree's answer — AddWorker,
 // RemoveWorker, assign (pulls, offers, TryAssign, ForceAssign),
 // Complete, SetTrust and SetWindow — advances the epoch the memo is keyed
 // by, so the reused pick is the one a rescan would make, bit for bit.
 // Registered worker records must not change under the assigner, which
 // the gain cache already assumes.
 func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
+	if a.pick.reusable(a.epoch, t) {
+		return a.pick.gain, a.pick.rel, a.pick.id != ""
+	}
 	id, gain, rel := a.bestFree(t)
-	a.pick = pickMemo{epoch: a.epoch, kw: t.Keywords, deadline: t.Deadline, id: id, rel: rel}
+	a.pick = pickMemo{epoch: a.epoch, kw: t.Keywords, deadline: t.Deadline, id: id, gain: gain, rel: rel}
 	return gain, rel, id != ""
 }
 
@@ -860,6 +895,7 @@ func (a *Assigner) assign(ws *workerState, t *core.Task, rel float64) {
 	a.epoch++
 	a.addActive(ws, t)
 	ws.sumRel += rel
+	a.reindex(ws)
 	a.freeCapN.Add(-1)
 	a.metrics.Delivered.Inc()
 }

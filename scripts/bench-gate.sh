@@ -20,8 +20,8 @@ trap 'rm -rf "$out"' EXIT
 # workload, digest checked, events_per_s >=, wait_p50_ms <=, side_p50_ms <=
 limits=(
 	"stream-deep yes 4080 0.212 0.142"
-	"stream-wide yes 5360 0.113 0.0902"
-	"cluster-rpc no 3450 0.319 0.409"
+	"stream-wide yes 5540 0.1129 0.0895"
+	"cluster-rpc no 3490 0.319 0.409"
 	"batch-solve yes 74000 7.5 3.1"
 )
 
