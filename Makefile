@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-shard test-quality vet bench bench-gate bench-pr8 bench-pr9 bench-pr10 smoke-cluster experiments live crowd clean
+.PHONY: all build test test-short test-race test-shard test-quality vet bench bench-gate bench-pr9 smoke-cluster experiments live crowd clean
 
 all: build vet test
 
@@ -40,22 +40,11 @@ test-quality:
 bench-gate:
 	bash scripts/bench-gate.sh
 
-# Regenerate the quality/trust report (BENCH_PR8.json): majority vs
-# accuracy-weighted vs EM aggregation at k=1/3/5 under a 40% spammy crowd.
-bench-pr8:
-	$(GO) run ./cmd/hta-bench -fig pr8 -json BENCH_PR8.json
-
 # Regenerate the cluster observability overhead report (BENCH_PR9.json):
 # the pr7 gateway workload with federated metrics + 1/16 tracing + ops
 # journals vs all of it disabled, against the 2% budget.
 bench-pr9:
 	$(GO) run ./cmd/hta-bench -fig pr9 -runs 5 -gate -json BENCH_PR9.json
-
-# Regenerate the predictive-scheduling report (BENCH_PR10.json):
-# deadline-miss rate of predictive vs reactive rebalancing on the
-# bursty-churn deadline workload, gated on predictive winning.
-bench-pr10:
-	$(GO) run ./cmd/hta-bench -fig pr10 -runs 5 -gate -json BENCH_PR10.json
 
 # The multi-process cluster smoke: 3 hta-server nodes + a gateway on
 # ephemeral ports, churn replay, conservation, clean SIGTERM shutdown.

@@ -149,7 +149,8 @@ func TestWeightedPrefersAccurateWorker(t *testing.T) {
 
 // TestAggregateRecoversTruthFromSpammyCrowd: EM with gold-free input
 // should still beat majority on a crowd where 40% answer uniformly at
-// random — the core claim the pr8 benchmark measures end to end.
+// random — the core claim TestSpammyCrowdAccuracyByRedundancy checks
+// end to end.
 func TestAggregateRecoversTruthFromSpammyCrowd(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const options, nt, nw = 4, 120, 30

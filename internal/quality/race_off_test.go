@@ -1,0 +1,7 @@
+//go:build !race
+
+package quality
+
+// raceEnabled reports whether the race detector is instrumenting this
+// build; timing assertions skip under it.
+const raceEnabled = false

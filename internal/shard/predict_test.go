@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/ops"
@@ -216,6 +217,12 @@ func TestLearnedWindowAppliedOnReArrival(t *testing.T) {
 // exactly one of {active, completed, buffered, dropped, expired} at
 // quiescence. Run under -race this exercises the expiry path against the
 // mailbox protocol.
+//
+// The completers start only once a sweep has expired a task, and each
+// offerer waits for that first expiry halfway through its tasks: free
+// slots would otherwise let every deadlined task be assigned before the
+// sweep sees it, and the halfway wait keeps offers overlapping the
+// completions.
 func TestConservationWithExpiryUnderChurn(t *testing.T) {
 	var clock atomic.Int64
 	clock.Store(1)
@@ -238,6 +245,7 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 	const offerers, tasksEach = 4, 150
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	firstExpiry := make(chan struct{})
 
 	for g := 0; g < offerers; g++ {
 		wg.Add(1)
@@ -246,6 +254,14 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 			gen, _ := genWorkloadTasks(int64(100+g), tasksEach)
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i, task := range gen {
+				if i == tasksEach/2 {
+					select {
+					case <-firstExpiry:
+					case <-time.After(10 * time.Second):
+						t.Errorf("offerer %d: no task expired within 10s", g)
+						return
+					}
+				}
 				task.ID = fmt.Sprintf("o%d-%04d-%s", g, i, task.ID)
 				if i%2 == 0 {
 					// Deadlines from nearly-due to comfortably distant, so
@@ -265,6 +281,11 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 		pollers.Add(1)
 		go func(c int) {
 			defer pollers.Done()
+			select {
+			case <-firstExpiry:
+			case <-stop:
+				return
+			}
 			rng := rand.New(rand.NewSource(int64(c)))
 			for {
 				select {
@@ -291,12 +312,16 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 	pollers.Add(1)
 	go func() {
 		defer pollers.Done()
+		expired := false
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				e.ExpireOnce(clock.Add(100))
+				if e.ExpireOnce(clock.Add(100)) > 0 && !expired {
+					expired = true
+					close(firstExpiry)
+				}
 			}
 		}
 	}()

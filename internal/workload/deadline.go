@@ -12,8 +12,8 @@ import (
 // Deadline and availability-window trace generation for the predictive
 // scheduling subsystem (internal/schedule): deadline leads annotate a
 // task set, window declarations annotate a worker pool, and BurstSchedule
-// shapes arrivals into the bursty pattern the pr10 sweep contrasts
-// predictive and reactive rebalancing on.
+// shapes arrivals into the bursty pattern the shard deadline-churn
+// test contrasts predictive and reactive rebalancing on.
 //
 // Leads and window lengths are *relative* offsets from the consumer's
 // trace start (logical-clock nanoseconds by convention): a replayer adds
