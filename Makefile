@@ -24,10 +24,11 @@ test-race:
 	$(GO) test -race ./internal/...
 
 # The sharded-engine conservation and determinism properties and the
-# routing decision's tests, repeated under the race detector (the same
-# run as the dedicated CI step).
+# routing decision's tests, the gateway's included, repeated under the
+# race detector (the same run as the dedicated CI step).
 test-shard:
 	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit'
+	$(GO) test -race -count 2 ./internal/cluster -run 'TestGatewayMatchesInProcessRoute'
 
 # The quality layer (aggregation, gold grading, reputation) plus its
 # engine/tracker integration properties, under the race detector.

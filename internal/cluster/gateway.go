@@ -2,8 +2,10 @@
 // single-process ceiling: N hta-server nodes each own a segment of a
 // consistent-hash ring over worker IDs (shard.Ring, the engine's own
 // ring, over "node-<name>" labels), and a thin gateway makes the shard
-// engine's routing decision (shard.Route) over the nodes — scattering
-// over stdlib HTTP RPC instead of goroutine mailboxes.
+// engine's routing decision (shard.Route) with the nodes as its members:
+// they score themselves over stdlib HTTP RPC instead of goroutine
+// mailboxes, and the engine's Admission type keeps the duplicate filter
+// and the submitted and dropped counts.
 //
 // The comms layer is built so the network never dominates:
 //
@@ -135,15 +137,16 @@ func newGwMetrics(r *obs.Registry) *gwMetrics {
 	}
 }
 
-// Gateway routes the scatter-gather marginal-gain protocol across a ring
-// of cluster nodes, presenting the same surface as a local *shard.Engine
-// (it satisfies platform.StreamBackend). One gateway fronts N hta-server
-// -node processes; all public traffic flows through it, which is what
-// makes the global accounting below exact.
+// Gateway makes the engine's offer decision, shard.Route, over a ring of
+// cluster nodes as members, presenting the same surface as a local
+// *shard.Engine (it satisfies platform.StreamBackend). One gateway fronts
+// N hta-server -node processes; all public traffic flows through it,
+// which is what makes the global accounting below exact.
 //
-// Accounting: the gateway owns Submitted (offers it accepted), Completed
-// (completions it routed), and its own Dropped (offers rejected
-// everywhere plus failed requeues); nodes own their internal drops
+// Accounting: the gateway's shard.Admission owns Submitted (offers it
+// accepted) and its own Dropped (offers rejected everywhere plus failed
+// requeues), under the engine's reject rule; the gateway owns Completed
+// (completions it routed); nodes own their internal drops
 // (worker-removal overflow), gathered live and absorbed at death. At
 // quiescence the global conservation law Submitted = Active + Completed +
 // Buffered + Dropped holds across the whole cluster, including after node
@@ -196,12 +199,10 @@ type Gateway struct {
 	ledgerMu sync.Mutex
 	ledger   map[string]ledgerEntry
 
-	seenMu sync.Mutex
-	seen   map[string]struct{}
-
-	submitted atomic.Int64
+	// adm admits offers: the cluster-wide duplicate filter, Submitted,
+	// and the gateway-level drops (total rejects + failed requeues).
+	adm       *shard.Admission
 	completed atomic.Int64
-	dropped   atomic.Int64 // gateway-level: total rejects + failed requeues
 
 	closed atomic.Bool
 	hbStop chan struct{}
@@ -292,7 +293,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		lastDropped: make(map[string]int64, len(peers)),
 		workerLoc:   make(map[string]workerPin),
 		ledger:      make(map[string]ledgerEntry),
-		seen:        make(map[string]struct{}),
+		adm:         shard.NewAdmission(true, nil, nil),
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
 	}
@@ -413,12 +414,12 @@ func (g *Gateway) OfferTask(t *core.Task) (string, error) {
 	return g.OfferTaskCtx(context.Background(), t)
 }
 
-// OfferTaskCtx routes an arriving task across the cluster: scatter a
-// score op to every live node (one batched frame each, traveling
-// concurrently), then make the shard engine's decision over the nodes —
-// commit down the ranking of the nodes that scored free, else buffer on
-// the least backlogged node. Returns the assigned worker's ID ("" if
-// buffered), or stream.ErrBufferFull when every node is full.
+// OfferTaskCtx routes an arriving task across the cluster: the shard
+// engine's decision over the live nodes (shard.Route), whose scatter is a
+// score op to every node (one batched frame each, traveling
+// concurrently) — commit down the ranking of the nodes that scored free,
+// else buffer on the least backlogged node. Returns the assigned worker's
+// ID ("" if buffered), or stream.ErrBufferFull when every node is full.
 func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
@@ -428,23 +429,13 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return "", errors.New("cluster: nil task or empty ID")
 	}
-	g.seenMu.Lock()
-	if _, dup := g.seen[t.ID]; dup {
-		g.seenMu.Unlock()
+	if !g.adm.Admit(t.ID) {
 		return "", fmt.Errorf("cluster: duplicate task %q", t.ID)
 	}
-	g.seen[t.ID] = struct{}{}
-	g.seenMu.Unlock()
-	g.submitted.Add(1)
 	wid, node, err := g.routeTask(ctx, t)
 	if err != nil {
-		// Rejected everywhere: the task may be re-offered later, so it
-		// leaves the duplicate filter (mirroring the engine), and the
-		// gateway counts the drop.
-		g.seenMu.Lock()
-		delete(g.seen, t.ID)
-		g.seenMu.Unlock()
-		g.dropped.Add(1)
+		// Rejected everywhere: the engine's reject rule.
+		g.adm.Reject(t.ID)
 		return "", err
 	}
 	g.ledgerMu.Lock()
@@ -453,41 +444,51 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 	return wid, nil
 }
 
-// routeTask is the RPC scatter followed by the shared decision
-// (shard.Route), for offers and failover requeues (which must not
-// re-count Submitted). A sampled ctx opens one RPC span per
-// scatter/commit/buffer leg, each propagated to its node, so the stitched
-// trace shows the whole routing fan-out.
+// routeTask is the shared decision (shard.Route) over the live nodes,
+// for offers and failover requeues (which must not re-count Submitted).
+// A sampled ctx opens one RPC span per scatter/commit/buffer leg, each
+// propagated to its node, so the stitched trace shows the whole routing
+// fan-out.
 func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string, err error) {
 	tw := taskToWire(t)
-	peers, results := g.fanOut(ctx, Op{Op: opScore, Task: &tw})
-	if len(peers) == 0 {
+	n := &nodes{g: g, task: &tw}
+	wid, at, err := shard.Route(ctx, n, t)
+	if len(n.peers) == 0 {
 		return "", "", ErrNoNodes
 	}
-	scores := make([]shard.Score, len(results))
-	for i, res := range results {
-		scores[i] = shard.Score{Gain: res.Gain, Rel: res.Rel, Free: res.Free, Backlog: res.Backlog}
-	}
-	wid, at, err := shard.Route(ctx, nodes{peers: peers, task: &tw}, scores, t)
 	if err != nil {
 		return "", "", err
 	}
-	return wid, peers[at].name, nil
+	return wid, n.peers[at].name, nil
 }
 
-// nodes is the answering peers as routing members of one task's
-// decision, which carries its encoded task.
+// nodes is the live peers as routing members of one task's decision,
+// which carries its encoded task. Its scatter fixes the members: the
+// peers that answered, in sorted-name order.
 type nodes struct {
+	g     *Gateway
 	peers []*peer
 	task  *taskWire
 }
 
-func (n nodes) Commit(ctx context.Context, i int, _ *core.Task) (string, bool) {
+// Scatter sends the score op to every live node at once, so the frames
+// travel concurrently. A node failing mid-scatter is routed around.
+func (n *nodes) Scatter(ctx context.Context, _ *core.Task) []shard.Score {
+	var results []OpResult
+	n.peers, results = n.g.fanOut(ctx, Op{Op: opScore, Task: n.task})
+	scores := make([]shard.Score, len(results))
+	for i, res := range results {
+		scores[i] = shard.Score{Gain: res.Gain, Rel: res.Rel, Free: res.Free, Backlog: res.Backlog}
+	}
+	return scores
+}
+
+func (n *nodes) Commit(ctx context.Context, i int, _ *core.Task) (string, bool) {
 	res, err := n.peers[i].doCtx(ctx, Op{Op: opCommit, Task: n.task})
 	return res.WorkerID, err == nil && res.OK
 }
 
-func (n nodes) Buffer(ctx context.Context, i int, _ *core.Task) error {
+func (n *nodes) Buffer(ctx context.Context, i int, _ *core.Task) error {
 	res, err := n.peers[i].doCtx(ctx, Op{Op: opBuffer, Task: n.task})
 	if err == nil && !res.OK {
 		err = resultErr(res)
@@ -546,31 +547,24 @@ func (g *Gateway) RemoveWorker(id string) ([]*core.Task, error) {
 // drop counter, so the gateway only prunes its ledger (counting them here
 // too would double them in the global accounting).
 func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
 	if g.closed.Load() {
 		return nil, shard.ErrClosed
 	}
-	p, err := g.owner(id)
+	res, err := g.onOwner(ctx, Op{Op: opRemoveWorker, WorkerID: id}, func(_ *peer, res OpResult) error {
+		g.locMu.Lock()
+		delete(g.workerLoc, id)
+		g.locGen++
+		g.locMu.Unlock()
+		g.ledgerMu.Lock()
+		for _, twr := range res.Tasks {
+			delete(g.ledger, twr.ID)
+		}
+		g.ledgerMu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.doCtx(ctx, Op{Op: opRemoveWorker, WorkerID: id})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	g.locMu.Lock()
-	delete(g.workerLoc, id)
-	g.locGen++
-	g.locMu.Unlock()
-	g.ledgerMu.Lock()
-	for _, twr := range res.Tasks {
-		delete(g.ledger, twr.ID)
-	}
-	g.ledgerMu.Unlock()
 	return wireTasks(res.Tasks)
 }
 
@@ -626,117 +620,101 @@ func (g *Gateway) CompleteRead(ctx context.Context, workerID, taskID string) (sh
 // complete is the body of CompleteCtx and CompleteRead: the complete op
 // on the worker's node and the gateway's accounting for it.
 func (g *Gateway) complete(ctx context.Context, workerID, taskID string) (OpResult, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
 	if g.closed.Load() {
 		return OpResult{}, shard.ErrClosed
 	}
-	p, err := g.owner(workerID)
+	return g.onOwner(ctx, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID}, func(*peer, OpResult) error {
+		g.completed.Add(1)
+		g.ledgerMu.Lock()
+		delete(g.ledger, taskID)
+		g.ledgerMu.Unlock()
+		return nil
+	})
+}
+
+// onOwner is the per-worker call: op on the node that owns op.WorkerID,
+// under the op gate, with a node-side failure mapped by resultErr. then,
+// when set, runs on success before the gate is released, so the
+// gateway's own bookkeeping of the op joins the same snapshot cut; its
+// error is the call's.
+func (g *Gateway) onOwner(ctx context.Context, op Op, then func(p *peer, res OpResult) error) (OpResult, error) {
+	g.opGate.RLock()
+	defer g.opGate.RUnlock()
+	p, err := g.owner(op.WorkerID)
 	if err != nil {
 		return OpResult{}, err
 	}
-	res, err := p.doCtx(ctx, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID})
+	res, err := p.doCtx(ctx, op)
+	if err == nil && !res.OK {
+		err = resultErr(res)
+	}
+	if err == nil && then != nil {
+		err = then(p, res)
+	}
 	if err != nil {
 		return OpResult{}, err
 	}
-	if !res.OK {
-		return OpResult{}, resultErr(res)
-	}
-	g.completed.Add(1)
-	g.ledgerMu.Lock()
-	delete(g.ledger, taskID)
-	g.ledgerMu.Unlock()
 	return res, nil
 }
 
 // ActiveTasks returns the worker's assigned tasks.
 func (g *Gateway) ActiveTasks(workerID string) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
+	res, err := g.onOwner(context.Background(), Op{Op: opActiveTasks, WorkerID: workerID}, nil)
 	if err != nil {
 		return nil, err
-	}
-	res, err := p.do(Op{Op: opActiveTasks, WorkerID: workerID})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
 	}
 	return wireTasks(res.Tasks)
 }
 
 // Worker returns the registered worker record. A worker this gateway
-// registered is answered from its pin; one registered before the gateway
-// started costs one RPC to its owner, and the answer pins it there.
+// registered is answered from its pin, after the liveness check every
+// per-worker call makes; one registered before the gateway started costs
+// one RPC to its owner, and the answer pins it there.
 func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return nil, err
-	}
 	g.locMu.RLock()
 	pin, pinned := g.workerLoc[workerID]
 	gen := g.locGen
 	g.locMu.RUnlock()
 	if pinned {
+		if _, err := g.owner(workerID); err != nil {
+			return nil, err
+		}
 		return pin.worker, nil
 	}
-	res, err := p.do(Op{Op: opWorker, WorkerID: workerID})
+	var w *core.Worker
+	_, err := g.onOwner(context.Background(), Op{Op: opWorker, WorkerID: workerID}, func(p *peer, res OpResult) (err error) {
+		if res.Worker == nil {
+			return resultErr(res)
+		}
+		if w, err = wireToWorker(*res.Worker); err != nil {
+			return err
+		}
+		g.locMu.Lock()
+		if _, pinned := g.workerLoc[workerID]; !pinned && g.locGen == gen {
+			g.workerLoc[workerID] = workerPin{node: p.name, worker: w}
+		}
+		g.locMu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !res.OK || res.Worker == nil {
-		return nil, resultErr(res)
-	}
-	w, err := wireToWorker(*res.Worker)
-	if err != nil {
-		return nil, err
-	}
-	g.locMu.Lock()
-	if _, pinned := g.workerLoc[workerID]; !pinned && g.locGen == gen {
-		g.workerLoc[workerID] = workerPin{node: p.name, worker: w}
-	}
-	g.locMu.Unlock()
 	return w, nil
 }
 
 // Trust returns the worker's trust multiplier from its owning node.
 func (g *Gateway) Trust(workerID string) (float64, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opTrust, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Value, nil
+	res, err := g.onOwner(context.Background(), Op{Op: opTrust, WorkerID: workerID}, nil)
+	return res.Value, err
 }
 
 // SetTrust updates the worker's trust multiplier on its owning node
 // (stream.Assigner.SetTrust semantics). Tasks drained by a lifted
 // quarantine are returned.
 func (g *Gateway) SetTrust(workerID string, trust float64) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
+	res, err := g.onOwner(context.Background(), Op{Op: opSetTrust, WorkerID: workerID, Trust: &trust}, nil)
 	if err != nil {
 		return nil, err
-	}
-	res, err := p.do(Op{Op: opSetTrust, WorkerID: workerID, Trust: &trust})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
 	}
 	return wireTasks(res.Tasks)
 }
@@ -744,57 +722,21 @@ func (g *Gateway) SetTrust(workerID string, trust float64) ([]*core.Task, error)
 // SetWindow records the worker's availability-window end on its owning
 // node (0 clears it).
 func (g *Gateway) SetWindow(workerID string, until int64) error {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return err
-	}
-	res, err := p.do(Op{Op: opSetWindow, WorkerID: workerID, Window: &until})
-	if err != nil {
-		return err
-	}
-	if !res.OK {
-		return resultErr(res)
-	}
-	return nil
+	_, err := g.onOwner(context.Background(), Op{Op: opSetWindow, WorkerID: workerID, Window: &until}, nil)
+	return err
 }
 
 // Window returns the worker's recorded availability-window end (0 =
 // unknown) from its owning node.
 func (g *Gateway) Window(workerID string) (int64, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opWindow, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Until, nil
+	res, err := g.onOwner(context.Background(), Op{Op: opWindow, WorkerID: workerID}, nil)
+	return res.Until, err
 }
 
 // Completed returns how many tasks the worker finished.
 func (g *Gateway) Completed(workerID string) (int, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opCompleted, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Count, nil
+	res, err := g.onOwner(context.Background(), Op{Op: opCompleted, WorkerID: workerID}, nil)
+	return res.Count, err
 }
 
 // WorkerIDs gathers all registered worker IDs, grouped by node in sorted
@@ -860,9 +802,9 @@ func (g *Gateway) statsLocked() shard.Stats {
 	g.mu.Lock()
 	dead := g.deadDropped
 	g.mu.Unlock()
-	st.Submitted = g.submitted.Load()
+	st.Submitted = g.adm.Submitted()
 	st.Completed = g.completed.Load()
-	st.Dropped = g.dropped.Load() + dead + liveDropped
+	st.Dropped = g.adm.Dropped() + dead + liveDropped
 	return st
 }
 
@@ -915,9 +857,9 @@ func (g *Gateway) Snapshot(w io.Writer) error {
 	g.mu.Lock()
 	dead := g.deadDropped
 	g.mu.Unlock()
-	doc.Submitted = g.submitted.Load()
+	doc.Submitted = g.adm.Submitted()
 	doc.Completed = g.completed.Load()
-	doc.Dropped = g.dropped.Load() + dead
+	doc.Dropped = g.adm.Dropped() + dead
 	g.journal.Emit(ops.EventSnapshot, "gateway", "nodes", strconv.Itoa(len(doc.Nodes)))
 	buf, err := encodeJSON(&doc)
 	if err != nil {
@@ -1013,10 +955,7 @@ func (g *Gateway) dropNode(name string) {
 	for _, t := range orphans {
 		_, node, err := g.routeTask(context.Background(), t)
 		if err != nil {
-			g.seenMu.Lock()
-			delete(g.seen, t.ID)
-			g.seenMu.Unlock()
-			g.dropped.Add(1)
+			g.adm.Reject(t.ID)
 			lost++
 			continue
 		}

@@ -2,17 +2,16 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/ops"
+	"github.com/htacs/ata/internal/replay"
 	"github.com/htacs/ata/internal/shard"
 	"github.com/htacs/ata/internal/stream"
 	"github.com/htacs/ata/internal/trace"
@@ -31,7 +30,7 @@ type Node struct {
 	Name    string
 	eng     *shard.Engine
 	mux     *http.ServeMux
-	frames  *frameCache
+	frames  *replay.Store[[]byte]
 	tracer  *trace.Recorder
 	journal *ops.Journal
 
@@ -82,7 +81,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.Journal = ops.Default()
 	}
 	n := &Node{
-		Name: cfg.Name, eng: cfg.Engine, frames: newFrameCache(cfg.FrameCache),
+		Name: cfg.Name, eng: cfg.Engine, frames: replay.New[[]byte](cfg.FrameCache),
 		tracer: cfg.Tracer, journal: cfg.Journal,
 		dedupHits: cfg.Registry.Counter("hta_cluster_replay_dedup_hits_total",
 			"retried frames answered from the replay cache instead of re-applying"),
@@ -162,23 +161,14 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 
-	// Replay dedup: a frame ID seen before returns the cached response
+	// Replay dedup: a frame ID seen before returns the recorded response
 	// bytes; an in-progress duplicate waits for the first application to
-	// finish rather than racing it.
+	// finish rather than racing it, and applies only if that one aborted.
 	if frame.ID != "" {
-		if cached, inflight := n.frames.begin(frame.ID); cached != nil {
+		if cached, ok := n.frames.Claim(frame.ID); ok {
 			n.dedupHits.Inc()
 			_, _ = w.Write(cached)
 			return
-		} else if inflight != nil {
-			<-inflight
-			if cached, _ := n.frames.begin(frame.ID); cached != nil {
-				n.dedupHits.Inc()
-				_, _ = w.Write(cached)
-				return
-			}
-			// The first application failed to record (encode error);
-			// fall through and apply — ops are then at-least-once.
 		}
 	}
 
@@ -188,13 +178,13 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	buf, err := encodeJSON(&res)
 	if err != nil {
-		n.frames.abort(frame.ID)
+		n.frames.Abort(frame.ID)
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
 		return
 	}
 	defer putBuf(buf)
 	if frame.ID != "" {
-		n.frames.commit(frame.ID, buf.Bytes())
+		n.frames.Commit(frame.ID, bytes.Clone(buf.Bytes()))
 	}
 	_, _ = w.Write(buf.Bytes())
 }
@@ -245,40 +235,28 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		}
 		return r
 	}
+	var t *core.Task
 	switch op.Op {
-	case opScore:
+	case opScore, opCommit, opBuffer:
 		if op.Task == nil {
-			return fail(errors.New("cluster: score without task"))
+			return fail(fmt.Errorf("cluster: %s without task", op.Op))
 		}
-		t, err := wireToTask(*op.Task)
-		if err != nil {
+		var err error
+		if t, err = wireToTask(*op.Task); err != nil {
 			return fail(err)
 		}
 		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
+	}
+	switch op.Op {
+	case opScore:
 		gain, rel, free := n.eng.BestGain(t)
 		trace.Event(ctx, "node.score", trace.Float("gain", gain), trace.Bool("free", free))
 		return OpResult{OK: true, Gain: gain, Rel: rel, Free: free, Backlog: n.eng.BufferLen()}
 	case opCommit:
-		if op.Task == nil {
-			return fail(errors.New("cluster: commit without task"))
-		}
-		t, err := wireToTask(*op.Task)
-		if err != nil {
-			return fail(err)
-		}
-		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
 		wid, ok := n.eng.TryAssign(t)
 		trace.Event(ctx, "node.commit", trace.Str("worker", wid), trace.Bool("ok", ok))
 		return OpResult{OK: ok, WorkerID: wid}
 	case opBuffer:
-		if op.Task == nil {
-			return fail(errors.New("cluster: buffer without task"))
-		}
-		t, err := wireToTask(*op.Task)
-		if err != nil {
-			return fail(err)
-		}
-		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
 		if err := n.eng.BufferAny(t); err != nil {
 			return fail(err)
 		}
@@ -385,68 +363,4 @@ func tasksToWire(ts []*core.Task) []taskWire {
 		out = append(out, taskToWire(t))
 	}
 	return out
-}
-
-// frameCache is the bounded replay-dedup store: frame ID → encoded
-// response, FIFO-evicted. begin returns either the cached bytes, or a
-// channel to wait on when the same frame is being applied right now, or
-// (nil, nil) when the caller should apply the frame itself.
-type frameCache struct {
-	mu    sync.Mutex
-	cap   int
-	done  map[string][]byte
-	infly map[string]chan struct{}
-	order *list.List // frame IDs in completion order
-}
-
-func newFrameCache(capacity int) *frameCache {
-	return &frameCache{
-		cap:   capacity,
-		done:  make(map[string][]byte, capacity),
-		infly: make(map[string]chan struct{}),
-		order: list.New(),
-	}
-}
-
-func (c *frameCache) begin(id string) (cached []byte, inflight <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.done[id]; ok {
-		return b, nil
-	}
-	if ch, ok := c.infly[id]; ok {
-		return nil, ch
-	}
-	c.infly[id] = make(chan struct{})
-	return nil, nil
-}
-
-func (c *frameCache) commit(id string, response []byte) {
-	cp := append([]byte(nil), response...)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.infly[id]; ok {
-		close(ch)
-		delete(c.infly, id)
-	}
-	if _, ok := c.done[id]; !ok {
-		c.done[id] = cp
-		c.order.PushBack(id)
-		for c.order.Len() > c.cap {
-			old := c.order.Remove(c.order.Front()).(string)
-			delete(c.done, old)
-		}
-	}
-}
-
-func (c *frameCache) abort(id string) {
-	if id == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.infly[id]; ok {
-		close(ch)
-		delete(c.infly, id)
-	}
 }

@@ -2,13 +2,13 @@ package platform
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"net/http"
-	"sync"
 	"sync/atomic"
+
+	"github.com/htacs/ata/internal/replay"
 )
 
 // Idempotency keys let clients retry mutating requests safely. The
@@ -31,63 +31,12 @@ type idemEntry struct {
 	body   []byte
 }
 
-// idemCache is the bounded keyed response store: key → response,
-// FIFO-evicted, with in-progress tracking so two concurrent requests
-// carrying the same key apply once and answer twice.
-type idemCache struct {
-	mu    sync.Mutex
-	cap   int
-	done  map[string]*idemEntry
-	infly map[string]chan struct{}
-	order *list.List // keys in completion order
-}
+// idemCache is the replay store over recorded responses: two concurrent
+// requests carrying the same key apply once and answer twice.
+type idemCache struct{ *replay.Store[*idemEntry] }
 
 func newIdemCache(capacity int) *idemCache {
-	return &idemCache{
-		cap:   capacity,
-		done:  make(map[string]*idemEntry, capacity),
-		infly: make(map[string]chan struct{}),
-		order: list.New(),
-	}
-}
-
-func (c *idemCache) begin(key string) (*idemEntry, <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.done[key]; ok {
-		return e, nil
-	}
-	if ch, ok := c.infly[key]; ok {
-		return nil, ch
-	}
-	c.infly[key] = make(chan struct{})
-	return nil, nil
-}
-
-func (c *idemCache) commit(key string, e *idemEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.infly[key]; ok {
-		close(ch)
-		delete(c.infly, key)
-	}
-	if _, ok := c.done[key]; !ok {
-		c.done[key] = e
-		c.order.PushBack(key)
-		for c.order.Len() > c.cap {
-			old := c.order.Remove(c.order.Front()).(string)
-			delete(c.done, old)
-		}
-	}
-}
-
-func (c *idemCache) abort(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.infly[key]; ok {
-		close(ch)
-		delete(c.infly, key)
-	}
+	return &idemCache{replay.New[*idemEntry](capacity)}
 }
 
 // idemRecorder buffers a handler's response so it can be both sent and
@@ -123,31 +72,24 @@ func (s *Server) idempotent(h http.HandlerFunc) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		for {
-			cached, inflight := s.idem.begin(key)
-			if cached != nil {
-				for k, vs := range cached.header {
-					w.Header()[k] = vs
-				}
-				w.WriteHeader(cached.status)
-				_, _ = w.Write(cached.body)
-				return
+		// A concurrent request with the same key may be mid-application:
+		// Claim waits for it, then replays its recorded response, or lets
+		// this request apply when it aborted on a 5xx.
+		if cached, ok := s.idem.Claim(key); ok {
+			for k, vs := range cached.header {
+				w.Header()[k] = vs
 			}
-			if inflight == nil {
-				break
-			}
-			// A concurrent request with the same key is mid-application:
-			// wait for it, then loop to replay its recorded response (or
-			// apply ourselves if it aborted on a 5xx).
-			<-inflight
+			w.WriteHeader(cached.status)
+			_, _ = w.Write(cached.body)
+			return
 		}
 		rec := &idemRecorder{ResponseWriter: w}
 		h(rec, r)
 		if rec.status >= 500 {
-			s.idem.abort(key)
+			s.idem.Abort(key)
 			return
 		}
-		s.idem.commit(key, &idemEntry{
+		s.idem.Commit(key, &idemEntry{
 			status: rec.status,
 			header: rec.Header().Clone(),
 			body:   append([]byte(nil), rec.body.Bytes()...),

@@ -160,6 +160,15 @@ func TestIdempotencyDisabledServerSide(t *testing.T) {
 	}
 }
 
+// begin and commit are the single-lookup store calls TestIdemCacheEvictsFIFO
+// drives the cache with.
+func (c *idemCache) begin(key string) (*idemEntry, <-chan struct{}) {
+	e, _, inflight := c.Begin(key)
+	return e, inflight
+}
+
+func (c *idemCache) commit(key string, e *idemEntry) { c.Commit(key, e) }
+
 func TestIdemCacheEvictsFIFO(t *testing.T) {
 	c := newIdemCache(2)
 	for _, k := range []string{"a", "b", "c"} {

@@ -190,8 +190,7 @@ func TestStealOnceMovesBacklogToFreeShard(t *testing.T) {
 	// that landed before the shard's workers left), keeping the engine
 	// counters in step so conservation stays checkable.
 	for _, task := range tasks[:10] {
-		e.submitted.Add(1)
-		e.markSeen(task.ID)
+		e.adm.Accept(task.ID)
 		var err error
 		e.actors[0].call(func(asn *stream.Assigner) { err = asn.BufferTask(task) })
 		if err != nil {
@@ -253,8 +252,7 @@ func TestStealNoOpCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks[:3] {
-		e.submitted.Add(1)
-		e.markSeen(task.ID)
+		e.adm.Accept(task.ID)
 		e.actors[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
 	}
 	if n := e.StealOnce(); n != 0 {

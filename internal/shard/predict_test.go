@@ -46,8 +46,7 @@ func TestPredictiveStealMovesBeforeWatermark(t *testing.T) {
 		// Backlog exactly at the watermark: the reactive trigger
 		// (backlog > watermark) stays quiet.
 		for _, task := range tasks[:4] {
-			e.submitted.Add(1)
-			e.markSeen(task.ID)
+			e.adm.Accept(task.ID)
 			e.actors[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
 		}
 		return recv

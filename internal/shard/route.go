@@ -10,8 +10,8 @@ import (
 // The routing decision, shared by the engine (members are shard actors)
 // and the cluster gateway (members are nodes behind RPC). The greedy
 // argmax over all workers equals the max over per-member maxima, so one
-// decision routes across any partition of the workers; each caller
-// supplies only the scatter, which is its transport.
+// decision routes across any partition of the workers. A member set
+// brings its own transport, scatter included; Route is the rest.
 
 // Score is one member's answer to the scatter: the best marginal gain and
 // its relevance tie-break among workers with free capacity (meaningless
@@ -23,9 +23,12 @@ type Score struct {
 	Backlog   int
 }
 
-// Member is the write side of a decision over members indexed like the
-// scores.
+// Member is the member set of one decision, indexed from 0.
 type Member interface {
+	// Scatter asks every member for its Score of t, each reply at its
+	// member's index. A member that fails to answer is left out of the
+	// decision, and the indices are those of the members that answered.
+	Scatter(ctx context.Context, t *core.Task) []Score
 	// Commit assigns t to member i's best free worker, never buffering;
 	// ok is false when the member filled since it was scored.
 	Commit(ctx context.Context, i int, t *core.Task) (wid string, ok bool)
@@ -114,11 +117,12 @@ func bufferWalk(ctx context.Context, m Member, scores []Score, t *core.Task) (at
 	return -1, stream.ErrBufferFull
 }
 
-// Route finishes a decision from its scatter: commit to the best free
-// member, falling down the ranking, else buffer on the least backlogged
-// member. Returns the member that took t (wid is "" when buffered), or
-// stream.ErrBufferFull.
-func Route(ctx context.Context, m Member, scores []Score, t *core.Task) (wid string, at int, err error) {
+// Route is the whole offer decision over m's members: scatter t, commit
+// to the best free member, falling down the ranking, else buffer on the
+// least backlogged member. Returns the member that took t (wid is "" when
+// buffered), or stream.ErrBufferFull, also when no member answered.
+func Route(ctx context.Context, m Member, t *core.Task) (wid string, at int, err error) {
+	scores := m.Scatter(ctx, t)
 	if wid, at = commitWalk(ctx, m, scores, t); at >= 0 {
 		return wid, at, nil
 	}

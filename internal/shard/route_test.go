@@ -14,11 +14,14 @@ import (
 )
 
 // scripted is a Member that records the calls it gets and refuses the
-// commits and buffers it is told to.
+// commits and buffers it is told to. The tests hand their scores to the
+// walks directly, so it is never scattered.
 type scripted struct {
 	refuseCommit, refuseBuffer []bool
 	commits, buffers           []int
 }
+
+func (m *scripted) Scatter(context.Context, *core.Task) []Score { return nil }
 
 func (m *scripted) Commit(_ context.Context, i int, _ *core.Task) (string, bool) {
 	m.commits = append(m.commits, i)

@@ -27,8 +27,10 @@
 //  3. buffer: if no shard committed, park the task in the least
 //     backlogged shard's buffer; every buffer full → ErrBufferFull.
 //
-// Steps 2 and 3 are Route (route.go), the one decision the cluster
-// gateway also makes over its nodes; only the scatter is the caller's.
+// All three steps are Route (route.go), the one decision the cluster
+// gateway also makes over its nodes. A Member brings the transport: its
+// Scatter asks the shard actors here and the nodes' RPC there, and
+// Admission is the duplicate filter and counters both keep around it.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded
@@ -43,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/htacs/ata/internal/core"
@@ -138,16 +139,12 @@ type Engine struct {
 	live   sync.RWMutex
 	closed bool
 
-	// seen is the global duplicate-task filter: a task lives on exactly
-	// one shard, so per-shard filters cannot see cross-shard duplicates.
-	seenMu sync.Mutex
-	seen   map[string]struct{}
-
-	// offerDropped counts offers rejected engine-wide with ErrBufferFull;
-	// per-shard removal/steal overflow lives on the actors. base* carry
-	// counters restored from a snapshot.
-	submitted     atomic.Int64
-	offerDropped  atomic.Int64
+	// adm is the offers' admission: the engine-wide duplicate filter (a
+	// task lives on exactly one shard, so per-shard filters cannot see
+	// cross-shard duplicates), the submitted count and the offers rejected
+	// with ErrBufferFull. Per-shard removal/steal overflow lives on the
+	// actors. base* carry counters restored from a snapshot.
+	adm           *Admission
 	baseSubmitted int64
 	baseCompleted int64
 	baseDropped   int64
@@ -232,9 +229,9 @@ func New(cfg Config) (*Engine, error) {
 		metrics: NewMetrics(cfg.Registry),
 		tracer:  cfg.Tracer,
 		journal: cfg.Journal,
-		seen:    make(map[string]struct{}),
 	}
 	e.metrics.Shards.Set(float64(cfg.Shards))
+	e.adm = NewAdmission(cfg.Shards > 1, e.metrics.Submitted, e.metrics.Dropped)
 	e.now = cfg.Stream.Now
 	if e.now == nil {
 		e.now = func() int64 { return time.Now().UnixNano() }
@@ -422,35 +419,23 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 		e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
 		switch {
 		case err == nil:
-			e.submitted.Add(1)
-			e.metrics.Submitted.Inc()
+			e.adm.Accept(t.ID)
 			if e.forecast != nil {
 				e.forecast[0].RecordArrivals(1)
 			}
 		case errors.Is(err, stream.ErrBufferFull):
-			e.submitted.Add(1)
-			e.metrics.Submitted.Inc()
-			e.offerDropped.Add(1)
-			e.metrics.Dropped.Inc()
+			e.adm.Accept(t.ID)
+			e.adm.Reject(t.ID)
 		}
 		return wid, err
 	}
 
-	// Global dedup: a task lives on exactly one shard, so the duplicate
-	// filter must be engine-wide.
-	e.seenMu.Lock()
-	if _, dup := e.seen[t.ID]; dup {
-		e.seenMu.Unlock()
+	if !e.adm.Admit(t.ID) {
 		return "", fmt.Errorf("shard: duplicate task %q", t.ID)
 	}
-	e.seen[t.ID] = struct{}{}
-	e.seenMu.Unlock()
-	e.submitted.Add(1)
-	e.metrics.Submitted.Inc()
-
 	ctx, span := trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
 	start := time.Now()
-	wid, shardID, err := Route(ctx, shards{e}, e.scatter(t), t)
+	wid, shardID, err := Route(ctx, shards{e}, t)
 	e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
 	span.SetAttrs(trace.Int("shard", shardID),
 		trace.Bool("buffered", err == nil && wid == ""), trace.Str("worker", wid))
@@ -459,28 +444,9 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 		e.forecast[shardID].RecordArrivals(1)
 	}
 	if errors.Is(err, stream.ErrBufferFull) {
-		// Mirror the bare assigner: a rejected task may be legitimately
-		// re-offered later, so it leaves the duplicate filter.
-		e.seenMu.Lock()
-		delete(e.seen, t.ID)
-		e.seenMu.Unlock()
-		e.offerDropped.Add(1)
-		e.metrics.Dropped.Inc()
+		e.adm.Reject(t.ID)
 	}
 	return wid, err
-}
-
-// scatter asks every shard for its Score of t (read-only, concurrent
-// across shards). Each reply lands at its shard's index, so the decision
-// never depends on which actor answers first.
-func (e *Engine) scatter(t *core.Task) []Score {
-	scores := make([]Score, len(e.actors))
-	e.each(func(a *actor) {
-		s := &scores[a.id]
-		s.Gain, s.Rel, s.Free = a.asn.BestGain(t)
-		s.Backlog = a.asn.Backlog()
-	})
-	return scores
 }
 
 // each runs fn on every shard actor concurrently and waits for all of
@@ -500,6 +466,19 @@ func (e *Engine) each(fn func(a *actor)) {
 
 // shards is the engine's actors as routing members.
 type shards struct{ e *Engine }
+
+// Scatter asks every shard for its Score of t (read-only, concurrent
+// across shards). Each reply lands at its shard's index, so the decision
+// never depends on which actor answers first.
+func (s shards) Scatter(_ context.Context, t *core.Task) []Score {
+	scores := make([]Score, len(s.e.actors))
+	s.e.each(func(a *actor) {
+		sc := &scores[a.id]
+		sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+		sc.Backlog = a.asn.Backlog()
+	})
+	return scores
+}
 
 // Commit is one "shard.commit" attempt; a failure means the shard filled
 // between score and commit, counted in CommitRetries.
@@ -821,9 +800,9 @@ func (e *Engine) Stats() Stats {
 		st.Expired += s.Expired
 	}
 	st.Completed += e.baseCompleted
-	st.Dropped += e.offerDropped.Load() + e.baseDropped
+	st.Dropped += e.adm.Dropped() + e.baseDropped
 	st.Expired += e.baseExpired
-	st.Submitted = e.submitted.Load() + e.baseSubmitted
+	st.Submitted = e.adm.Submitted() + e.baseSubmitted
 	return st
 }
 

@@ -90,13 +90,13 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	snap := engineSnap{
 		Version:   1,
 		Shards:    len(e.actors),
-		Submitted: e.submitted.Load() + e.baseSubmitted,
+		Submitted: e.adm.Submitted() + e.baseSubmitted,
 	}
 	// Dropped in the snapshot is the engine-wide total (offer rejections
 	// + removal/steal overflow + restored history): one number that
 	// Restore carries forward whole, so the conservation equation closes
 	// across the restart.
-	snap.Dropped = e.offerDropped.Load() + e.baseDropped
+	snap.Dropped = e.adm.Dropped() + e.baseDropped
 	snap.Expired = e.baseExpired
 	e.quiesce(func() {
 		var bufScratch []*core.Task
@@ -235,7 +235,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 					if terr != nil {
 						return terr
 					}
-					e.markSeen(t.ID)
+					e.adm.Register(t.ID)
 					a.call(func(asn *stream.Assigner) { aerr = asn.ForceAssign(w.ID, t) })
 					if aerr != nil {
 						return aerr
@@ -252,7 +252,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 				if terr != nil {
 					return terr
 				}
-				e.markSeen(t.ID)
+				e.adm.Register(t.ID)
 				if err := e.bufferLive(t); err != nil {
 					// Smaller total buffer capacity than the snapshot
 					// had: count the overflow (picked up by Stats via
@@ -276,11 +276,4 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// markSeen registers a restored task in the global duplicate filter.
-func (e *Engine) markSeen(id string) {
-	e.seenMu.Lock()
-	e.seen[id] = struct{}{}
-	e.seenMu.Unlock()
 }
