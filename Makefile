@@ -27,8 +27,8 @@ test-race:
 # routing decision's tests, the gateway's included, repeated under the
 # race detector (the same run as the dedicated CI step).
 test-shard:
-	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit'
-	$(GO) test -race -count 2 ./internal/cluster -run 'TestGatewayMatchesInProcessRoute'
+	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit|TestFilterBoundedByLiveTasks|TestDuplicateContract'
+	$(GO) test -race -count 2 ./internal/cluster -run 'TestGatewayMatchesInProcessRoute|TestFilterBoundedByLiveTasks|TestDuplicateContract'
 
 # The quality layer (aggregation, gold grading, reputation) plus its
 # engine/tracker integration properties, under the race detector.

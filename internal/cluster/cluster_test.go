@@ -552,15 +552,15 @@ func TestNodeFrameReplayDedup(t *testing.T) {
 	if st := eng.Stats(); st.Submitted != 1 {
 		t.Fatalf("retried frame double-applied: Submitted = %d", st.Submitted)
 	}
-	// A different frame ID with the same op is a genuine duplicate task
-	// and must be refused by the engine's own filter... but commit has no
-	// filter — the gateway owns global dedup. What must hold: a fresh
-	// frame re-applies (at-least-once only when IDs differ).
+	// A different frame ID with the same op is a genuine duplicate task,
+	// but a node keeps no filter — the gateway owns global dedup. What
+	// must hold: a fresh frame re-applies (at-least-once only when IDs
+	// differ).
 	frame.ID = "frame-replay-2"
 	third := post()
 	if third.Results[0].OK {
 		// Same task committed twice under distinct frame IDs — allowed at
-		// node level (gateway's seen-filter prevents it in practice), but
+		// node level (the gateway's filter prevents it in practice), but
 		// it must be visible in the books.
 		if st := eng.Stats(); st.Submitted != 2 {
 			t.Fatalf("second commit invisible: Submitted = %d", st.Submitted)

@@ -21,10 +21,11 @@
 //     the RPC analogue of the platform client's idempotency keys.
 //
 // Membership is heartbeat-driven: the gateway probes each node and
-// rebuilds the ring without unresponsive ones. The gateway keeps a ledger
-// of every in-flight task's owning node; when a node dies, its pending
+// rebuilds the ring without unresponsive ones. The gateway's Admission
+// maps every live task to its owning node; when a node dies, its pending
 // tasks requeue onto the survivors, and the gateway's global accounting
-// (submitted = active + completed + buffered + dropped) keeps holding.
+// (submitted = active + completed + buffered + dropped + expired) keeps
+// holding.
 package cluster
 
 import (
@@ -106,9 +107,9 @@ type GatewayConfig struct {
 	FederationInterval time.Duration
 }
 
-// ledgerEntry records where a pending (active or buffered) task lives, so
-// a node death can requeue exactly the tasks it held.
-type ledgerEntry struct {
+// placement records where a live (active or buffered) task lives, so a
+// node death can requeue exactly the tasks it held.
+type placement struct {
 	node string
 	task *core.Task
 }
@@ -147,13 +148,18 @@ func newGwMetrics(r *obs.Registry) *gwMetrics {
 // accepted) and its own Dropped (offers rejected everywhere plus failed
 // requeues), under the engine's reject rule; the gateway owns Completed
 // (completions it routed); nodes own their internal drops
-// (worker-removal overflow), gathered live and absorbed at death. At
-// quiescence the global conservation law Submitted = Active + Completed +
-// Buffered + Dropped holds across the whole cluster, including after node
-// failures. Two documented caveats: node-internal steal drops are
-// invisible to the ledger (run cluster nodes with the steal loop off),
-// and drops a node suffers between its last heartbeat and its death are
-// lost from the global count.
+// (worker-removal overflow) and expiries, gathered live, drops absorbed
+// at death. At quiescence the global conservation law Submitted = Active
+// + Completed + Buffered + Dropped + Expired holds across the whole
+// cluster, including after node failures. The Admission is also the one
+// ID-keyed task map: each live ID maps to its node and task, and leaves
+// on completion, removal drop, reject or failed requeue. Three
+// documented caveats: node-internal steal drops are invisible to it (run
+// cluster nodes with the steal loop off); a node that runs its own
+// expiry sweep (-deadline-aware) expires tasks without telling the
+// gateway, so their IDs stay live here, and dropNode requeues them; and
+// drops a node suffers between its last heartbeat and its death are lost
+// from the global count.
 type Gateway struct {
 	cfg     GatewayConfig
 	log     *slog.Logger
@@ -196,12 +202,10 @@ type Gateway struct {
 	workerLoc map[string]workerPin
 	locGen    uint64
 
-	ledgerMu sync.Mutex
-	ledger   map[string]ledgerEntry
-
-	// adm admits offers: the cluster-wide duplicate filter, Submitted,
-	// and the gateway-level drops (total rejects + failed requeues).
-	adm       *shard.Admission
+	// adm admits offers: the cluster-wide filter over live task IDs, each
+	// mapped to its placement, Submitted, and the gateway-level drops
+	// (total rejects + failed requeues).
+	adm       *shard.Admission[placement]
 	completed atomic.Int64
 
 	closed atomic.Bool
@@ -292,8 +296,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		order:       names,
 		lastDropped: make(map[string]int64, len(peers)),
 		workerLoc:   make(map[string]workerPin),
-		ledger:      make(map[string]ledgerEntry),
-		adm:         shard.NewAdmission(true, nil, nil),
+		adm:         shard.NewAdmission[placement](nil, nil),
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
 	}
@@ -372,8 +375,12 @@ func (g *Gateway) fanOut(ctx context.Context, op Op) ([]*peer, []OpResult) {
 }
 
 // owner resolves the node responsible for a worker: the registration pin
-// when one exists, the ring otherwise.
+// when one exists, the ring otherwise. After Close it fails with
+// shard.ErrClosed, so every per-worker call does.
 func (g *Gateway) owner(workerID string) (*peer, error) {
+	if g.closed.Load() {
+		return nil, shard.ErrClosed
+	}
 	g.locMu.RLock()
 	pin, pinned := g.workerLoc[workerID]
 	g.locMu.RUnlock()
@@ -438,9 +445,7 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 		g.adm.Reject(t.ID)
 		return "", err
 	}
-	g.ledgerMu.Lock()
-	g.ledger[t.ID] = ledgerEntry{node: node, task: t}
-	g.ledgerMu.Unlock()
+	g.adm.Place(t.ID, placement{node: node, task: t})
 	return wid, nil
 }
 
@@ -501,35 +506,26 @@ func (g *Gateway) AddWorker(w *core.Worker) ([]*core.Task, error) {
 	return g.AddWorkerCtx(context.Background(), w)
 }
 
-// AddWorkerCtx places the worker on its ring owner, pins it there, and
-// returns any buffered tasks the arrival drained into assignment.
+// AddWorkerCtx places the worker on its owner (the ring's pick, or its
+// pin), pins it there, and returns any buffered tasks the arrival drained
+// into assignment.
 func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	if g.closed.Load() {
-		return nil, shard.ErrClosed
-	}
 	if w == nil || w.ID == "" {
 		return nil, errors.New("cluster: nil worker or empty ID")
 	}
-	g.mu.Lock()
-	if g.ring == nil {
-		g.mu.Unlock()
-		return nil, ErrNoNodes
-	}
-	name := g.order[g.ring.Lookup(w.ID)]
-	p := g.peers[name]
-	g.mu.Unlock()
-	if p == nil || p.down.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrPeerDown, name)
-	}
-	ww := workerToWire(w)
-	res, err := p.doCtx(ctx, Op{Op: opAddWorker, Worker: &ww})
+	p, err := g.owner(w.ID)
 	if err != nil {
 		return nil, err
 	}
-	if !res.OK {
-		return nil, resultErr(res)
+	ww := workerToWire(w)
+	res, err := p.doCtx(ctx, Op{Op: opAddWorker, Worker: &ww})
+	if err == nil && !res.OK {
+		err = resultErr(res)
+	}
+	if err != nil {
+		return nil, err
 	}
 	g.locMu.Lock()
 	g.workerLoc[w.ID] = workerPin{node: p.name, worker: w}
@@ -544,22 +540,17 @@ func (g *Gateway) RemoveWorker(id string) ([]*core.Task, error) {
 
 // RemoveWorkerCtx deregisters the worker from its node. Tasks the node
 // could not rebuffer come back dropped — the node counted them in its own
-// drop counter, so the gateway only prunes its ledger (counting them here
-// too would double them in the global accounting).
+// drop counter, so the gateway only releases their IDs (counting them
+// here too would double them in the global accounting).
 func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error) {
-	if g.closed.Load() {
-		return nil, shard.ErrClosed
-	}
 	res, err := g.onOwner(ctx, Op{Op: opRemoveWorker, WorkerID: id}, func(_ *peer, res OpResult) error {
 		g.locMu.Lock()
 		delete(g.workerLoc, id)
 		g.locGen++
 		g.locMu.Unlock()
-		g.ledgerMu.Lock()
 		for _, twr := range res.Tasks {
-			delete(g.ledger, twr.ID)
+			g.adm.Release(twr.ID)
 		}
-		g.ledgerMu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -580,8 +571,8 @@ func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*co
 	if err != nil || res.Next == nil {
 		return nil, err
 	}
-	// The pulled task moved buffer→active on the same node; its ledger
-	// entry already points there.
+	// The pulled task moved buffer→active on the same node; its
+	// placement already points there.
 	return wireToTask(*res.Next)
 }
 
@@ -620,14 +611,9 @@ func (g *Gateway) CompleteRead(ctx context.Context, workerID, taskID string) (sh
 // complete is the body of CompleteCtx and CompleteRead: the complete op
 // on the worker's node and the gateway's accounting for it.
 func (g *Gateway) complete(ctx context.Context, workerID, taskID string) (OpResult, error) {
-	if g.closed.Load() {
-		return OpResult{}, shard.ErrClosed
-	}
 	return g.onOwner(ctx, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID}, func(*peer, OpResult) error {
 		g.completed.Add(1)
-		g.ledgerMu.Lock()
-		delete(g.ledger, taskID)
-		g.ledgerMu.Unlock()
+		g.adm.Release(taskID)
 		return nil
 	})
 }
@@ -942,26 +928,18 @@ func (g *Gateway) dropNode(name string) {
 	g.locGen++
 	g.locMu.Unlock()
 
-	g.ledgerMu.Lock()
-	var orphans []*core.Task
-	for id, e := range g.ledger {
-		if e.node == name {
-			orphans = append(orphans, e.task)
-			delete(g.ledger, id)
-		}
-	}
-	g.ledgerMu.Unlock()
+	// The orphans stay live while they requeue, so a re-offer of one is
+	// still refused.
+	orphans := g.adm.Select(func(p placement) bool { return p.node == name })
 	requeued, lost := 0, 0
-	for _, t := range orphans {
-		_, node, err := g.routeTask(context.Background(), t)
+	for _, o := range orphans {
+		_, node, err := g.routeTask(context.Background(), o.task)
 		if err != nil {
-			g.adm.Reject(t.ID)
+			g.adm.Reject(o.task.ID)
 			lost++
 			continue
 		}
-		g.ledgerMu.Lock()
-		g.ledger[t.ID] = ledgerEntry{node: node, task: t}
-		g.ledgerMu.Unlock()
+		g.adm.Place(o.task.ID, placement{node: node, task: o.task})
 		requeued++
 	}
 	g.met.Requeued.Add(float64(requeued))

@@ -36,6 +36,14 @@ func (m assigners) Commit(_ context.Context, i int, t *core.Task) (string, bool)
 
 func (m assigners) Buffer(_ context.Context, i int, t *core.Task) error { return m[i].BufferTask(t) }
 
+// placedOn is the node the gateway's Admission places a live task on.
+func placedOn(gw *Gateway, id string) string {
+	for _, p := range gw.adm.Select(func(p placement) bool { return p.task != nil && p.task.ID == id }) {
+		return p.node
+	}
+	return ""
+}
+
 func taskIDs(ts []*core.Task) []string {
 	ids := make([]string, len(ts))
 	for i, t := range ts {
@@ -136,7 +144,7 @@ func TestGatewayMatchesInProcessRoute(t *testing.T) {
 					}
 					if gotErr == nil && gotW == "" {
 						buffered++
-						if node := gw.ledger[task.ID].node; node != names[at] {
+						if node := placedOn(gw, task.ID); node != names[at] {
 							t.Fatalf("offer %s buffered on %s through the gateway, on %s in process", task.ID, node, names[at])
 						}
 					}

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/quality"
 	"github.com/htacs/ata/internal/shard"
@@ -216,5 +217,54 @@ func TestSubmitAnswerRetryNeverDoubleCounts(t *testing.T) {
 	}
 	if st := tr.Stats(); st.AnswersSubmitted != 1 {
 		t.Fatalf("conflict leaked into accounting: %+v", st)
+	}
+}
+
+// TestQualityRefusesReuploadOfAnsweredTask: the engine takes a task ID
+// again once its replicas have completed, but the tracker keeps the
+// task's answers, so the upload handler refuses a task it holds answers
+// for, and offers none of its replicas.
+func TestQualityRefusesReuploadOfAnsweredTask(t *testing.T) {
+	const k = 2
+	eng, _, _, client := newQualityServer(t, k, quality.Config{Options: 4})
+	g, err := workload.NewGenerator(workload.Config{Seed: 3, Universe: universe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := g.Tasks(1, 1)[0]
+	workers := []string{"w-a", "w-b"}
+	for _, w := range workers {
+		if _, err := client.Register(w, sixKeywords(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.AddTasks([]*core.Task{task}); err != nil {
+		t.Fatal(err)
+	}
+	// Both replicas are assigned; completing them releases their IDs.
+	completed := 0
+	for _, w := range workers {
+		views, err := client.Tasks(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range views {
+			if _, err := client.Complete(w, v.ID); err != nil {
+				t.Fatal(err)
+			}
+			completed++
+		}
+	}
+	if completed != k {
+		t.Fatalf("completed %d replicas, want %d", completed, k)
+	}
+	if _, err := client.SubmitAnswer("w-a", task.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.AddTasks([]*core.Task{task}); err == nil {
+		t.Fatal("re-upload of an answered task accepted")
+	}
+	if st := eng.Stats(); st.Submitted != k || st.Completed != k {
+		t.Fatalf("engine submitted %d, completed %d, want %d and %d", st.Submitted, st.Completed, k, k)
 	}
 }

@@ -104,6 +104,12 @@ func (s *Server) handleShardAddTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, t := range tasks {
 		if s.cfg.Quality != nil {
+			// The engine refuses only live IDs; a task the tracker holds
+			// answers for is refused here.
+			if s.cfg.Quality.Answered(t.ID) {
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: duplicate task %q: already answered", t.ID))
+				return
+			}
 			// Logical registration: applies the auto-gold rule before any
 			// replica can be answered.
 			s.cfg.Quality.ObserveTask(t.ID)

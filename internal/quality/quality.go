@@ -261,6 +261,16 @@ func (tr *Tracker) ObserveTask(taskID string) {
 	tr.addGoldLocked(id, ans)
 }
 
+// Answered reports whether the tracker holds answers for taskID's
+// logical task. It keeps them for good, so every answer to a re-upload's
+// replicas would be refused.
+func (tr *Tracker) Answered(taskID string) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	ts := tr.tasks[LogicalID(taskID)]
+	return ts != nil && len(ts.votes) > 0
+}
+
 // AddGold marks a logical task as a gold probe with the known answer.
 func (tr *Tracker) AddGold(taskID string, answer int) error {
 	if answer < 0 || answer >= tr.cfg.Options {

@@ -17,10 +17,10 @@ import (
 //   - TryAssign is the node's commit: the commit walk over its shards;
 //   - BufferAny is the node's buffer: the buffer walk over its shards.
 //
-// The gateway's Admission admits the task; these methods only Accept it
-// into this engine's, so the node's own OfferTask path stays coherent and
-// the per-node conservation law (submitted = active + completed +
-// buffered + dropped) keeps holding when traffic arrives over RPC instead
+// The gateway's Admission admits the task and holds its ID; these
+// methods only count it in this engine's Admission (Accept), so the
+// per-node conservation law (submitted = active + completed + buffered +
+// dropped + expired) keeps holding when traffic arrives over RPC instead
 // of the local API.
 
 // BestGain is the head of the ranking of t over this engine's shards: the
@@ -43,7 +43,7 @@ func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 // TryAssign is the commit walk of t over this engine's shards: it never
 // buffers and returns ok=false instead of an error when no shard commits
 // — the cluster router will commit to another node or buffer explicitly.
-// On success the task is accepted into the engine's Admission.
+// On success the task is counted in the engine's Admission.
 func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	release, err := e.begin()
 	if err != nil {
@@ -66,7 +66,7 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 		ok = at >= 0
 	}
 	if ok {
-		e.adm.Accept(t.ID)
+		e.adm.Accept()
 	}
 	return wid, ok
 }
@@ -74,7 +74,7 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 // BufferAny parks t by the buffer walk over live backlogs without
 // attempting assignment — the buffer half of a cluster routing decision
 // that picked this node. Returns stream.ErrBufferFull when every local
-// buffer is at its limit. Accepted tasks are accepted into the engine's
+// buffer is at its limit. Accepted tasks are counted in the engine's
 // Admission, like TryAssign.
 func (e *Engine) BufferAny(t *core.Task) error {
 	release, err := e.begin()
@@ -88,6 +88,6 @@ func (e *Engine) BufferAny(t *core.Task) error {
 	if err := e.bufferLive(t); err != nil {
 		return err
 	}
-	e.adm.Accept(t.ID)
+	e.adm.Accept()
 	return nil
 }

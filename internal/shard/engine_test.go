@@ -106,22 +106,26 @@ func TestOfferRoutesToBestWorkerAcrossShards(t *testing.T) {
 }
 
 func TestDuplicateTaskRejectedGlobally(t *testing.T) {
-	e := testEngine(t, Config{Shards: 3, StealInterval: -1, Stream: stream.Config{Xmax: 2}})
-	workers, tasks := genWorkload(3, 6, 1)
-	for _, w := range workers {
-		if _, err := e.AddWorker(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.OfferTask(tasks[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.OfferTask(tasks[0]); err == nil {
-		t.Fatal("duplicate task accepted — global dedup broken")
-	}
-	st := e.Stats()
-	if st.Submitted != 1 {
-		t.Fatalf("duplicate counted as submitted: %d", st.Submitted)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := testEngine(t, Config{Shards: shards, StealInterval: -1, Stream: stream.Config{Xmax: 2}})
+			workers, tasks := genWorkload(3, 6, 1)
+			for _, w := range workers {
+				if _, err := e.AddWorker(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.OfferTask(tasks[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.OfferTask(tasks[0]); err == nil {
+				t.Fatal("duplicate task accepted — global dedup broken")
+			}
+			st := e.Stats()
+			if st.Submitted != 1 {
+				t.Fatalf("duplicate counted as submitted: %d", st.Submitted)
+			}
+		})
 	}
 }
 

@@ -36,7 +36,8 @@ func (e *Engine) expireLoop() {
 // journaled (ops.EventExpire, with the task IDs for small batches) and
 // counted per shard and engine-wide, so the conservation law
 // Submitted = Active + Completed + Buffered + Dropped + Expired keeps
-// balancing — an expired task is never a silent drop.
+// balancing — an expired task is never a silent drop. Its ID leaves the
+// duplicate filter, so it may be offered again.
 func (e *Engine) ExpireOnce(now int64) int {
 	release, err := e.begin()
 	if err != nil {
@@ -49,6 +50,9 @@ func (e *Engine) ExpireOnce(now int64) int {
 		a.call(func(asn *stream.Assigner) { exp = asn.ExpireDue(now) })
 		if len(exp) == 0 {
 			continue
+		}
+		for _, t := range exp {
+			e.adm.Release(t.ID)
 		}
 		a.expired.Add(int64(len(exp)))
 		e.metrics.Expired.Add(float64(len(exp)))

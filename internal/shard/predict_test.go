@@ -46,7 +46,7 @@ func TestPredictiveStealMovesBeforeWatermark(t *testing.T) {
 		// Backlog exactly at the watermark: the reactive trigger
 		// (backlog > watermark) stays quiet.
 		for _, task := range tasks[:4] {
-			e.adm.Accept(task.ID)
+			e.adm.Accept()
 			e.actors[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
 		}
 		return recv
@@ -90,7 +90,7 @@ func TestPredictiveStealMovesBeforeWatermark(t *testing.T) {
 
 // TestExpireOnceJournalsAndConserves checks the expiry sweep end to end:
 // due tasks leave the buffer exactly once, are counted into Stats.Expired,
-// journaled with their IDs, stay in the duplicate filter, and the
+// journaled with their IDs, leave the duplicate filter, and the
 // conservation equation keeps balancing.
 func TestExpireOnceJournalsAndConserves(t *testing.T) {
 	var clock atomic.Int64
@@ -130,10 +130,9 @@ func TestExpireOnceJournalsAndConserves(t *testing.T) {
 	if v := e.metrics.Expired.Value(); v != 3 {
 		t.Fatalf("engine Expired counter = %v, want 3", v)
 	}
-	// Expired IDs stay in the duplicate filter — expiry is not a re-offer
-	// license.
-	if _, err := e.OfferTask(tasks[0]); err == nil {
-		t.Fatal("expired task accepted as a fresh offer")
+	// An expired ID is no longer live, so it may be offered again.
+	if _, err := e.OfferTask(tasks[0]); err != nil {
+		t.Fatalf("re-offer of an expired task: %v", err)
 	}
 	var ev *ops.Event
 	for _, cand := range j.Snapshot(64) {

@@ -30,7 +30,9 @@
 // All three steps are Route (route.go), the one decision the cluster
 // gateway also makes over its nodes. A Member brings the transport: its
 // Scatter asks the shard actors here and the nodes' RPC there, and
-// Admission is the duplicate filter and counters both keep around it.
+// Admission is the duplicate filter and counters both keep around it:
+// an ID is refused while it is buffered or active, and may be offered
+// again once it completes, expires or is dropped.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded
@@ -139,12 +141,14 @@ type Engine struct {
 	live   sync.RWMutex
 	closed bool
 
-	// adm is the offers' admission: the engine-wide duplicate filter (a
-	// task lives on exactly one shard, so per-shard filters cannot see
-	// cross-shard duplicates), the submitted count and the offers rejected
-	// with ErrBufferFull. Per-shard removal/steal overflow lives on the
-	// actors. base* carry counters restored from a snapshot.
-	adm           *Admission
+	// adm is the offers' admission: the engine-wide filter over live task
+	// IDs (a task lives on exactly one shard, so per-shard filters cannot
+	// see cross-shard duplicates), the submitted count and the offers
+	// rejected with ErrBufferFull. Every exit the engine sees (completion,
+	// expiry, removal and steal overflow) releases the ID. Per-shard
+	// removal/steal overflow counts live on the actors. base* carry
+	// counters restored from a snapshot.
+	adm           *Admission[struct{}]
 	baseSubmitted int64
 	baseCompleted int64
 	baseDropped   int64
@@ -231,7 +235,7 @@ func New(cfg Config) (*Engine, error) {
 		journal: cfg.Journal,
 	}
 	e.metrics.Shards.Set(float64(cfg.Shards))
-	e.adm = NewAdmission(cfg.Shards > 1, e.metrics.Submitted, e.metrics.Dropped)
+	e.adm = NewAdmission[struct{}](e.metrics.Submitted, e.metrics.Dropped)
 	e.now = cfg.Stream.Now
 	if e.now == nil {
 		e.now = func() int64 { return time.Now().UnixNano() }
@@ -379,6 +383,9 @@ func (e *Engine) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, 
 			a.dropped.Add(int64(n))
 			e.metrics.Dropped.Add(float64(n))
 		}
+		for _, t := range dropped {
+			e.adm.Release(t.ID)
+		}
 		trace.Event(ctx, "shard.remove_worker",
 			trace.Str("worker", id), trace.Int("shard", a.id),
 			trace.Int("dropped", len(dropped)))
@@ -409,38 +416,26 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 		return "", errors.New("shard: task with empty ID")
 	}
 
-	// Single shard: route straight through the one assigner so behaviour
-	// (selection, dedup, buffering, metrics) is exactly the bare
-	// stream.Assigner's — the determinism test pins this.
-	if len(e.actors) == 1 {
-		var wid string
-		start := time.Now()
-		e.actors[0].call(func(asn *stream.Assigner) { wid, err = asn.OfferTask(t) })
-		e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
-		switch {
-		case err == nil:
-			e.adm.Accept(t.ID)
-			if e.forecast != nil {
-				e.forecast[0].RecordArrivals(1)
-			}
-		case errors.Is(err, stream.ErrBufferFull):
-			e.adm.Accept(t.ID)
-			e.adm.Reject(t.ID)
-		}
-		return wid, err
-	}
-
 	if !e.adm.Admit(t.ID) {
 		return "", fmt.Errorf("shard: duplicate task %q", t.ID)
 	}
-	ctx, span := trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
+	wid, shardID := "", 0
 	start := time.Now()
-	wid, shardID, err := Route(ctx, shards{e}, t)
+	if len(e.actors) == 1 {
+		// Single shard: straight through the one assigner, so selection,
+		// buffering and metrics are exactly the bare stream.Assigner's —
+		// the determinism test pins this.
+		e.actors[0].call(func(asn *stream.Assigner) { wid, err = asn.OfferTask(t) })
+	} else {
+		var span *trace.Span
+		ctx, span = trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
+		wid, shardID, err = Route(ctx, shards{e}, t)
+		span.SetAttrs(trace.Int("shard", shardID),
+			trace.Bool("buffered", err == nil && wid == ""), trace.Str("worker", wid))
+		span.End()
+	}
 	e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
-	span.SetAttrs(trace.Int("shard", shardID),
-		trace.Bool("buffered", err == nil && wid == ""), trace.Str("worker", wid))
-	span.End()
-	if err == nil && e.forecast != nil && shardID >= 0 {
+	if err == nil && e.forecast != nil {
 		e.forecast[shardID].RecordArrivals(1)
 	}
 	if errors.Is(err, stream.ErrBufferFull) {
@@ -555,6 +550,7 @@ func (e *Engine) complete(ctx context.Context, workerID, taskID string, read boo
 		}
 	})
 	if err == nil {
+		e.adm.Release(taskID)
 		a.completed.Add(1)
 		if e.forecast != nil {
 			e.forecast[a.id].RecordCompletions(1)
@@ -570,60 +566,36 @@ func (e *Engine) complete(ctx context.Context, workerID, taskID string, read boo
 	return c, err
 }
 
-// Active returns the worker's assigned task IDs.
-func (e *Engine) Active(workerID string) ([]string, error) {
+// onWorker is the body of the per-worker calls: read on the shard that
+// owns workerID, under the liveness read-lock.
+func onWorker[T any](e *Engine, workerID string, read func(*stream.Assigner, string) (T, error)) (out T, err error) {
 	release, err := e.begin()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	defer release()
-	var out []string
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		out, err = asn.Active(workerID)
-	})
+	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) { out, err = read(asn, workerID) })
 	return out, err
+}
+
+// Active returns the worker's assigned task IDs.
+func (e *Engine) Active(workerID string) ([]string, error) {
+	return onWorker(e, workerID, (*stream.Assigner).Active)
 }
 
 // ActiveTasks returns the worker's assigned tasks.
 func (e *Engine) ActiveTasks(workerID string) ([]*core.Task, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var out []*core.Task
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		out, err = asn.ActiveTasks(workerID)
-	})
-	return out, err
+	return onWorker(e, workerID, (*stream.Assigner).ActiveTasks)
 }
 
 // Completed returns how many tasks the worker finished.
 func (e *Engine) Completed(workerID string) (int, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var n int
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		n, err = asn.Completed(workerID)
-	})
-	return n, err
+	return onWorker(e, workerID, (*stream.Assigner).Completed)
 }
 
 // Trust returns the worker's trust multiplier on its owning shard.
 func (e *Engine) Trust(workerID string) (float64, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var v float64
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		v, err = asn.Trust(workerID)
-	})
-	return v, err
+	return onWorker(e, workerID, (*stream.Assigner).Trust)
 }
 
 // SetTrust updates the worker's trust multiplier on its owning shard
@@ -631,16 +603,9 @@ func (e *Engine) Trust(workerID string) (float64, error) {
 // Config.Stream.WithTrust; lifting a quarantine drains that shard's
 // buffer into the worker and returns the tasks assigned).
 func (e *Engine) SetTrust(workerID string, trust float64) ([]*core.Task, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var drained []*core.Task
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		drained, err = asn.SetTrust(workerID, trust)
+	return onWorker(e, workerID, func(asn *stream.Assigner, id string) ([]*core.Task, error) {
+		return asn.SetTrust(id, trust)
 	})
-	return drained, err
 }
 
 // SetWindow records the worker's declared availability-window end on its
@@ -665,30 +630,12 @@ func (e *Engine) SetWindow(workerID string, until int64) error {
 // Window returns the worker's recorded availability-window end (0 =
 // unknown).
 func (e *Engine) Window(workerID string) (int64, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var until int64
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		until, err = asn.Window(workerID)
-	})
-	return until, err
+	return onWorker(e, workerID, (*stream.Assigner).Window)
 }
 
 // Worker returns the registered worker record.
 func (e *Engine) Worker(workerID string) (*core.Worker, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var w *core.Worker
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		w, err = asn.Worker(workerID)
-	})
-	return w, err
+	return onWorker(e, workerID, (*stream.Assigner).Worker)
 }
 
 // BufferLen returns the total buffered backlog across shards (atomic

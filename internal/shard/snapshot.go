@@ -252,13 +252,14 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 				if terr != nil {
 					return terr
 				}
-				e.adm.Register(t.ID)
 				if err := e.bufferLive(t); err != nil {
 					// Smaller total buffer capacity than the snapshot
 					// had: count the overflow (picked up by Stats via
 					// the actor sum), keep the invariant.
 					e.actors[0].dropped.Add(1)
 					e.metrics.Dropped.Inc()
+				} else {
+					e.adm.Register(t.ID)
 				}
 			}
 		}

@@ -198,6 +198,7 @@ func (e *Engine) executeSteal(p stealPlan) int {
 			for _, t := range tasks {
 				if err := asn.BufferTask(t); err != nil {
 					dropped++
+					e.adm.Release(t.ID)
 				}
 			}
 		})

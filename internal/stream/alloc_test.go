@@ -44,22 +44,20 @@ func newSteadyAssigner(t *testing.T, nWorkers, xmax, depth int) *Assigner {
 	return a
 }
 
-// supplyTasks pre-creates n tasks (reusing buffered keyword sets, so no
-// allocation is attributable to the tasks themselves) and prewarms the
-// duplicate filter with their IDs.
+// supplyTasks pre-creates n tasks, reusing buffered keyword sets, so no
+// allocation is attributable to the tasks themselves.
 func supplyTasks(a *Assigner, prefix string, n int) []*core.Task {
 	tasks := make([]*core.Task, n)
 	for i := range tasks {
 		tasks[i] = &core.Task{ID: fmt.Sprintf("%s-%d", prefix, i), Keywords: a.buffer[i%a.BufferLen()].Keywords}
 	}
-	prewarmSeen(a, tasks)
 	return tasks
 }
 
 // TestOfferTaskSteadyStateAllocFree pins the buffered-arrival path to zero
-// allocations: once the pack mirrors, scratch rows and the duplicate
-// filter have grown to working size, pricing a task against every worker
-// and appending it to every cache column must not touch the heap.
+// allocations: once the pack mirrors and scratch rows have grown to
+// working size, pricing a task against every worker and appending it to
+// every cache column must not touch the heap.
 func TestOfferTaskSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")

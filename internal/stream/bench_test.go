@@ -82,7 +82,6 @@ func BenchmarkOfferTask(b *testing.B) {
 	for i := range tasks {
 		tasks[i] = &core.Task{ID: fmt.Sprintf("bench-offer-%d", i), Keywords: a.buffer[0].Keywords}
 	}
-	prewarmSeen(a, tasks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +149,6 @@ func BenchmarkCompleteTask(b *testing.B) {
 				b.Fatalf("fill: depth %d free %d", a.BufferLen(), a.FreeCapacity())
 			}
 			supply := tasks[fill:]
-			prewarmSeen(a, supply)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -168,17 +166,6 @@ func BenchmarkCompleteTask(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// prewarmSeen grows the duplicate filter to its final size before timing
-// so steady-state inserts reuse map cells instead of triggering growth.
-func prewarmSeen(a *Assigner, tasks []*core.Task) {
-	for _, t := range tasks {
-		a.seen[t.ID] = true
-	}
-	for _, t := range tasks {
-		delete(a.seen, t.ID)
 	}
 }
 
@@ -263,7 +250,6 @@ func BenchmarkOfferWide(b *testing.B) {
 			}
 		}
 		supply := newTasks("steady", b.N)
-		prewarmSeen(a, supply)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for _, t := range supply {

@@ -71,8 +71,7 @@ func (a *Assigner) DeadlinedBuffered() int { return a.deadlined }
 // tie-break.) The caller owns the
 // expired tasks — the sharded engine journals and counts them so the
 // conservation law (submitted = delivered + dropped + expired + backlog)
-// still balances. Tasks stay in the duplicate set: an expired ID cannot
-// be resubmitted. Works regardless of DeadlineAware — calling it is
+// still balances. Works regardless of DeadlineAware — calling it is
 // opt-in by itself.
 func (a *Assigner) ExpireDue(now int64) []*core.Task {
 	if a.deadlined == 0 {

@@ -52,10 +52,6 @@ func TestExpireDueRemovesAndCounts(t *testing.T) {
 	if got := m.Expired.Value(); got != 2 {
 		t.Fatalf("Expired metric = %v, want 2", got)
 	}
-	// Expired IDs stay in the duplicate set.
-	if _, err := a.OfferTask(dtask("t1", 900, 0)); err == nil {
-		t.Fatal("resubmitting an expired ID succeeded")
-	}
 	// Nothing due → no-op fast path.
 	if again := a.ExpireDue(100); again != nil {
 		t.Fatalf("second ExpireDue returned %v, want nil", again)

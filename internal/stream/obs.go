@@ -9,8 +9,8 @@ import (
 // Metrics are the streaming assigner's instruments. The accounting model
 // is a task-flow conservation law the property tests pin down:
 //
-//	Submitted  = every well-formed OfferTask attempt (duplicates and nil
-//	             tasks error out before counting);
+//	Submitted  = every well-formed OfferTask attempt (nil tasks and
+//	             empty IDs error out before counting);
 //	Delivered  = every hand-off of a task to a worker (direct offer,
 //	             buffer pull on Complete/AddWorker, including
 //	             re-deliveries of requeued tasks);

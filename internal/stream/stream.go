@@ -22,6 +22,11 @@
 // (Equation 3 of the paper, incrementally):
 //
 //	Δ(q, k) = 2·α_q·Σ_{t∈active(q)} d(k, t) + β_q·(TR_q + |active(q)|·rel(q, k))
+//
+// The assigner keeps no duplicate filter: a task ID must not be offered
+// while a task with that ID is buffered or active. The layer that admits
+// tasks enforces that (shard.Admission, for the engine and the cluster
+// gateway).
 package stream
 
 import (
@@ -113,7 +118,6 @@ type Assigner struct {
 	free    []uint64
 	partial []uint64
 	buffer  []*core.Task
-	seen    map[string]bool // task IDs ever accepted, to reject duplicates
 	metrics *Metrics
 
 	// deadlined counts buffered tasks with a non-zero deadline, maintained
@@ -213,7 +217,6 @@ func NewAssigner(cfg Config) (*Assigner, error) {
 	a := &Assigner{
 		cfg:     cfg,
 		workers: make(map[string]*workerState),
-		seen:    make(map[string]bool),
 		metrics: m,
 	}
 	a.clsKw = func(i int) *bitset.Set { return a.classes[i].kw }
@@ -391,6 +394,9 @@ var ErrBufferFull = errors.New("stream: task buffer full")
 
 // OfferTask routes an arriving task: to the best worker with capacity, or
 // into the buffer. It returns the assigned worker's ID, or "" if buffered.
+// The assigner refuses nothing by ID: task IDs must be unique among the
+// live tasks, which is the caller's job (shard.Admission keeps that
+// filter for the engine and the cluster gateway).
 func (a *Assigner) OfferTask(t *core.Task) (string, error) {
 	if t == nil || t.Keywords == nil {
 		return "", errors.New("stream: nil task or keywords")
@@ -398,15 +404,10 @@ func (a *Assigner) OfferTask(t *core.Task) (string, error) {
 	if t.ID == "" {
 		return "", errors.New("stream: task with empty ID")
 	}
-	if a.seen[t.ID] {
-		return "", fmt.Errorf("stream: duplicate task %q", t.ID)
-	}
 	a.metrics.Submitted.Inc()
 	bestQ, _, bestRel := a.bestFree(t)
-	a.seen[t.ID] = true
 	if bestQ == "" {
 		if len(a.buffer) >= a.cfg.BufferLimit {
-			delete(a.seen, t.ID)
 			a.metrics.Dropped.Inc()
 			return "", ErrBufferFull
 		}
@@ -612,10 +613,9 @@ func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
 }
 
 // TryAssign assigns t to the best free worker under the same selection
-// rule as OfferTask, but never buffers on failure and does not consult
-// the duplicate-task set — in the sharded engine deduplication is global
-// (the router's job), and a task rejected here will be committed to
-// another shard. Returns ("", false) when no worker has a free slot.
+// rule as OfferTask, but never buffers on failure — in the sharded
+// engine a task rejected here will be committed to another shard.
+// Returns ("", false) when no worker has a free slot.
 // Right after a BestGain of an equal task it reuses that pick instead of
 // scanning again (see BestGain).
 func (a *Assigner) TryAssign(t *core.Task) (string, bool) {
@@ -632,16 +632,13 @@ func (a *Assigner) TryAssign(t *core.Task) (string, bool) {
 	if id == "" {
 		return "", false
 	}
-	a.seen[t.ID] = true
 	a.assign(a.workers[id], t, rel)
 	return id, true
 }
 
 // BufferTask parks t in the buffer without attempting assignment — the
 // commit half of a routing decision that picked this shard as the least
-// loaded. Like TryAssign it skips the local duplicate check (global dedup
-// is the caller's job; a stolen task may legitimately return to a shard
-// that has seen it before). Returns ErrBufferFull beyond the limit.
+// loaded. Returns ErrBufferFull beyond the limit.
 func (a *Assigner) BufferTask(t *core.Task) error {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return errors.New("stream: nil task or keywords")
@@ -649,7 +646,6 @@ func (a *Assigner) BufferTask(t *core.Task) error {
 	if len(a.buffer) >= a.cfg.BufferLimit {
 		return ErrBufferFull
 	}
-	a.seen[t.ID] = true
 	a.bufferAppend(t)
 	a.syncQueueGauge()
 	return nil
@@ -713,7 +709,6 @@ func (a *Assigner) ForceAssign(workerID string, t *core.Task) error {
 	if len(ws.active) >= a.cfg.Xmax {
 		return fmt.Errorf("stream: worker %q is at capacity", workerID)
 	}
-	a.seen[t.ID] = true
 	a.assign(ws, t, metric.Relevance(a.cfg.Dist, t.Keywords, ws.worker.Keywords))
 	return nil
 }

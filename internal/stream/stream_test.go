@@ -171,12 +171,6 @@ func TestDuplicateRejection(t *testing.T) {
 	if _, err := a.AddWorker(wrk("w1", 0.5, 1)); err == nil {
 		t.Error("duplicate worker accepted")
 	}
-	if _, err := a.OfferTask(task("t1", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.OfferTask(task("t1", 1)); err == nil {
-		t.Error("duplicate task accepted")
-	}
 }
 
 func TestWorkerArrivalDrainsBuffer(t *testing.T) {
