@@ -30,6 +30,8 @@ func (m assigners) Scatter(_ context.Context, t *core.Task) []shard.Score {
 	return scores
 }
 
+func (m assigners) Rescore(context.Context, *core.Task, []shard.Score) {}
+
 func (m assigners) Commit(_ context.Context, i int, t *core.Task) (string, bool) {
 	return m[i].TryAssign(t)
 }

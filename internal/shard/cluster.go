@@ -26,6 +26,8 @@ import (
 // BestGain is the head of the ranking of t over this engine's shards: the
 // score of the shard TryAssign commits to first. free is false when every
 // worker on every shard is full — the gain values are then meaningless.
+// The head is never pending: settle fills the pending scores unless a
+// computed one ranks before them.
 func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	release, err := e.begin()
 	if err != nil {
@@ -35,8 +37,9 @@ func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return 0, 0, false
 	}
-	scores := shards{e}.Scatter(context.Background(), t)
-	s := scores[rank(scores)[0]]
+	ctx, m := context.Background(), shards{e}
+	scores := m.Scatter(ctx, t)
+	s := scores[settle(ctx, m, t, scores)[0]]
 	return s.Gain, s.Rel, s.Free
 }
 

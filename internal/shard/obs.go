@@ -29,6 +29,10 @@ type Metrics struct {
 	// scored free was full by the time the commit arrived, so the offer
 	// fell to the next shard in the ranking.
 	CommitRetries *obs.Counter
+	// RouteRescores counts the offers whose decision needed the full
+	// score of a shard that answered the scatter pending (route.go's
+	// settle): the exact fallback of ranking partly-filled workers first.
+	RouteRescores *obs.Counter
 	// Steals counts rebalance rounds that moved at least one task;
 	// StolenTasks the tasks moved; StealBatch the per-round batch sizes.
 	Steals      *obs.Counter
@@ -61,6 +65,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"scatter-gather routing latency per offered task", obs.DurationBuckets()),
 		CommitRetries: r.Counter("hta_shard_commit_retries_total",
 			"commits refused by a shard that scored free (contention fallback)"),
+		RouteRescores: r.Counter("hta_shard_route_rescore_total",
+			"offers whose routing asked a pending shard for its full score"),
 		Steals: r.Counter("hta_shard_steals_total",
 			"rebalance rounds that moved at least one task"),
 		StolenTasks: r.Counter("hta_shard_stolen_tasks_total",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/htacs/ata/internal/core"
@@ -22,6 +23,8 @@ type scripted struct {
 }
 
 func (m *scripted) Scatter(context.Context, *core.Task) []Score { return nil }
+
+func (m *scripted) Rescore(context.Context, *core.Task, []Score) {}
 
 func (m *scripted) Commit(_ context.Context, i int, _ *core.Task) (string, bool) {
 	m.commits = append(m.commits, i)
@@ -256,6 +259,89 @@ func FuzzRank(f *testing.F) {
 			t.Fatalf("buffer walk returned %d after asking %v", at, m.buffers)
 		case err != nil && (!errors.Is(err, stream.ErrBufferFull) || len(m.buffers) != n):
 			t.Fatalf("buffer walk failed with %v after asking %v of %d", err, m.buffers, n)
+		}
+	})
+}
+
+// pendingSet is a scripted member set whose scatter answers the scores
+// it holds, some of them pending, and whose Rescore fills the pending
+// ones from the full scores and counts the call.
+type pendingSet struct {
+	*scripted
+	scattered, full []Score
+	rescores        int
+}
+
+func (m *pendingSet) Scatter(context.Context, *core.Task) []Score {
+	return append([]Score(nil), m.scattered...)
+}
+
+func (m *pendingSet) Rescore(_ context.Context, _ *core.Task, scores []Score) {
+	m.rescores++
+	for i := range scores {
+		if scores[i].Pending {
+			scores[i] = m.full[i]
+		}
+	}
+}
+
+// FuzzRoutePending checks that pending scores cannot change a decision.
+// Over arbitrary full scores (fuzzScores), each member whose full score
+// has gain ±0 or is full may answer pending instead (mask). Route over
+// the pending scores must ask the same members to commit and to buffer,
+// in the same order, as Route over the full scores, refusals included
+// (a pending member may refuse once it is filled), and return the same
+// result. Without a pending score Rescore is never called, and with one
+// it is called at most once. The ranking's head after settle is the full
+// ranking's head, which is what Engine.BestGain reports.
+func FuzzRoutePending(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{1, 0, 0, 1, 6, 6}, uint16(1))
+	f.Add([]byte{1, 6, 1, 1, 0, 11, 1, 0, 12}, uint16(6))
+	f.Add([]byte{3, 6, 0, 1, 0, 6, 0, 0, 0}, uint16(7))
+	f.Add([]byte{3, 2, 0, 3, 0, 6, 1, 3, 0, 9, 4, 5}, uint16(0xffff))
+	f.Add([]byte{3, 6, 0, 3, 6, 1, 3, 0, 2, 1, 0, 0}, uint16(12))
+	f.Add([]byte("000700"), uint16(31))
+	f.Add([]byte("7001\x00\x061\x000"), uint16(27))
+	f.Add([]byte("1\x0301\x011"), uint16(70))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint16) {
+		full, refusals := fuzzScores(data)
+		n := len(full)
+		member := func(scattered []Score) *pendingSet {
+			m := newScripted(n)
+			copy(m.refuseCommit, refusals.refuseCommit)
+			copy(m.refuseBuffer, refusals.refuseBuffer)
+			return &pendingSet{scripted: m, scattered: scattered, full: full}
+		}
+		scattered := append([]Score(nil), full...)
+		pending := 0
+		for i, s := range full {
+			if mask>>i&1 == 1 && (s.Gain == 0 || !s.Free) {
+				scattered[i] = pendingScore(s.Backlog)
+				pending++
+			}
+		}
+		ref, got := member(full), member(scattered)
+		wantWid, wantAt, wantErr := Route(context.Background(), ref, nil)
+		wid, at, err := Route(context.Background(), got, nil)
+		if !slices.Equal(got.commits, ref.commits) || !slices.Equal(got.buffers, ref.buffers) {
+			t.Fatalf("pending %v: commits %v, buffers %v; full scores %v: commits %v, buffers %v",
+				scattered, got.commits, got.buffers, full, ref.commits, ref.buffers)
+		}
+		if wid != wantWid || at != wantAt || err != wantErr {
+			t.Fatalf("pending route returned (%q, %d, %v), full scores (%q, %d, %v)", wid, at, err, wantWid, wantAt, wantErr)
+		}
+		if ref.rescores != 0 || pending == 0 && got.rescores != 0 || got.rescores > 1 {
+			t.Fatalf("%d pending scores took %d rescores (full scores took %d)", pending, got.rescores, ref.rescores)
+		}
+		if n == 0 {
+			return
+		}
+		scores := member(scattered)
+		settled := append([]Score(nil), scattered...)
+		head := settle(context.Background(), scores, nil, settled)[0]
+		if want := rank(full)[0]; head != want || settled[head].Pending {
+			t.Fatalf("settled head %d (%+v), full ranking's head %d", head, settled[head], want)
 		}
 	})
 }

@@ -464,15 +464,48 @@ type shards struct{ e *Engine }
 
 // Scatter asks every shard for its Score of t (read-only, concurrent
 // across shards). Each reply lands at its shard's index, so the decision
-// never depends on which actor answers first.
+// never depends on which actor answers first. With more than one shard a
+// shard with no partly-filled worker answers pending
+// (stream.Assigner.BestGainPartial), which spares it the scan over every
+// worker unless the decision turns on it; a lone shard always answers in
+// full, since asking it again would cost a second mailbox round trip.
 func (s shards) Scatter(_ context.Context, t *core.Task) []Score {
 	scores := make([]Score, len(s.e.actors))
+	partial := len(s.e.actors) > 1
 	s.e.each(func(a *actor) {
 		sc := &scores[a.id]
-		sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+		if partial {
+			var pending bool
+			if sc.Gain, sc.Rel, sc.Free, pending = a.asn.BestGainPartial(t); pending {
+				*sc = pendingScore(0)
+			}
+		} else {
+			sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+		}
 		sc.Backlog = a.asn.Backlog()
 	})
 	return scores
+}
+
+// Rescore asks the pending shards, and only them, for their full scores,
+// counted in RouteRescores and marked on the caller's "shard.route" span.
+func (s shards) Rescore(ctx context.Context, t *core.Task, scores []Score) {
+	s.e.metrics.RouteRescores.Inc()
+	trace.FromContext(ctx).SetAttrs(trace.Bool("rescored", true))
+	var wg sync.WaitGroup
+	for i := range scores {
+		if !scores[i].Pending {
+			continue
+		}
+		wg.Add(1)
+		a, sc := s.e.actors[i], &scores[i]
+		a.send(func() {
+			sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+			sc.Pending = false
+			wg.Done()
+		})
+	}
+	wg.Wait()
 }
 
 // Commit is one "shard.commit" attempt; a failure means the shard filled

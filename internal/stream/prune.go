@@ -99,10 +99,26 @@ func (a *Assigner) eligible(ws *workerState, avoidBefore int64) bool {
 	return avoidBefore <= 0 || ws.window <= 0 || ws.window >= avoidBefore
 }
 
-// scanPartial runs the selection loop over the partial index alone. ok
-// is false when its answer may differ from the full scan's: no eligible
-// indexed worker, or a gain that is not > ε.
-func (a *Assigner) scanPartial(t *core.Task, avoidBefore int64) (id string, gain, rel float64, ok bool) {
+// partialVerdict is how scanPartial's answer stands to the full scan's.
+type partialVerdict uint8
+
+const (
+	// partialExact: the answer is the full scan's, bit for bit.
+	partialExact partialVerdict = iota
+	// partialNone: no indexed worker is eligible, so every eligible
+	// worker is empty and gains +0, or NaN for a relevance that is not
+	// finite. The full scan's answer is then gain +0 or no worker, and
+	// only the relevance tie-break, or the absence of any candidate,
+	// is unknown.
+	partialNone
+	// partialLow: an eligible indexed worker's gain is not > ε (or NaN),
+	// so only the full scan answers.
+	partialLow
+)
+
+// scanPartial runs the selection loop over the partial index alone. Its
+// answer holds only under verdict partialExact.
+func (a *Assigner) scanPartial(t *core.Task, avoidBefore int64) (id string, gain, rel float64, v partialVerdict) {
 	bestQ, bestGain, bestRel := "", -1.0, -1.0
 	for w, word := range a.partial {
 		for ; word != 0; word &= word - 1 {
@@ -117,12 +133,15 @@ func (a *Assigner) scanPartial(t *core.Task, avoidBefore int64) (id string, gain
 				g *= ws.trust
 			}
 			if !(g > gainEps) {
-				return "", 0, 0, false
+				return "", 0, 0, partialLow
 			}
 			if g > bestGain+gainEps || (g > bestGain-gainEps && r > bestRel) {
 				bestQ, bestGain, bestRel = a.order[i], g, r
 			}
 		}
 	}
-	return bestQ, bestGain, bestRel, bestQ != ""
+	if bestQ == "" {
+		return "", 0, 0, partialNone
+	}
+	return bestQ, bestGain, bestRel, partialExact
 }

@@ -56,13 +56,16 @@ func referenceScan(a *Assigner, t *core.Task, avoidBefore int64) (id string, gai
 
 // pruneStats counts how the offers of a run were answered: by the
 // partial index alone, by the full scan after an indexed gain was not
-// > ε, or by the full scan because no indexed worker was eligible.
-type pruneStats struct{ pruned, bailed, none int }
+// > ε, or by the full scan because no indexed worker was eligible; and
+// how BestGainPartial answered: pending or computed.
+type pruneStats struct{ pruned, bailed, none, pending, computed int }
 
 func (s *pruneStats) add(o pruneStats) {
 	s.pruned += o.pruned
 	s.bailed += o.bailed
 	s.none += o.none
+	s.pending += o.pending
+	s.computed += o.computed
 }
 
 // checkPrune fails unless bestFree's answer for tk equals the full scan's
@@ -74,15 +77,70 @@ func checkPrune(t *testing.T, step int, a *Assigner, tk *core.Task, st *pruneSta
 	if id != wid || math.Float64bits(gain) != math.Float64bits(wgain) || math.Float64bits(rel) != math.Float64bits(wrel) {
 		t.Fatalf("step %d: task %s: pruned scan (%q, %v, %v), full scan (%q, %v, %v)", step, tk.ID, id, gain, rel, wid, wgain, wrel)
 	}
-	switch _, _, _, ok := a.scanPartial(tk, 0); {
-	case ok:
+	_, _, _, v := a.scanPartial(tk, 0)
+	switch {
+	case v == partialExact:
 		st.pruned++
 	case slices.ContainsFunc(a.states, func(ws *workerState) bool { return a.isPartial(ws.pos) && a.eligible(ws, 0) }):
+		if v != partialLow {
+			t.Fatalf("step %d: task %s: an eligible indexed worker, verdict %d", step, tk.ID, v)
+		}
 		st.bailed++
 	default:
+		if v != partialNone {
+			t.Fatalf("step %d: task %s: no eligible indexed worker, verdict %d", step, tk.ID, v)
+		}
 		st.none++
 	}
 	return wid
+}
+
+// checkPartial fails unless BestGainPartial answers tk as its contract
+// says. A pending answer comes only where the full scan answers gain +0
+// or no worker, and leaves the pick memo and the scan count as they
+// were. Any other answer is the full scan's, bit for bit, and is
+// remembered: a BestGain right after returns it without scanning. It
+// counts one scan, unless it was itself the memo's answer.
+// Reports whether the answer was pending.
+func checkPartial(t *testing.T, step int, a *Assigner, tk *core.Task, st *pruneStats) (pending bool) {
+	t.Helper()
+	memo, scans, reuse := a.pick, a.scans, a.pick.reusable(a.epoch, tk)
+	g, r, ok, pending := a.BestGainPartial(tk)
+	id, wg, wr := fullBestFree(a, tk)
+	if pending {
+		if id != "" && math.Float64bits(wg) != 0 {
+			t.Fatalf("step %d: task %s answered pending, full scan (%q, %v, %v)", step, tk.ID, id, wg, wr)
+		}
+		if !sameMemo(a.pick, memo) || a.scans != scans {
+			t.Fatalf("step %d: task %s answered pending, yet the memo moved or %d scans ran", step, tk.ID, a.scans-scans)
+		}
+		st.pending++
+		return true
+	}
+	if ok != (id != "") || math.Float64bits(g) != math.Float64bits(wg) || math.Float64bits(r) != math.Float64bits(wr) {
+		t.Fatalf("step %d: BestGainPartial(%s) = (%v, %v, %v), full scan (%q, %v, %v)", step, tk.ID, g, r, ok, id, wg, wr)
+	}
+	want := scans + 1
+	if reuse {
+		want = scans
+	}
+	if a.scans != want {
+		t.Fatalf("step %d: BestGainPartial(%s) ran %d scans, want %d", step, tk.ID, a.scans-scans, want-scans)
+	}
+	scans = a.scans
+	if g2, r2, ok2 := a.BestGain(tk); a.scans != scans || ok2 != ok ||
+		math.Float64bits(g2) != math.Float64bits(g) || math.Float64bits(r2) != math.Float64bits(r) {
+		t.Fatalf("step %d: BestGain(%s) after a computed answer = (%v, %v, %v) in %d scans, want (%v, %v, %v) from the memo",
+			step, tk.ID, g2, r2, ok2, a.scans-scans, g, r, ok)
+	}
+	st.computed++
+	return false
+}
+
+// sameMemo compares two pick memos field by field, floats by their bits.
+func sameMemo(p, q pickMemo) bool {
+	return p.epoch == q.epoch && p.kw == q.kw && p.deadline == q.deadline && p.id == q.id &&
+		math.Float64bits(p.gain) == math.Float64bits(q.gain) && math.Float64bits(p.rel) == math.Float64bits(q.rel)
 }
 
 // isPartial reads position i of the partial index.
@@ -115,8 +173,11 @@ func checkIndex(t *testing.T, step int, a *Assigner) {
 // offer, BestGain and TryAssign against the full scan, and the partial
 // index after every op. The generator leans toward the cases that force
 // the full scan: α or β zero or tiny, worker keyword sets equal to the
-// task templates, trust near 0, and Xmax = 1.
-func runOfferPrune(t *testing.T, data []byte) (st pruneStats) {
+// task templates, trust near 0, and Xmax = 1. With partial set, every
+// score and commit is preceded by a BestGainPartial (checkPartial), and
+// a commit after a pending answer must scan while one after a computed
+// answer must not.
+func runOfferPrune(t *testing.T, data []byte, partial bool) (st pruneStats) {
 	r := &pickBytes{data: data}
 	now := int64(1)
 	// Dice and nanJaccard have no pack kernel; nanJaccard's NaN
@@ -185,6 +246,9 @@ func runOfferPrune(t *testing.T, data []byte) (st pruneStats) {
 		case 2: // score, sometimes twice
 			tk := newTask()
 			checkPrune(t, step, a, tk, &st)
+			if partial {
+				checkPartial(t, step, a, tk, &st)
+			}
 			for k := 0; k <= r.next()%2; k++ {
 				g, rl, ok := a.BestGain(tk)
 				id, wg, wr := fullBestFree(a, tk)
@@ -195,8 +259,13 @@ func runOfferPrune(t *testing.T, data []byte) (st pruneStats) {
 		case 3: // commit
 			tk := newTask()
 			want := checkPrune(t, step, a, tk, &st)
+			pending := partial && checkPartial(t, step, a, tk, &st)
+			scans := a.scans
 			if got, ok := a.TryAssign(tk); got != want || ok != (want != "") {
 				t.Fatalf("step %d: commit %s went to (%q, %v), full scan %q", step, tk.ID, got, ok, want)
+			}
+			if partial && (a.scans != scans) != pending {
+				t.Fatalf("step %d: commit %s after a pending answer %v ran %d scans", step, tk.ID, pending, a.scans-scans)
 			}
 		case 4, 5: // complete
 			if len(ids) == 0 {
@@ -262,7 +331,8 @@ func (nanJaccard) Name() string { return "nan-jaccard" }
 
 // FuzzOfferPrune pits the offer scan over the partial index against the
 // full scan over every worker, under random churn, completes, trust and
-// window changes, with WithTrust and DeadlineAware on and off.
+// window changes, with WithTrust and DeadlineAware on and off; then runs
+// the same ops with BestGainPartial before every score and commit.
 func FuzzOfferPrune(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 16; i++ {
@@ -270,24 +340,33 @@ func FuzzOfferPrune(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runOfferPrune(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runOfferPrune(t, data, false)
+		runOfferPrune(t, data, true)
+	})
 }
 
 // TestOfferPruneMatchesFullScan runs longer op sequences than the fuzz
 // seeds hold, and checks that all three ways of answering ran: from the
 // index alone, and by the full scan after a small gain or for want of an
-// eligible indexed worker.
+// eligible indexed worker. It runs each sequence again with
+// BestGainPartial, and checks that it answered both pending and computed.
 func TestOfferPruneMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var total pruneStats
+	var total, partial pruneStats
 	for i := 0; i < 40; i++ {
 		data := make([]byte, 3000)
 		rng.Read(data)
-		total.add(runOfferPrune(t, data))
+		total.add(runOfferPrune(t, data, false))
+		partial.add(runOfferPrune(t, data, true))
 	}
 	t.Logf("%d offers answered from the index, %d fell back after a small gain, %d with no indexed worker", total.pruned, total.bailed, total.none)
 	if total.pruned < 500 || total.bailed < 100 || total.none < 100 {
 		t.Fatalf("answers %+v, want at least 500 pruned and 100 of each fallback", total)
+	}
+	t.Logf("BestGainPartial answered %d pending and %d computed", partial.pending, partial.computed)
+	if partial.pending < 100 || partial.computed < 100 {
+		t.Fatalf("answers %+v, want at least 100 pending and 100 computed", partial)
 	}
 }
 
@@ -402,5 +481,66 @@ func TestOfferPruneResidue(t *testing.T) {
 	}
 	if id != wid || math.Float64bits(gain) != math.Float64bits(wgain) || math.Float64bits(r) != math.Float64bits(wr) {
 		t.Fatalf("pruned scan (%q, %v, %v), full scan (%q, %v, %v)", id, gain, r, wid, wgain, wr)
+	}
+	// The residue keeps the emptied worker indexed, so BestGainPartial
+	// computes the full scan's answer rather than answering pending.
+	if checkPartial(t, 0, a, probe, &pruneStats{}) {
+		t.Fatal("BestGainPartial answered pending with an emptied worker's residue indexed")
+	}
+}
+
+// TestBestGainPartialNaN covers relevances that are not finite. A
+// partly-filled worker whose gain is NaN sends BestGainPartial to the
+// full scan, whose answer it returns: no worker, since no NaN is ever
+// taken. Once that worker is emptied, only empty workers remain, and the
+// answer is pending whether their relevance is NaN (the full scan finds
+// no worker) or finite (gain +0).
+func TestBestGainPartialNaN(t *testing.T) {
+	set := func(elems ...int) *bitset.Set {
+		s := bitset.New(16)
+		for _, e := range elems {
+			s.Add(e)
+		}
+		return s
+	}
+	a, err := NewAssigner(Config{Xmax: 4, Dist: nanJaccard{}, Metrics: NewMetrics(obs.NewRegistry())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*core.Worker{
+		{ID: "p", Keywords: set(0, 1), Alpha: 1, Beta: 1},
+		{ID: "e", Keywords: set(5), Alpha: 1, Beta: 1},
+	} {
+		if _, err := a.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.ForceAssign("p", &core.Task{ID: "u", Keywords: set(0)}); err != nil {
+		t.Fatal(err)
+	}
+	disjoint, near := &core.Task{ID: "d", Keywords: set(9)}, &core.Task{ID: "n", Keywords: set(5, 9)}
+	if _, _, _, v := a.scanPartial(disjoint, 0); v != partialLow {
+		t.Fatalf("the partly-filled worker's NaN gain gave verdict %d, want partialLow", v)
+	}
+	st := &pruneStats{}
+	if checkPartial(t, 0, a, disjoint, st) {
+		t.Fatal("BestGainPartial answered pending with a NaN gain indexed")
+	}
+	if _, _, ok := a.BestGain(disjoint); ok {
+		t.Fatal("the full scan took a NaN candidate")
+	}
+	if _, err := a.Complete("p", "u"); err != nil {
+		t.Fatal(err)
+	}
+	if a.isPartial(a.workers["p"].pos) {
+		t.Fatal("the emptied worker is still indexed")
+	}
+	for _, tk := range []*core.Task{disjoint, near} {
+		if !checkPartial(t, 0, a, tk, st) {
+			t.Fatalf("BestGainPartial(%s) computed with only empty workers free", tk.ID)
+		}
+	}
+	if id, _, _ := fullBestFree(a, near); id != "e" {
+		t.Fatalf("full scan for %s picked %q, want the one worker at a finite relevance", near.ID, id)
 	}
 }

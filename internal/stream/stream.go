@@ -160,8 +160,8 @@ type Assigner struct {
 	// epoch counts the mutations that can change bestFree's answer, and
 	// pick remembers the last BestGain's answer under it, so the commit
 	// that follows a score, and a repeated score, cost no second scan
-	// (see BestGain). scans counts bestFree calls, so tests can tell a
-	// reused pick from a rescan.
+	// (see BestGain). scans counts selection scans (Scans), so tests can
+	// tell a reused pick or a pending answer from a scan.
 	epoch uint64
 	pick  pickMemo
 	scans uint64
@@ -539,7 +539,7 @@ func (a *Assigner) bestFree(t *core.Task) (id string, gain, rel float64) {
 // It answers from the partial workers alone when the empty ones cannot
 // change the answer (prune.go), and scans every worker otherwise.
 func (a *Assigner) bestFreeScan(t *core.Task, avoidBefore int64) (id string, gain, rel float64) {
-	if id, gain, rel, ok := a.scanPartial(t, avoidBefore); ok {
+	if id, gain, rel, v := a.scanPartial(t, avoidBefore); v == partialExact {
 		return id, gain, rel
 	}
 	return a.scanAll(t, avoidBefore)
@@ -608,9 +608,48 @@ func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
 		return a.pick.gain, a.pick.rel, a.pick.id != ""
 	}
 	id, gain, rel := a.bestFree(t)
-	a.pick = pickMemo{epoch: a.epoch, kw: t.Keywords, deadline: t.Deadline, id: id, gain: gain, rel: rel}
+	a.remember(t, id, gain, rel)
 	return gain, rel, id != ""
 }
+
+// BestGainPartial is BestGain for a caller that can do without the
+// relevance tie-break among empty workers: when no eligible worker is
+// partly filled but some worker has a free slot, it answers pending
+// instead of running the full scan. A pending answer means every
+// eligible worker gains exactly +0 (prune.go), or none is eligible; the
+// relevance is not computed. It is not remembered, so a later BestGain
+// or TryAssign scans afresh. Every other answer is BestGain's, bit for
+// bit, and remembered as BestGain's is.
+//
+// It never answers pending with Xmax = 1, where no worker is ever
+// partly filled, or for a deadlined task under Config.DeadlineAware,
+// whose scan first filters by availability window.
+func (a *Assigner) BestGainPartial(t *core.Task) (gain, rel float64, ok, pending bool) {
+	if a.pick.reusable(a.epoch, t) || a.cfg.Xmax == 1 || a.cfg.DeadlineAware && t.Deadline > 0 {
+		gain, rel, ok = a.BestGain(t)
+		return gain, rel, ok, false
+	}
+	id, gain, rel, v := a.scanPartial(t, 0)
+	switch {
+	case v == partialNone && a.FreeCapacity() > 0:
+		return 0, 0, false, true
+	case v != partialExact:
+		id, gain, rel = a.scanAll(t, 0)
+	}
+	a.scans++
+	a.remember(t, id, gain, rel)
+	return gain, rel, id != "", false
+}
+
+// remember makes (id, gain, rel) the pick memo for t at this epoch.
+func (a *Assigner) remember(t *core.Task, id string, gain, rel float64) {
+	a.pick = pickMemo{epoch: a.epoch, kw: t.Keywords, deadline: t.Deadline, id: id, gain: gain, rel: rel}
+}
+
+// Scans returns how many selection scans the assigner ran: answers of
+// OfferTask, TryAssign, BestGain and BestGainPartial that neither reused
+// a pick nor were pending.
+func (a *Assigner) Scans() uint64 { return a.scans }
 
 // TryAssign assigns t to the best free worker under the same selection
 // rule as OfferTask, but never buffers on failure — in the sharded
