@@ -1,9 +1,12 @@
 // Command hta-server runs the crowdsourcing assignment platform (the
 // workflow of Figure 4) as an HTTP service. Tasks can be preloaded from a
 // JSON-lines file produced by hta-gen, or uploaded at runtime via
-// POST /api/tasks. With -snapshot the full engine state (task pool,
-// in-flight assignments, learned α/β) is restored at startup and saved on
-// SIGINT/SIGTERM, so the experiment survives restarts.
+// POST /api/tasks. Both go through the platform's one task intake
+// (platform.Server.AddTasks), so in every mode a preload is replicated,
+// quality-checked and offered exactly like an upload. With -snapshot the
+// full engine state (task pool, in-flight assignments, learned α/β) is
+// restored at startup and saved on SIGINT/SIGTERM, so the experiment
+// survives restarts.
 //
 // Cluster mode stacks a thin RPC plane on the sharded engine. A process
 // started with -node NAME (implies -shards >= 1) additionally serves the
@@ -86,9 +89,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"math/rand"
@@ -198,7 +203,7 @@ func main() {
 		Logger:            logger,
 		Health:            ops.HealthConfig{Window: *healthWindow},
 	}
-	var preload []*core.Task
+	var preload []*core.Task // offered once the server is built
 	if *tasksPath != "" {
 		f, err := os.Open(*tasksPath)
 		if err != nil {
@@ -227,7 +232,9 @@ func main() {
 			QuarantineFloor: *quarantineFloor,
 		}
 		var restoredQ bool
-		qtracker, restoredQ, err = buildTracker(qcfg, qualitySnapshotPath(*snapshotPath))
+		qtracker, restoredQ, err = openOrFresh(qualitySnapshotPath(*snapshotPath),
+			func() (*quality.Tracker, error) { return quality.New(qcfg) },
+			func(r io.Reader) (*quality.Tracker, error) { return quality.Restore(r, qcfg) })
 		if err != nil {
 			log.Fatalf("hta-server: %v", err)
 		}
@@ -271,9 +278,6 @@ func main() {
 			log.Fatalf("hta-server: %v", err)
 		}
 		defer gw.Close()
-		if len(preload) > 0 {
-			streamPreload(gw, qtracker, *redundancy, preload, *tasksPath)
-		}
 		// In gateway mode -snapshot writes the merged cluster cut at
 		// shutdown; startup restore happens per node, not here.
 		srvCfg.Shards = gw
@@ -293,7 +297,11 @@ func main() {
 		if *deadlineAware {
 			scfg.ExpireInterval = *expireInterval
 		}
-		eng, restored, err := buildShardEngine(scfg, *snapshotPath)
+		// The snapshot's shard count need not match -shards: workers are
+		// re-partitioned by the ring.
+		eng, restored, err := openOrFresh(*snapshotPath,
+			func() (*shard.Engine, error) { return shard.New(scfg) },
+			func(r io.Reader) (*shard.Engine, error) { return shard.Restore(r, scfg) })
 		if err != nil {
 			log.Fatalf("hta-server: %v", err)
 		}
@@ -302,9 +310,6 @@ func main() {
 			st := eng.Stats()
 			fmt.Printf("restored sharded engine state from %s (%d shards, %d workers, %d buffered)\n",
 				*snapshotPath, st.Shards, st.Workers, st.Buffered)
-		}
-		if len(preload) > 0 {
-			streamPreload(eng, qtracker, *redundancy, preload, *tasksPath)
 		}
 		if *nodeName != "" {
 			ops.SetDefaultNode(*nodeName)
@@ -323,7 +328,9 @@ func main() {
 			Rand:             rand.New(rand.NewSource(*seed)),
 			Logger:           logger,
 		}
-		engine, restored, err := buildEngine(cfg, *snapshotPath)
+		engine, restored, err := openOrFresh(*snapshotPath,
+			func() (*adaptive.Engine, error) { return adaptive.NewEngine(cfg) },
+			func(r io.Reader) (*adaptive.Engine, error) { return adaptive.Restore(r, cfg) })
 		if err != nil {
 			log.Fatalf("hta-server: %v", err)
 		}
@@ -331,17 +338,19 @@ func main() {
 			fmt.Printf("restored engine state from %s (iteration %d, %d pooled tasks)\n",
 				*snapshotPath, engine.Iteration(), engine.PoolSize())
 		}
-		if len(preload) > 0 {
-			if err := engine.AddTasks(preload...); err != nil {
-				log.Fatalf("hta-server: loading tasks: %v", err)
-			}
-			fmt.Printf("loaded %d tasks from %s\n", len(preload), *tasksPath)
-		}
 		srvCfg.Engine = engine
 	}
 	srv, err := platform.NewServer(srvCfg)
 	if err != nil {
 		log.Fatalf("hta-server: %v", err)
+	}
+	if len(preload) > 0 {
+		res, err := srv.AddTasks(context.Background(), preload)
+		if err != nil {
+			log.Fatalf("hta-server: loading tasks: %v", err)
+		}
+		body, _ := json.Marshal(res) // a map or a struct of ints: cannot fail
+		fmt.Printf("loaded %d tasks from %s: %s\n", len(preload), *tasksPath, body)
 	}
 
 	// -node mode mounts the cluster RPC plane beside the public API: one
@@ -405,13 +414,13 @@ func main() {
 			log.Printf("hta-server: shutdown: %v", err)
 		}
 		if *snapshotPath != "" {
-			if err := saveSnapshot(srv, *snapshotPath); err != nil {
+			if err := writeAtomic(*snapshotPath, srv.Snapshot); err != nil {
 				log.Fatalf("hta-server: snapshot: %v", err)
 			}
 			fmt.Printf("saved engine state to %s\n", *snapshotPath)
 			if qtracker != nil {
 				qpath := qualitySnapshotPath(*snapshotPath)
-				if err := saveQualitySnapshot(qtracker, qpath); err != nil {
+				if err := writeAtomic(qpath, qtracker.Snapshot); err != nil {
 					log.Fatalf("hta-server: quality snapshot: %v", err)
 				}
 				fmt.Printf("saved quality tracker state to %s\n", qpath)
@@ -444,43 +453,6 @@ func parsePeers(spec string) ([]cluster.PeerSpec, error) {
 	return peers, nil
 }
 
-// streamPreload offers a task file into a streaming backend (in-process
-// engine or cluster gateway), reporting each task's fate. With the
-// quality layer active each logical task is observed by the tracker
-// (auto-gold marking) and replicated into k engine tasks, mirroring what
-// POST /api/tasks does for runtime uploads.
-func streamPreload(backend platform.StreamBackend, tr *quality.Tracker, k int, preload []*core.Task, path string) {
-	if tr == nil {
-		k = 1
-	}
-	var assigned, buffered, dropped int
-	for _, t := range preload {
-		if tr != nil {
-			tr.ObserveTask(t.ID)
-		}
-		for j := 0; j < k; j++ {
-			offer := t
-			if tr != nil {
-				cp := *t
-				cp.ID = quality.ReplicaID(t.ID, j)
-				offer = &cp
-			}
-			switch wid, err := backend.OfferTaskCtx(context.Background(), offer); {
-			case err == nil && wid != "":
-				assigned++
-			case err == nil:
-				buffered++
-			case errors.Is(err, stream.ErrBufferFull):
-				dropped++
-			default:
-				log.Fatalf("hta-server: loading tasks: %v", err)
-			}
-		}
-	}
-	fmt.Printf("streamed %d tasks from %s as %d engine tasks (%d assigned, %d buffered, %d dropped)\n",
-		len(preload), path, len(preload)*k, assigned, buffered, dropped)
-}
-
 // qualitySnapshotPath derives the tracker's state file from the engine
 // snapshot path ("" stays "", so no-snapshot runs skip persistence).
 func qualitySnapshotPath(snapshotPath string) string {
@@ -490,105 +462,41 @@ func qualitySnapshotPath(snapshotPath string) string {
 	return snapshotPath + ".quality"
 }
 
-// buildTracker restores the quality tracker from its snapshot when one
-// exists, otherwise starts fresh.
-func buildTracker(cfg quality.Config, path string) (*quality.Tracker, bool, error) {
+// openOrFresh restores a T from the snapshot at path when one exists,
+// otherwise builds a fresh one; the bool reports a restore. An empty path
+// always starts fresh.
+func openOrFresh[T any](path string, fresh func() (T, error), restore func(io.Reader) (T, error)) (T, bool, error) {
+	var zero T
 	if path == "" {
-		tr, err := quality.New(cfg)
-		return tr, false, err
+		v, err := fresh()
+		return v, false, err
 	}
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		tr, err := quality.New(cfg)
-		return tr, false, err
+		v, err := fresh()
+		return v, false, err
 	}
 	if err != nil {
-		return nil, false, err
+		return zero, false, err
 	}
 	defer f.Close()
-	tr, err := quality.Restore(f, cfg)
+	v, err := restore(f)
 	if err != nil {
-		return nil, false, fmt.Errorf("restoring %s: %w", path, err)
+		return zero, false, fmt.Errorf("restoring %s: %w", path, err)
 	}
-	return tr, true, nil
+	return v, true, nil
 }
 
-// saveQualitySnapshot writes the tracker state atomically via a temp
-// file, like saveSnapshot.
-func saveQualitySnapshot(tr *quality.Tracker, path string) error {
+// writeAtomic writes a snapshot through a temp file renamed over path, so
+// a failed write leaves the previous file in place. srv.Snapshot quiesces
+// the engine itself.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := tr.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// buildShardEngine restores the sharded streaming engine from the
-// snapshot when it exists, otherwise starts fresh. The snapshot's shard
-// count need not match -shards: workers are re-partitioned by the ring.
-func buildShardEngine(cfg shard.Config, snapshotPath string) (*shard.Engine, bool, error) {
-	if snapshotPath == "" {
-		e, err := shard.New(cfg)
-		return e, false, err
-	}
-	f, err := os.Open(snapshotPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		e, err := shard.New(cfg)
-		return e, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	e, err := shard.Restore(f, cfg)
-	if err != nil {
-		return nil, false, fmt.Errorf("restoring %s: %w", snapshotPath, err)
-	}
-	return e, true, nil
-}
-
-// buildEngine restores from the snapshot when it exists, otherwise starts
-// fresh.
-func buildEngine(cfg adaptive.Config, snapshotPath string) (*adaptive.Engine, bool, error) {
-	if snapshotPath == "" {
-		e, err := adaptive.NewEngine(cfg)
-		return e, false, err
-	}
-	f, err := os.Open(snapshotPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		e, err := adaptive.NewEngine(cfg)
-		return e, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	e, err := adaptive.Restore(f, cfg)
-	if err != nil {
-		return nil, false, fmt.Errorf("restoring %s: %w", snapshotPath, err)
-	}
-	return e, true, nil
-}
-
-// saveSnapshot writes atomically via a temp file, snapshotting through the
-// server so the engine is quiesced.
-func saveSnapshot(srv *platform.Server, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := srv.Snapshot(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

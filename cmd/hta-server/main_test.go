@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -374,8 +375,8 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip covers main's snapshot save/restore path: a
-// drained server's state written by saveSnapshot must restore through
-// buildEngine.
+// drained server's state written by writeAtomic must restore through
+// openOrFresh.
 func TestSnapshotRoundTrip(t *testing.T) {
 	srv, engine := newTestServer(t, 0)
 	ts := httptest.NewServer(srv)
@@ -389,10 +390,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "state.json")
-	if err := saveSnapshot(srv, path); err != nil {
+	if err := writeAtomic(path, srv.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	restored, wasRestored, err := buildEngine(adaptive.Config{
+	restored, wasRestored, err := openEngine(adaptive.Config{
 		Xmax: 3, Rand: rand.New(rand.NewSource(7)),
 	}, path)
 	if err != nil {
@@ -406,7 +407,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			restored.Iteration(), restored.PoolSize(), engine.Iteration(), engine.PoolSize())
 	}
 	// Missing snapshot path starts fresh.
-	fresh, wasRestored, err := buildEngine(adaptive.Config{
+	fresh, wasRestored, err := openEngine(adaptive.Config{
 		Xmax: 3, Rand: rand.New(rand.NewSource(7)),
 	}, filepath.Join(t.TempDir(), "absent.json"))
 	if err != nil {
@@ -415,4 +416,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if wasRestored || fresh.Iteration() != 0 {
 		t.Fatal("absent snapshot must start a fresh engine")
 	}
+}
+
+// openEngine is main's batch-mode openOrFresh call.
+func openEngine(cfg adaptive.Config, path string) (*adaptive.Engine, bool, error) {
+	return openOrFresh(path,
+		func() (*adaptive.Engine, error) { return adaptive.NewEngine(cfg) },
+		func(r io.Reader) (*adaptive.Engine, error) { return adaptive.Restore(r, cfg) })
 }

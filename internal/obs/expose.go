@@ -261,12 +261,6 @@ func (r *Registry) ServeListener(ctx context.Context, l net.Listener, h http.Han
 	return err
 }
 
-// ListenAndServe serves the sidecar endpoint on addr forever — the
-// pre-context form, kept for callers without a lifecycle to tie to.
-func (r *Registry) ListenAndServe(addr string) error {
-	return r.ServeUntil(context.Background(), addr, nil)
-}
-
 // HealthzHandler answers liveness probes: 200 "ok" while ready() is true
 // (or always, when ready is nil), 503 "draining" otherwise — the signal a
 // load balancer needs to stop routing to an instance that entered graceful

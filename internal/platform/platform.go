@@ -1,11 +1,20 @@
 // Package platform exposes the paper's crowdsourcing workflow (Figure 4)
 // as an HTTP service: workers register with their keywords, receive their
-// assigned task set T_w, and notify the platform as they complete tasks;
-// an assignment service monitors all workers at once and decides when a new
-// assignment iteration must occur. The decision rule follows the paper's
-// rationale: (i) keep the system stable by not re-assigning too frequently,
-// (ii) gather enough completions to estimate each worker's (α, β), and
-// (iii) define the set of available workers W^i per iteration.
+// assigned task set T_w, and notify the platform as they complete tasks.
+//
+// One handler set serves the endpoints over either of two engines, each
+// behind the unexported backend interface:
+//
+//   - batch (batch.go): the adaptive engine. An assignment service
+//     monitors all workers at once and decides when a new assignment
+//     iteration must occur, following the paper's rationale: (i) keep the
+//     system stable by not re-assigning too frequently, (ii) gather enough
+//     completions to estimate each worker's (α, β), and (iii) define the
+//     set of available workers W^i per iteration. Display sets carry done
+//     flags and, with a question bank, graded questions.
+//   - streaming (sharded.go): a StreamBackend, the in-process shard engine
+//     or the cluster gateway. Every request is one per-event decision, with
+//     optional task redundancy and the answer-quality layer (quality.go).
 //
 // The package contains both the Server (an http.Handler) and a typed
 // Client, so the examples and tests can run the full loop in-process with
@@ -106,27 +115,35 @@ type ServerConfig struct {
 	Health ops.HealthConfig
 }
 
-// Server implements the assignment service. All handlers serialize on a
-// single mutex: the engine itself is not concurrency-safe and assignment
-// iterations must be atomic with respect to worker arrivals.
-//
-// Iterations are global (the paper solves HTA over all available workers at
-// once), so a completion by one worker can refresh every worker's display
-// set. A client holding a stale set will get HTTP 404 when completing a
-// task that is no longer assigned; it should refetch via Tasks and
-// continue — exactly what a browser-based worker UI does when the platform
-// pushes a new page of tasks.
+// Server implements the assignment service: one handler per endpoint,
+// with the engine-dependent half of each behind be.
 type Server struct {
-	mu  sync.Mutex
-	cfg ServerConfig
+	cfg   ServerConfig
+	be    backend
+	mux   *http.ServeMux
+	drain drainState
+	idem  *idemCache
+}
 
-	sinceIteration int            // completions since the last iteration
-	perWorker      map[string]int // completions per worker since their last assignment
-	graded         int            // questions graded so far
-	correct        int            // of which answered correctly
-	mux            *http.ServeMux
-	drain          drainState
-	idem           *idemCache
+// backend is the engine-dependent half of every endpoint: one method per
+// verb, each returning the view its handler writes. An error carries the
+// HTTP status it answers with (withStatus). A backend is safe for
+// concurrent use.
+type backend interface {
+	addTasks(ctx context.Context, tasks []*core.Task) (any, error)
+	register(ctx context.Context, w *core.Worker) ([]TaskView, error)
+	tasks(id string) ([]TaskView, error)
+	complete(ctx context.Context, id string, req completeRequest) (CompleteResponse, error)
+	leave(ctx context.Context, id string) (any, error)
+	stats() any
+	snapshot(w io.Writer) error
+}
+
+// windower is the verb of POST /api/workers/{id}/window, served only by a
+// backend that routes by availability windows; until is UnixNano, 0
+// clears.
+type windower interface {
+	setWindow(id string, until int64) error
 }
 
 // NewServer validates the configuration and builds the HTTP handler.
@@ -194,7 +211,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.IdempotencyCache == 0 {
 		cfg.IdempotencyCache = 4096
 	}
-	s := &Server{cfg: cfg, perWorker: make(map[string]int)}
+	s := &Server{cfg: cfg}
 	if cfg.IdempotencyCache > 0 {
 		s.idem = newIdemCache(cfg.IdempotencyCache)
 	}
@@ -207,21 +224,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		"GET /api/stats":                  s.handleStats,
 	}
 	if cfg.Shards != nil {
-		// Same surface, streaming semantics — see sharded.go.
-		handlers = map[string]http.HandlerFunc{
-			"POST /api/tasks":                 s.handleShardAddTasks,
-			"POST /api/workers":               s.handleShardRegister,
-			"GET /api/workers/{id}/tasks":     s.handleShardTasks,
-			"POST /api/workers/{id}/complete": s.handleShardComplete,
-			"DELETE /api/workers/{id}":        s.handleShardLeave,
-			"POST /api/workers/{id}/window":   s.handleShardWindow,
-			"GET /api/stats":                  s.handleShardStats,
-		}
+		st := &streaming{eng: cfg.Shards, quality: cfg.Quality, redundancy: cfg.Redundancy}
+		s.be = st
 		if cfg.Quality != nil {
-			handlers["POST /api/answers"] = s.handleSubmitAnswer
-			handlers["GET /api/answers"] = s.handleAnswers
-			handlers["GET /api/workers/{id}/reputation"] = s.handleReputation
+			handlers["POST /api/answers"] = st.handleSubmitAnswer
+			handlers["GET /api/answers"] = st.handleAnswers
+			handlers["GET /api/workers/{id}/reputation"] = st.handleReputation
 		}
+	} else {
+		s.be = &batch{
+			eng: cfg.Engine, questions: cfg.Questions,
+			perWorkerLimit: cfg.ReassignPerWorker, totalLimit: cfg.ReassignTotal,
+			perWorker: make(map[string]int),
+		}
+	}
+	if _, ok := s.be.(windower); ok {
+		handlers["POST /api/workers/{id}/window"] = s.handleWindow
 	}
 	mux := http.NewServeMux()
 	for pattern, h := range handlers {
@@ -243,13 +261,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // concurrently with request handling (e.g. from a shutdown signal
 // handler). With a sharded backend the shard engine quiesces all actors
 // itself, producing one globally consistent merged document.
-func (s *Server) Snapshot(w io.Writer) error {
-	if s.cfg.Shards != nil {
-		return s.cfg.Shards.Snapshot(w)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Engine.Snapshot(w)
+func (s *Server) Snapshot(w io.Writer) error { return s.be.snapshot(w) }
+
+// AddTasks is the platform's one task intake: POST /api/tasks and
+// hta-server's -tasks preload both offer through it. The result is the
+// endpoint's response body: {"pool_size": n} from the batch engine, an
+// AddTasksResult from a streaming backend. A rejected task stops the
+// intake; the tasks before it stay offered.
+func (s *Server) AddTasks(ctx context.Context, tasks []*core.Task) (any, error) {
+	return s.be.addTasks(ctx, tasks)
 }
 
 // TaskView is the wire form of an assigned task.
@@ -261,7 +281,7 @@ type TaskView struct {
 	Done      bool           `json:"done"`
 	Questions []QuestionView `json:"questions,omitempty"`
 	// DeadlineMS is the task's absolute Unix-millisecond expiry (0 =
-	// none); streaming mode only.
+	// none); only a streaming backend expires tasks.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -350,11 +370,44 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// addTasksRequest is the body of POST /api/tasks. DeadlineMS is the
-// absolute Unix-millisecond instant after which the task is worthless
-// (0 = never); only the streaming backend acts on it — buffered tasks
-// past their deadline are expired, journaled and counted, never silently
-// dropped.
+// statusError is a backend error with the HTTP status it answers with;
+// its message is the wrapped error's own.
+type statusError struct {
+	code int
+	error
+}
+
+func (e statusError) Unwrap() error { return e.error }
+
+func withStatus(code int, err error) error { return statusError{code, err} }
+
+// reply writes v with status, or err under the status its backend chose.
+func reply(w http.ResponseWriter, status int, v any, err error) {
+	if err != nil {
+		code := http.StatusInternalServerError
+		var se statusError
+		if errors.As(err, &se) {
+			code = se.code
+		}
+		writeErr(w, code, err)
+		return
+	}
+	writeJSON(w, status, v)
+}
+
+// decode reads the request body into v, answering 400 itself on failure.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := readJSON(r, v); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
+		return false
+	}
+	return true
+}
+
+// taskUpload is one task of POST /api/tasks. DeadlineMS is the absolute
+// Unix-millisecond instant after which the task is worthless (0 = never);
+// only a streaming backend acts on it — buffered tasks past their
+// deadline are expired, journaled and counted, never silently dropped.
 type taskUpload struct {
 	ID         string  `json:"id"`
 	Group      string  `json:"group"`
@@ -363,43 +416,37 @@ type taskUpload struct {
 	DeadlineMS int64   `json:"deadline_ms,omitempty"`
 }
 
+// addTasksRequest is the body of POST /api/tasks.
 type addTasksRequest struct {
 	Tasks []taskUpload `json:"tasks"`
 }
 
-func (s *Server) handleAddTasks(w http.ResponseWriter, r *http.Request) {
-	var req addTasksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
+// tasks validates the upload against the keyword universe and builds
+// its tasks.
+func (req *addTasksRequest) tasks(universe int) ([]*core.Task, error) {
 	tasks := make([]*core.Task, 0, len(req.Tasks))
 	for _, t := range req.Tasks {
 		for _, k := range t.Keywords {
-			if k < 0 || k >= s.cfg.Universe {
-				writeErr(w, http.StatusBadRequest,
-					fmt.Errorf("platform: task %q keyword %d outside universe", t.ID, k))
-				return
+			if k < 0 || k >= universe {
+				return nil, fmt.Errorf("platform: task %q keyword %d outside universe", t.ID, k)
 			}
+		}
+		if t.DeadlineMS < 0 {
+			return nil, fmt.Errorf("platform: task %q deadline_ms %d is negative", t.ID, t.DeadlineMS)
 		}
 		tasks = append(tasks, &core.Task{
 			ID: t.ID, Group: t.Group, Reward: t.Reward,
-			Keywords: bitset.FromIndices(s.cfg.Universe, t.Keywords...),
+			Keywords: bitset.FromIndices(universe, t.Keywords...),
+			Deadline: t.DeadlineMS * int64(time.Millisecond),
 		})
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.cfg.Engine.AddTasks(tasks...); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"pool_size": s.cfg.Engine.PoolSize()})
+	return tasks, nil
 }
 
 // registerRequest is the body of POST /api/workers. The paper's platform
 // asks each worker to choose at least 6 keywords before entering a session.
 // WindowMS optionally declares when the worker expects to leave (absolute
-// Unix milliseconds); the streaming backend uses it to keep imminent
+// Unix milliseconds); a streaming backend uses it to keep imminent
 // deadlines away from departing workers.
 type registerRequest struct {
 	ID       string `json:"id"`
@@ -407,49 +454,37 @@ type registerRequest struct {
 	WindowMS int64  `json:"window_ms,omitempty"`
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
+// worker validates the registration and builds its worker.
+func (req *registerRequest) worker(universe int) (*core.Worker, error) {
 	if len(req.Keywords) < 6 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("platform: worker must choose at least 6 keywords, got %d", len(req.Keywords)))
-		return
+		return nil, fmt.Errorf("platform: worker must choose at least 6 keywords, got %d", len(req.Keywords))
 	}
 	for _, k := range req.Keywords {
-		if k < 0 || k >= s.cfg.Universe {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: keyword %d outside universe", k))
-			return
+		if k < 0 || k >= universe {
+			return nil, fmt.Errorf("platform: keyword %d outside universe", k)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	worker := &core.Worker{ID: req.ID, Keywords: bitset.FromIndices(s.cfg.Universe, req.Keywords...)}
-	if _, err := s.cfg.Engine.AddWorker(worker); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
+	if err := checkWindow(req.WindowMS); err != nil {
+		return nil, err
 	}
-	// A new worker notifies the assignment service, which assigns a fresh
-	// T_w immediately (Figure 4).
-	if _, err := s.cfg.Engine.NextIterationCtx(r.Context()); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.resetCounters()
-	writeJSON(w, http.StatusCreated, s.taskViewsLocked(req.ID))
+	return &core.Worker{
+		ID: req.ID, Alpha: 0.5, Beta: 0.5,
+		Keywords: bitset.FromIndices(universe, req.Keywords...),
+	}, nil
 }
 
-func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.cfg.Engine.Worker(id); err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
+// windowRequest is the body of POST /api/workers/{id}/window: an
+// availability-window declaration after registration (absolute Unix
+// milliseconds; 0 clears it).
+type windowRequest struct {
+	WindowMS int64 `json:"window_ms"`
+}
+
+func checkWindow(ms int64) error {
+	if ms < 0 {
+		return fmt.Errorf("platform: window_ms %d is negative", ms)
 	}
-	writeJSON(w, http.StatusOK, s.taskViewsLocked(id))
+	return nil
 }
 
 // completeRequest is the body of POST /api/workers/{id}/complete.
@@ -464,8 +499,9 @@ type Answer struct {
 	Option     int    `json:"option"`
 }
 
-// CompleteResponse reports whether the completion triggered a new
-// assignment iteration, and the (possibly fresh) task set.
+// CompleteResponse reports whether the completion changed the display set
+// beyond the removal (a new iteration, or a buffered task pulled into the
+// freed slot), the worker's weights, and the task set.
 type CompleteResponse struct {
 	Reassigned bool       `json:"reassigned"`
 	Alpha      float64    `json:"alpha"`
@@ -475,154 +511,88 @@ type CompleteResponse struct {
 	Tasks      []TaskView `json:"tasks"`
 }
 
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
+// taskView renders a task; the batch backend adds done flags and
+// questions.
+func taskView(t *core.Task) TaskView {
+	return TaskView{
+		ID: t.ID, Group: t.Group, Reward: t.Reward,
+		Keywords:   t.Keywords.Indices(),
+		DeadlineMS: t.Deadline / int64(time.Millisecond),
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws, err := s.cfg.Engine.Worker(id)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	// Grade submitted answers against the ground truth, if the platform
-	// carries a question bank. Answers must belong to the completed task.
-	var graded, correct int
-	if len(req.Answers) > 0 {
-		if s.cfg.Questions == nil {
-			writeErr(w, http.StatusBadRequest, errors.New("platform: this deployment has no graded questions"))
-			return
-		}
-		valid := make(map[string]bool)
-		for _, q := range s.cfg.Questions.ForTask(req.TaskID) {
-			valid[q.ID] = true
-		}
-		for _, ans := range req.Answers {
-			if !valid[ans.QuestionID] {
-				writeErr(w, http.StatusBadRequest,
-					fmt.Errorf("platform: question %q does not belong to task %q", ans.QuestionID, req.TaskID))
-				return
-			}
-		}
-		for _, ans := range req.Answers {
-			ok, err := s.cfg.Questions.Grade(ans.QuestionID, ans.Option)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			graded++
-			if ok {
-				correct++
-			}
-		}
-	}
-	if err := s.cfg.Engine.CompleteCtx(r.Context(), id, req.TaskID); err != nil {
-		status := http.StatusConflict
-		if strings.Contains(err.Error(), "not assigned") {
-			status = http.StatusNotFound
-		}
-		writeErr(w, status, err)
-		return
-	}
-	s.graded += graded
-	s.correct += correct
-	s.sinceIteration++
-	s.perWorker[id]++
+}
 
-	// Assignment-service policy: reassign when some worker exhausted its
-	// budget or the system accumulated enough completions overall.
-	reassign := s.perWorker[id] >= s.cfg.ReassignPerWorker ||
-		s.sinceIteration >= s.cfg.ReassignTotal ||
-		len(ws.Completed) == len(ws.Assigned)
-	if reassign {
-		if _, err := s.cfg.Engine.NextIterationCtx(r.Context()); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.resetCounters()
+// The handler set: each endpoint decodes through readJSON, validates
+// through the helpers above, hands its verb to the backend and writes the
+// returned view through writeJSON.
+
+func (s *Server) handleAddTasks(w http.ResponseWriter, r *http.Request) {
+	var req addTasksRequest
+	if !decode(w, r, &req) {
+		return
 	}
-	writeJSON(w, http.StatusOK, CompleteResponse{
-		Reassigned: reassign,
-		Alpha:      ws.Alpha(),
-		Beta:       ws.Beta(),
-		Graded:     graded,
-		Correct:    correct,
-		Tasks:      s.taskViewsLocked(id),
-	})
+	tasks, err := req.tasks(s.cfg.Universe)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	res, err := s.AddTasks(r.Context(), tasks)
+	reply(w, http.StatusOK, res, err)
+}
+
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var req registerRequest
+	if !decode(w, r, &req) {
+		return
+	}
+	worker, err := req.worker(s.cfg.Universe)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	views, err := s.be.register(r.Context(), worker)
+	if wd, ok := s.be.(windower); ok && err == nil && req.WindowMS > 0 {
+		// Advisory: the worker registered fine; if it raced its own
+		// departure the declaration has nothing to bias any more.
+		_ = wd.setWindow(worker.ID, req.WindowMS*int64(time.Millisecond))
+	}
+	reply(w, http.StatusCreated, views, err)
+}
+
+func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
+	views, err := s.be.tasks(r.PathValue("id"))
+	reply(w, http.StatusOK, views, err)
+}
+
+func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
+	var req completeRequest
+	if !decode(w, r, &req) {
+		return
+	}
+	res, err := s.be.complete(r.Context(), r.PathValue("id"), req)
+	reply(w, http.StatusOK, res, err)
 }
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.cfg.Engine.SetAvailable(id, false); err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"left": true})
+	res, err := s.be.leave(r.Context(), r.PathValue("id"))
+	reply(w, http.StatusOK, res, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stats := StatsView{
-		Iteration: s.cfg.Engine.Iteration(),
-		PoolSize:  s.cfg.Engine.PoolSize(),
-		Graded:    s.graded,
-		Correct:   s.correct,
-	}
-	if s.graded > 0 {
-		stats.QualityPercent = 100 * float64(s.correct) / float64(s.graded)
-	}
-	for _, ws := range s.cfg.Engine.Workers() {
-		stats.Workers = append(stats.Workers, WorkerView{
-			ID:        ws.Worker.ID,
-			Alpha:     ws.Alpha(),
-			Beta:      ws.Beta(),
-			Completed: ws.TotalCompleted,
-			Available: ws.Available,
-		})
-	}
-	writeJSON(w, http.StatusOK, stats)
+	writeJSON(w, http.StatusOK, s.be.stats())
 }
 
-func (s *Server) resetCounters() {
-	s.sinceIteration = 0
-	for k := range s.perWorker {
-		s.perWorker[k] = 0
+func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
+	var req windowRequest
+	if !decode(w, r, &req) {
+		return
 	}
-}
-
-// taskViewsLocked renders a worker's current display set. Caller holds mu.
-func (s *Server) taskViewsLocked(id string) []TaskView {
-	ws, err := s.cfg.Engine.Worker(id)
-	if err != nil {
-		return nil
+	if err := checkWindow(req.WindowMS); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	done := make(map[string]bool, len(ws.Completed))
-	for _, t := range ws.Completed {
-		done[t.ID] = true
-	}
-	out := make([]TaskView, 0, len(ws.Assigned))
-	for _, t := range ws.Assigned {
-		view := TaskView{
-			ID: t.ID, Group: t.Group, Reward: t.Reward,
-			Keywords: t.Keywords.Indices(), Done: done[t.ID],
-		}
-		if s.cfg.Questions != nil {
-			for _, q := range s.cfg.Questions.ForTask(t.ID) {
-				view.Questions = append(view.Questions, QuestionView{
-					ID: q.ID, Prompt: q.Prompt, Options: q.Options,
-				})
-			}
-		}
-		out = append(out, view)
-	}
-	return out
+	id := r.PathValue("id")
+	err := s.be.(windower).setWindow(id, req.WindowMS*int64(time.Millisecond))
+	reply(w, http.StatusOK, map[string]any{"worker": id, "window_ms": req.WindowMS}, err)
 }
 
 // Client is a typed HTTP client for the assignment service.

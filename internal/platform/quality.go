@@ -10,10 +10,11 @@ import (
 )
 
 // Quality-layer handlers: the answer/reputation surface of the streaming
-// modes. All three endpoints go through ServerConfig.Quality (the
+// backend. All three endpoints go through ServerConfig.Quality (the
 // tracker), so the single-engine, sharded, and cluster StreamBackends
-// serve them identically by construction — the backend is only touched
-// to push reputation changes into the assignment objective (SetTrust).
+// serve them identically by construction — the StreamBackend is only
+// touched to push reputation changes into the assignment objective
+// (SetTrust).
 
 // SubmitAnswerRequest is the body of POST /api/answers.
 type SubmitAnswerRequest struct {
@@ -22,18 +23,17 @@ type SubmitAnswerRequest struct {
 	Option int    `json:"option"`
 }
 
-func (s *Server) handleSubmitAnswer(w http.ResponseWriter, r *http.Request) {
+func (b *streaming) handleSubmitAnswer(w http.ResponseWriter, r *http.Request) {
 	var req SubmitAnswerRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
+	if !decode(w, r, &req) {
 		return
 	}
-	res, err := s.cfg.Quality.SubmitPush(req.Worker, req.TaskID, req.Option, func(trust float64) {
+	res, err := b.quality.SubmitPush(req.Worker, req.TaskID, req.Option, func(trust float64) {
 		// A gold grade moved the worker's reputation: push the new trust
 		// multiplier into the assignment engine (0 = quarantined, assign
 		// nothing), in grading order. Best-effort — the worker may have
 		// departed, and the next grade pushes again.
-		_, _ = s.cfg.Shards.SetTrust(req.Worker, trust)
+		_, _ = b.eng.SetTrust(req.Worker, trust)
 	})
 	if err != nil {
 		writeErr(w, answerErrStatus(err), err)
@@ -66,11 +66,11 @@ type AnswersView struct {
 	Stats   quality.Stats            `json:"stats"`
 }
 
-func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
+func (b *streaming) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AnswersView{
-		Method:  s.cfg.Quality.Method(),
-		Answers: s.cfg.Quality.Answers(),
-		Stats:   s.cfg.Quality.Stats(),
+		Method:  b.quality.Method(),
+		Answers: b.quality.Answers(),
+		Stats:   b.quality.Stats(),
 	})
 }
 
@@ -83,15 +83,15 @@ type ReputationView struct {
 	EngineTrust float64 `json:"engine_trust"`
 }
 
-func (s *Server) handleReputation(w http.ResponseWriter, r *http.Request) {
+func (b *streaming) handleReputation(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rep, ok := s.cfg.Quality.Reputation(id)
+	rep, ok := b.quality.Reputation(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("platform: no answers from worker %q", id))
 		return
 	}
 	view := ReputationView{Reputation: rep, EngineTrust: rep.Trust}
-	if t, err := s.cfg.Shards.Trust(id); err == nil {
+	if t, err := b.eng.Trust(id); err == nil {
 		view.EngineTrust = t
 	}
 	writeJSON(w, http.StatusOK, view)

@@ -76,14 +76,6 @@ func (p RetryPolicy) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// TasksCtx is Tasks with a caller-supplied context governing the whole
-// request including retries.
-func (c *Client) TasksCtx(ctx context.Context, id string) ([]TaskView, error) {
-	var out []TaskView
-	err := c.doCtx(ctx, http.MethodGet, "/api/workers/"+id+"/tasks", nil, &out)
-	return out, err
-}
-
 // StatsCtx is Stats with a caller-supplied context governing the whole
 // request including retries.
 func (c *Client) StatsCtx(ctx context.Context) (*StatsView, error) {

@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
-	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/cluster"
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/quality"
@@ -17,14 +15,8 @@ import (
 	"github.com/htacs/ata/internal/stream"
 )
 
-// Sharded-streaming handlers: the same HTTP surface as the batch handlers
-// in platform.go, served from a StreamBackend. Every request is one
-// streaming event — there are no global iterations, no server-side
-// completion counters, and no server mutex: the backend serializes
-// internally and requests touching different shards proceed in parallel.
-
-// StreamBackend is the streaming-engine surface the sharded handlers
-// drive. Two implementations exist: the in-process *shard.Engine, and the
+// StreamBackend is the streaming-engine surface the streaming backend
+// drives. Two implementations exist: the in-process *shard.Engine, and the
 // multi-node *cluster.Gateway, which serves the identical protocol by
 // routing ops across a ring of hta-server nodes — so a single binary
 // flag, not a different API, decides whether the deployment is one
@@ -72,51 +64,37 @@ type AddTasksResult struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
-func (s *Server) handleShardAddTasks(w http.ResponseWriter, r *http.Request) {
-	var req addTasksRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
-	tasks := make([]*core.Task, 0, len(req.Tasks))
-	for _, t := range req.Tasks {
-		for _, k := range t.Keywords {
-			if k < 0 || k >= s.cfg.Universe {
-				writeErr(w, http.StatusBadRequest,
-					fmt.Errorf("platform: task %q keyword %d outside universe", t.ID, k))
-				return
-			}
-		}
-		if t.DeadlineMS < 0 {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("platform: task %q deadline_ms %d is negative", t.ID, t.DeadlineMS))
-			return
-		}
-		tasks = append(tasks, &core.Task{
-			ID: t.ID, Group: t.Group, Reward: t.Reward,
-			Keywords: bitset.FromIndices(s.cfg.Universe, t.Keywords...),
-			Deadline: t.DeadlineMS * int64(time.Millisecond),
-		})
-	}
+// streaming is the backend over a StreamBackend, plus the replication of
+// each uploaded task into redundancy copies and, with the quality layer,
+// its checks and endpoints (quality.go). Every request is one streaming
+// event — there are no global iterations, no completion counters, and no
+// mutex here: the StreamBackend serializes internally and requests
+// touching different shards proceed in parallel.
+type streaming struct {
+	eng        StreamBackend
+	quality    *quality.Tracker // nil: no quality layer
+	redundancy int
+}
+
+func (b *streaming) addTasks(ctx context.Context, tasks []*core.Task) (any, error) {
 	res := AddTasksResult{}
-	if s.cfg.Redundancy > 1 {
-		res.Replicas = s.cfg.Redundancy
+	if b.redundancy > 1 {
+		res.Replicas = b.redundancy
 	}
 	for _, t := range tasks {
-		if s.cfg.Quality != nil {
+		if b.quality != nil {
 			// The engine refuses only live IDs; a task the tracker holds
 			// answers for is refused here.
-			if s.cfg.Quality.Answered(t.ID) {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: duplicate task %q: already answered", t.ID))
-				return
+			if b.quality.Answered(t.ID) {
+				return nil, withStatus(http.StatusBadRequest, fmt.Errorf("platform: duplicate task %q: already answered", t.ID))
 			}
 			// Logical registration: applies the auto-gold rule before any
 			// replica can be answered.
-			s.cfg.Quality.ObserveTask(t.ID)
+			b.quality.ObserveTask(t.ID)
 		}
-		for j := 0; j < s.cfg.Redundancy; j++ {
+		for j := 0; j < b.redundancy; j++ {
 			replica := t
-			if s.cfg.Redundancy > 1 {
+			if b.redundancy > 1 {
 				// Copies share the keyword set (read-only); the "~" replica
 				// suffix is outside the generator ID alphabet, so logical
 				// IDs round-trip via quality.LogicalID.
@@ -124,7 +102,7 @@ func (s *Server) handleShardAddTasks(w http.ResponseWriter, r *http.Request) {
 				cp.ID = quality.ReplicaID(t.ID, j)
 				replica = &cp
 			}
-			wid, err := s.cfg.Shards.OfferTaskCtx(r.Context(), replica)
+			wid, err := b.eng.OfferTaskCtx(ctx, replica)
 			switch {
 			case err == nil && wid != "":
 				res.Assigned++
@@ -135,124 +113,75 @@ func (s *Server) handleShardAddTasks(w http.ResponseWriter, r *http.Request) {
 				// a task intake that sheds load instead of failing wholesale.
 				res.Dropped++
 			case errors.Is(err, shard.ErrClosed):
-				writeErr(w, http.StatusServiceUnavailable, err)
-				return
+				return nil, withStatus(http.StatusServiceUnavailable, err)
 			default:
-				writeErr(w, http.StatusBadRequest, err)
-				return
+				return nil, withStatus(http.StatusBadRequest, err)
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, res)
+	return res, nil
 }
 
-func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
-	if len(req.Keywords) < 6 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("platform: worker must choose at least 6 keywords, got %d", len(req.Keywords)))
-		return
-	}
-	for _, k := range req.Keywords {
-		if k < 0 || k >= s.cfg.Universe {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: keyword %d outside universe", k))
-			return
-		}
-	}
-	if req.WindowMS < 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("platform: window_ms %d is negative", req.WindowMS))
-		return
-	}
-	worker := &core.Worker{
-		ID: req.ID, Alpha: 0.5, Beta: 0.5,
-		Keywords: bitset.FromIndices(s.cfg.Universe, req.Keywords...),
-	}
-	assigned, err := s.cfg.Shards.AddWorkerCtx(r.Context(), worker)
+func (b *streaming) register(ctx context.Context, w *core.Worker) ([]TaskView, error) {
+	assigned, err := b.eng.AddWorkerCtx(ctx, w)
 	if err != nil {
-		writeErr(w, shardErrStatus(err, http.StatusConflict), err)
-		return
+		return nil, withStatus(shardErrStatus(err, http.StatusConflict), err)
 	}
-	if req.WindowMS > 0 {
-		// Advisory: the worker registered fine; if it raced its own
-		// departure the declaration has nothing to bias any more.
-		_ = s.cfg.Shards.SetWindow(worker.ID, req.WindowMS*int64(time.Millisecond))
-	}
-	views := make([]TaskView, 0, len(assigned))
-	for _, t := range assigned {
-		views = append(views, shardTaskView(t))
-	}
-	writeJSON(w, http.StatusCreated, views)
+	return taskViews(assigned), nil
 }
 
-func (s *Server) handleShardTasks(w http.ResponseWriter, r *http.Request) {
-	active, err := s.cfg.Shards.ActiveTasks(r.PathValue("id"))
+func (b *streaming) setWindow(id string, until int64) error {
+	if err := b.eng.SetWindow(id, until); err != nil {
+		return withStatus(shardErrStatus(err, http.StatusNotFound), err)
+	}
+	return nil
+}
+
+func (b *streaming) tasks(id string) ([]TaskView, error) {
+	active, err := b.eng.ActiveTasks(id)
 	if err != nil {
-		writeErr(w, shardErrStatus(err, http.StatusNotFound), err)
-		return
+		return nil, withStatus(shardErrStatus(err, http.StatusNotFound), err)
 	}
-	views := make([]TaskView, 0, len(active))
-	for _, t := range active {
-		views = append(views, shardTaskView(t))
-	}
-	writeJSON(w, http.StatusOK, views)
+	return taskViews(active), nil
 }
 
-func (s *Server) handleShardComplete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req completeRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
+func (b *streaming) complete(ctx context.Context, id string, req completeRequest) (CompleteResponse, error) {
 	if len(req.Answers) > 0 {
-		if s.cfg.Quality != nil {
-			writeErr(w, http.StatusBadRequest, errors.New("platform: submit answers via POST /api/answers"))
-		} else {
-			writeErr(w, http.StatusBadRequest, errors.New("platform: this deployment has no graded questions"))
+		msg := "platform: this deployment has no graded questions"
+		if b.quality != nil {
+			msg = "platform: submit answers via POST /api/answers"
 		}
-		return
+		return CompleteResponse{}, withStatus(http.StatusBadRequest, errors.New(msg))
 	}
-	c, err := s.cfg.Shards.CompleteRead(r.Context(), id, req.TaskID)
+	c, err := b.eng.CompleteRead(ctx, id, req.TaskID)
 	if err != nil {
 		status := http.StatusConflict
 		if strings.Contains(err.Error(), "unknown worker") || strings.Contains(err.Error(), "not active") {
 			status = http.StatusNotFound
 		}
-		writeErr(w, shardErrStatus(err, status), err)
-		return
+		return CompleteResponse{}, withStatus(shardErrStatus(err, status), err)
 	}
 	// In streaming mode "reassigned" means the freed slot pulled a
 	// buffered task, so the display set changed beyond the removal.
 	if c.Worker == nil {
 		// The worker left between the completion and the read-back; the
 		// completion itself stands.
-		writeJSON(w, http.StatusOK, CompleteResponse{Reassigned: c.Next != nil})
-		return
+		return CompleteResponse{Reassigned: c.Next != nil}, nil
 	}
-	views := make([]TaskView, 0, len(c.Active))
-	for _, t := range c.Active {
-		views = append(views, shardTaskView(t))
-	}
-	writeJSON(w, http.StatusOK, CompleteResponse{
+	return CompleteResponse{
 		Reassigned: c.Next != nil,
 		Alpha:      c.Worker.Alpha,
 		Beta:       c.Worker.Beta,
-		Tasks:      views,
-	})
+		Tasks:      taskViews(c.Active),
+	}, nil
 }
 
-func (s *Server) handleShardLeave(w http.ResponseWriter, r *http.Request) {
-	dropped, err := s.cfg.Shards.RemoveWorkerCtx(r.Context(), r.PathValue("id"))
+func (b *streaming) leave(ctx context.Context, id string) (any, error) {
+	dropped, err := b.eng.RemoveWorkerCtx(ctx, id)
 	if err != nil {
-		writeErr(w, shardErrStatus(err, http.StatusNotFound), err)
-		return
+		return nil, withStatus(shardErrStatus(err, http.StatusNotFound), err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"left": true, "dropped": len(dropped)})
+	return map[string]any{"left": true, "dropped": len(dropped)}, nil
 }
 
 // ShardStatsView is the wire form of GET /api/stats in sharded mode: the
@@ -264,60 +193,36 @@ type ShardStatsView struct {
 	WorkerSet []WorkerView `json:"worker_set"`
 }
 
-func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
+func (b *streaming) stats() any {
 	view := ShardStatsView{
-		Stats:     s.cfg.Shards.Stats(),
-		Objective: s.cfg.Shards.Objective(),
+		Stats:     b.eng.Stats(),
+		Objective: b.eng.Objective(),
 	}
 	view.Conserved = view.Stats.Conserved()
-	for _, id := range s.cfg.Shards.WorkerIDs() {
-		wk, err := s.cfg.Shards.Worker(id)
+	for _, id := range b.eng.WorkerIDs() {
+		wk, err := b.eng.Worker(id)
 		if err != nil {
 			continue // departed between listing and read
 		}
-		done, _ := s.cfg.Shards.Completed(id)
+		done, _ := b.eng.Completed(id)
 		view.WorkerSet = append(view.WorkerSet, WorkerView{
 			ID: id, Alpha: wk.Alpha, Beta: wk.Beta,
 			Completed: done, Available: true,
 		})
 	}
-	writeJSON(w, http.StatusOK, view)
+	return view
 }
 
-// windowRequest is the body of POST /api/workers/{id}/window: an
-// availability-window declaration after registration (absolute Unix
-// milliseconds; 0 clears it).
-type windowRequest struct {
-	WindowMS int64 `json:"window_ms"`
-}
+func (b *streaming) snapshot(w io.Writer) error { return b.eng.Snapshot(w) }
 
-func (s *Server) handleShardWindow(w http.ResponseWriter, r *http.Request) {
-	var req windowRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("platform: bad request: %w", err))
-		return
-	}
-	if req.WindowMS < 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("platform: window_ms %d is negative", req.WindowMS))
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.cfg.Shards.SetWindow(id, req.WindowMS*int64(time.Millisecond)); err != nil {
-		writeErr(w, shardErrStatus(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"worker": id, "window_ms": req.WindowMS})
-}
-
-// shardTaskView renders a streaming task (always pending: completions
+// taskViews renders a streaming display set (always pending: completions
 // leave the active set immediately).
-func shardTaskView(t *core.Task) TaskView {
-	return TaskView{
-		ID: t.ID, Group: t.Group, Reward: t.Reward,
-		Keywords:   t.Keywords.Indices(),
-		DeadlineMS: t.Deadline / int64(time.Millisecond),
+func taskViews(ts []*core.Task) []TaskView {
+	views := make([]TaskView, 0, len(ts))
+	for _, t := range ts {
+		views = append(views, taskView(t))
 	}
+	return views
 }
 
 // shardErrStatus maps engine errors onto HTTP statuses, with a fallback

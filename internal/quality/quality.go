@@ -306,12 +306,6 @@ func (tr *Tracker) GoldAnswer(taskID string) (answer int, ok bool) {
 	return ts.goldAnswer, true
 }
 
-// IsGold reports whether the task is a gold probe.
-func (tr *Tracker) IsGold(taskID string) bool {
-	_, ok := tr.GoldAnswer(taskID)
-	return ok
-}
-
 // SubmitResult reports the fate of one answer.
 type SubmitResult struct {
 	// TaskID is the logical task the answer counted toward.

@@ -111,15 +111,6 @@ func (f *Forecaster) Tick() {
 	f.ticks++
 }
 
-// Ticks returns how many folds have happened. Zero means the forecaster
-// has no data and PredictedBacklog degrades to the current backlog (the
-// reactive behaviour).
-func (f *Forecaster) Ticks() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ticks
-}
-
 // Rates returns the current per-tick arrival mean, arrival standard
 // deviation, and completion mean.
 func (f *Forecaster) Rates() (arrival, sigma, completion float64) {

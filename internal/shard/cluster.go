@@ -29,11 +29,10 @@ import (
 // The head is never pending: settle fills the pending scores unless a
 // computed one ranks before them.
 func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return 0, 0, false
 	}
-	defer release()
+	defer e.live.RUnlock()
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return 0, 0, false
 	}
@@ -48,11 +47,10 @@ func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 // — the cluster router will commit to another node or buffer explicitly.
 // On success the task is counted in the engine's Admission.
 func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return "", false
 	}
-	defer release()
+	defer e.live.RUnlock()
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return "", false
 	}
@@ -80,11 +78,10 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 // buffer is at its limit. Accepted tasks are counted in the engine's
 // Admission, like TryAssign.
 func (e *Engine) BufferAny(t *core.Task) error {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return errors.New("shard: nil task or keywords")
 	}

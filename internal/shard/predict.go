@@ -39,11 +39,10 @@ func (e *Engine) expireLoop() {
 // balancing — an expired task is never a silent drop. Its ID leaves the
 // duplicate filter, so it may be offered again.
 func (e *Engine) ExpireOnce(now int64) int {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return 0
 	}
-	defer release()
+	defer e.live.RUnlock()
 	total := 0
 	for _, a := range e.actors {
 		var exp []*core.Task

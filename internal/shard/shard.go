@@ -308,15 +308,16 @@ func (e *Engine) Close() {
 	}
 }
 
-// begin takes the liveness read-lock; the returned release must be called
-// when the operation's mailbox traffic is done.
-func (e *Engine) begin() (release func(), err error) {
+// begin takes the liveness read-lock, or returns ErrClosed without it.
+// On success the caller defers e.live.RUnlock() for the rest of the
+// operation's mailbox traffic.
+func (e *Engine) begin() error {
 	e.live.RLock()
 	if e.closed {
 		e.live.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	return e.live.RUnlock, nil
+	return nil
 }
 
 // AddWorker registers the worker on its ring shard and drains that
@@ -328,11 +329,11 @@ func (e *Engine) AddWorker(w *core.Worker) ([]*core.Task, error) {
 
 // AddWorkerCtx is AddWorker with trace annotation.
 func (e *Engine) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error) {
-	release, err := e.begin()
+	err := e.begin()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	if w == nil || w.ID == "" {
 		return nil, errors.New("shard: nil worker or empty ID")
 	}
@@ -367,11 +368,11 @@ func (e *Engine) RemoveWorker(id string) ([]*core.Task, error) {
 
 // RemoveWorkerCtx is RemoveWorker with trace annotation.
 func (e *Engine) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error) {
-	release, err := e.begin()
+	err := e.begin()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	a := e.actors[e.ring.Lookup(id)]
 	var dropped []*core.Task
 	a.call(func(asn *stream.Assigner) { dropped, err = asn.RemoveWorker(id) })
@@ -404,11 +405,11 @@ func (e *Engine) OfferTask(t *core.Task) (string, error) {
 // decision is recorded as a "shard.route" span with per-attempt
 // "shard.commit" events.
 func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error) {
-	release, err := e.begin()
+	err := e.begin()
 	if err != nil {
 		return "", err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	if t == nil || t.Keywords == nil {
 		return "", errors.New("shard: nil task or keywords")
 	}
@@ -569,11 +570,10 @@ func (e *Engine) CompleteRead(ctx context.Context, workerID, taskID string) (Com
 // complete is the body of CompleteCtx and CompleteRead: one actor call
 // that completes, pulls, and reads back when read is set.
 func (e *Engine) complete(ctx context.Context, workerID, taskID string, read bool) (c Completion, err error) {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return c, err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	a := e.actors[e.ring.Lookup(workerID)]
 	a.call(func(asn *stream.Assigner) {
 		c.Next, err = asn.Complete(workerID, taskID)
@@ -602,11 +602,10 @@ func (e *Engine) complete(ctx context.Context, workerID, taskID string, read boo
 // onWorker is the body of the per-worker calls: read on the shard that
 // owns workerID, under the liveness read-lock.
 func onWorker[T any](e *Engine, workerID string, read func(*stream.Assigner, string) (T, error)) (out T, err error) {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return out, err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) { out, err = read(asn, workerID) })
 	return out, err
 }
@@ -646,11 +645,11 @@ func (e *Engine) SetTrust(workerID string, trust float64) ([]*core.Task, error) 
 // (Config.LearnWindows) the declaration also overrides the tracker's
 // estimate until the worker next departs.
 func (e *Engine) SetWindow(workerID string, until int64) error {
-	release, err := e.begin()
+	err := e.begin()
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
 		err = asn.SetWindow(workerID, until)
 	})
@@ -694,11 +693,10 @@ func (e *Engine) FreeCapacity() int {
 // shard's total motivation over active sets. Scatter-gathered; exact at
 // quiescence.
 func (e *Engine) Objective() float64 {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return 0
 	}
-	defer release()
+	defer e.live.RUnlock()
 	vals := make([]float64, len(e.actors))
 	e.each(func(a *actor) { vals[a.id] = a.asn.Objective() })
 	var total float64
@@ -749,11 +747,10 @@ func (s Stats) Conserved() bool {
 // consistent per-shard cut but the cross-shard sum may be mid-flight.
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: len(e.actors)}
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return st
 	}
-	defer release()
+	defer e.live.RUnlock()
 	st.PerShard = make([]ShardStats, len(e.actors))
 	e.each(func(a *actor) {
 		s := ShardStats{
@@ -789,11 +786,10 @@ func (e *Engine) Stats() Stats {
 // WorkerIDs returns all registered worker IDs, grouped by shard in shard
 // order (arrival order within a shard).
 func (e *Engine) WorkerIDs() []string {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return nil
 	}
-	defer release()
+	defer e.live.RUnlock()
 	byShard := make([][]string, len(e.actors))
 	e.each(func(a *actor) { byShard[a.id] = a.asn.WorkerIDs() })
 	var out []string

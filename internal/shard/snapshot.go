@@ -82,11 +82,10 @@ func snapToTask(s taskSnap) (*core.Task, error) {
 // duration, so the cut is globally consistent: the conservation invariant
 // that held in memory holds in the file.
 func (e *Engine) Snapshot(w io.Writer) error {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return err
 	}
-	defer release()
+	defer e.live.RUnlock()
 	snap := engineSnap{
 		Version:   1,
 		Shards:    len(e.actors),

@@ -46,11 +46,10 @@ type stealPlan struct {
 // deployments that disable the periodic loop and trigger rebalancing
 // themselves.
 func (e *Engine) StealOnce() int {
-	release, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return 0
 	}
-	defer release()
+	defer e.live.RUnlock()
 	n := len(e.actors)
 	if n < 2 {
 		return 0

@@ -57,9 +57,6 @@ func (r *Recorder) SetSampling(every int) {
 	r.every.Store(uint64(every))
 }
 
-// Sampling returns the current 1/N sampling denominator (0 = disabled).
-func (r *Recorder) Sampling() int { return int(r.every.Load()) }
-
 // Enabled reports whether any root can currently be sampled.
 func (r *Recorder) Enabled() bool { return r.every.Load() != 0 }
 
