@@ -18,16 +18,17 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-check the internal packages: the shard actors, the cluster and the
+# Race-check the internal packages: the shard locks, the cluster and the
 # platform handlers run concurrently.
 test-race:
 	$(GO) test -race ./internal/...
 
-# The sharded-engine conservation and determinism properties and the
-# routing decision's tests, the gateway's included, repeated under the
-# race detector (the same run as the dedicated CI step).
+# The sharded-engine conservation and determinism properties, the shard
+# lock protocol's stress and goroutine tests, and the routing decision's
+# tests, the gateway's included, repeated under the race detector (the
+# same run as the dedicated CI step).
 test-shard:
-	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit|TestFilterBoundedByLiveTasks|TestDuplicateContract|TestPendingRouteMatchesFullScores|FuzzRoutePending'
+	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit|TestFilterBoundedByLiveTasks|TestDuplicateContract|TestPendingRouteMatchesFullScores|FuzzRoutePending|TestLockProtocolUnderConcurrentReads|TestCloseStopsEveryGoroutine|TestIdleEngineStartsNoGoroutine'
 	$(GO) test -race -count 2 ./internal/stream -run 'TestOfferPruneMatchesFullScan|TestBestGainPartialNaN|TestOfferPruneResidue'
 	$(GO) test -race -count 2 ./internal/cluster -run 'TestGatewayMatchesInProcessRoute|TestFilterBoundedByLiveTasks|TestDuplicateContract'
 

@@ -3,7 +3,9 @@
 // JSON-lines file produced by hta-gen, or uploaded at runtime via
 // POST /api/tasks. Both go through the platform's one task intake
 // (platform.Server.AddTasks), so in every mode a preload is replicated,
-// quality-checked and offered exactly like an upload. With -snapshot the
+// quality-checked and offered exactly like an upload; a preloaded task's
+// deadline is an offset from load time, as hta-gen -deadlines writes it,
+// where an uploaded one is an absolute instant. With -snapshot the
 // full engine state (task pool, in-flight assignments, learned α/β) is
 // restored at startup and saved on SIGINT/SIGTERM, so the experiment
 // survives restarts.
@@ -25,11 +27,13 @@
 // -shutdown-grace, and only then is the snapshot written.
 //
 // With -shards N (N >= 1) the service runs the sharded streaming engine
-// instead of batch iterations: workers are partitioned across N shard
-// actors by consistent hashing, uploaded tasks are routed to the worker
-// with the best marginal motivation gain across all shards (or buffered),
-// and completions immediately pull buffered work. The HTTP surface is
-// unchanged; /api/stats reports the engine-wide conservation accounting.
+// instead of batch iterations: workers are partitioned across N shards,
+// each behind its own lock, by consistent hashing, and every request runs
+// its shard calls in its own goroutine. Uploaded tasks are routed to the
+// worker with the best marginal motivation gain across all shards (or
+// buffered), and completions immediately pull buffered work. The HTTP
+// surface is unchanged; /api/stats reports the engine-wide conservation
+// accounting.
 // Snapshots in this mode are the consistent merge of per-shard snapshots
 // and can be restored at a different -shards count.
 //
@@ -152,7 +156,7 @@ func shutdownGracefully(httpSrv *http.Server, srv *platform.Server, grace time.D
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	tasksPath := flag.String("tasks", "", "optional JSON-lines task file to preload (see hta-gen)")
+	tasksPath := flag.String("tasks", "", "optional JSON-lines task file to preload (see hta-gen); a task's deadline is an offset from load time")
 	snapshotPath := flag.String("snapshot", "", "engine state file: restored at startup, written on SIGINT/SIGTERM")
 	shards := flag.Int("shards", 0, "run the sharded streaming engine with N shards instead of batch iterations (0 = batch)")
 	buffer := flag.Int("buffer", 1024, "per-shard task buffer limit (sharded mode only)")
@@ -213,6 +217,14 @@ func main() {
 		f.Close()
 		if err != nil {
 			log.Fatalf("hta-server: reading %s: %v", *tasksPath, err)
+		}
+		// A task file's deadlines are offsets from trace start
+		// (workload.Deadlines); the load instant is that start.
+		now := time.Now().UnixNano()
+		for _, t := range preload {
+			if t.Deadline != 0 {
+				t.Deadline += now
+			}
 		}
 	}
 	var qtracker *quality.Tracker

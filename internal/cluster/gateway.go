@@ -3,15 +3,15 @@
 // consistent-hash ring over worker IDs (shard.Ring, the engine's own
 // ring, over "node-<name>" labels), and a thin gateway makes the shard
 // engine's routing decision (shard.Route) with the nodes as its members:
-// they score themselves over stdlib HTTP RPC instead of goroutine
-// mailboxes, and the engine's Admission type keeps the duplicate filter
-// and the submitted and dropped counts.
+// they score themselves over stdlib HTTP RPC instead of under shard
+// locks in process, and the engine's Admission type keeps the duplicate
+// filter and the submitted and dropped counts.
 //
 // The comms layer is built so the network never dominates:
 //
 //   - batching: concurrent operations destined for the same node coalesce
-//     into one framed RPC (the mailbox-drain idiom of the shard actor,
-//     applied to the wire);
+//     into one framed RPC (each sender drains whatever has queued for its
+//     peer into the next frame);
 //   - pipelining: up to Window frames per peer are in flight at once, so
 //     a slow response never stalls the queue behind it;
 //   - pooled persistent connections (http.Transport keep-alives) and

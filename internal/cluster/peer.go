@@ -55,10 +55,10 @@ func putCall(c *call) {
 // peer is the client half of the batched RPC protocol for one node:
 // concurrent ops enqueue into a pending queue; up to window long-lived
 // sender goroutines drain the queue into frames of up to maxBatch ops,
-// one frame in flight each (pipelining). The drain is the shard actor's
-// mailbox-batching idiom applied to the wire — under load, frames fill
-// and per-op HTTP overhead amortizes away; when traffic is light a frame
-// carries one op and latency matches unbatched RPC.
+// one frame in flight each (pipelining). Each sender takes whatever has
+// queued by the time it is free — under load, frames fill and per-op
+// HTTP overhead amortizes away; when traffic is light a frame carries one
+// op and latency matches unbatched RPC.
 type peer struct {
 	name string
 	base string // e.g. http://127.0.0.1:9001

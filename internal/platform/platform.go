@@ -52,7 +52,8 @@ type ServerConfig struct {
 	Engine *adaptive.Engine
 	// Shards serves the same HTTP API from a streaming backend instead:
 	// registrations, completions and departures become immediate
-	// per-event decisions routed across shard actors, with no global
+	// per-event decisions routed across the shards, each call made in the
+	// request's own goroutine under its shard's lock, with no global
 	// iterations. Tasks uploaded via POST /api/tasks are offered to the
 	// stream one by one. Graded questions are not supported in this mode.
 	// The backend is either an in-process *shard.Engine or a
@@ -259,8 +260,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Snapshot serializes the backing engine's state; safe to call
 // concurrently with request handling (e.g. from a shutdown signal
-// handler). With a sharded backend the shard engine quiesces all actors
-// itself, producing one globally consistent merged document.
+// handler). With a sharded backend the shard engine holds every shard
+// lock while it reads, producing one globally consistent merged document.
 func (s *Server) Snapshot(w io.Writer) error { return s.be.snapshot(w) }
 
 // AddTasks is the platform's one task intake: POST /api/tasks and

@@ -27,7 +27,7 @@ type StreamBackend interface {
 	RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error)
 	CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error)
 	// CompleteRead is CompleteCtx plus the worker record and its display
-	// set after the completion, read in the same step: one actor call on
+	// set after the completion, read in the same step: one shard call on
 	// the engine, one frame through the gateway.
 	CompleteRead(ctx context.Context, workerID, taskID string) (shard.Completion, error)
 	ActiveTasks(workerID string) ([]*core.Task, error)

@@ -56,10 +56,10 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	}
 	start := time.Now()
 	defer func() { e.metrics.RouteLatency.Observe(time.Since(start).Seconds()) }()
-	if len(e.actors) == 1 {
+	if len(e.parts) == 1 {
 		// A walk over one member is one commit; scoring it first would
-		// only add a mailbox round trip.
-		e.actors[0].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
+		// only add a second shard call.
+		e.parts[0].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
 	} else {
 		ctx, m := context.Background(), shards{e}
 		var at int

@@ -16,7 +16,7 @@ import (
 // engine's accounting hangs off: with offers, completions, worker churn
 // and work stealing all running concurrently, every submitted task ends
 // up in exactly one of {active, completed, buffered, dropped} once the
-// engine quiesces. Run under -race this also exercises the mailbox
+// engine quiesces. Run under -race this also exercises the shard lock
 // protocol end to end.
 func TestConservationUnderConcurrentChurn(t *testing.T) {
 	e := testEngine(t, Config{
@@ -192,7 +192,7 @@ func TestStealOnceMovesBacklogToFreeShard(t *testing.T) {
 	for _, task := range tasks[:10] {
 		e.adm.Accept()
 		var err error
-		e.actors[0].call(func(asn *stream.Assigner) { err = asn.BufferTask(task) })
+		e.parts[0].call(func(asn *stream.Assigner) { err = asn.BufferTask(task) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestStealNoOpCases(t *testing.T) {
 	}
 	for _, task := range tasks[:3] {
 		e.adm.Accept()
-		e.actors[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
+		e.parts[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
 	}
 	if n := e.StealOnce(); n != 0 {
 		t.Fatalf("StealOnce moved %d with backlog 3 under watermark 8", n)

@@ -39,9 +39,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 0}); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := New(Config{Shards: 2, Mailbox: -1}); err == nil {
-		t.Error("negative mailbox accepted")
-	}
 	if _, err := New(Config{Shards: 2, Stream: stream.Config{Xmax: 0}}); err == nil {
 		t.Error("invalid stream config accepted")
 	}

@@ -80,32 +80,26 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// actorMetrics are the per-shard series, labeled shard="K". The wrapped
+// partMetrics are the per-shard series, labeled shard="K". The wrapped
 // stream.Assigner's own instruments (queue depth, delivered, ...) carry
 // the same label via stream.NewMetricsLabeled, so every shard is a
 // distinct, aggregatable family member — the fix for the shared-gauge
 // inconsistency a process with several Assigners otherwise hits.
-type actorMetrics struct {
-	Mailbox   *obs.Gauge     // current mailbox occupancy
-	Free      *obs.Gauge     // free task slots (Xmax·workers − active)
-	Batch     *obs.Histogram // messages drained per mailbox batch
-	Stolen    *obs.Counter   // tasks this shard donated
-	Received  *obs.Counter   // tasks this shard absorbed
-	Predicted *obs.Gauge     // forecaster's projected backlog at horizon
+type partMetrics struct {
+	Free      *obs.Gauge   // free task slots (Xmax·workers − active)
+	Stolen    *obs.Counter // tasks this shard donated
+	Received  *obs.Counter // tasks this shard absorbed
+	Predicted *obs.Gauge   // forecaster's projected backlog at horizon
 }
 
-func newActorMetrics(r *obs.Registry, id int) (*actorMetrics, *stream.Metrics) {
+func newPartMetrics(r *obs.Registry, id int) (*partMetrics, *stream.Metrics) {
 	if r == nil {
 		r = obs.Default()
 	}
 	l := obs.L("shard", strconv.Itoa(id))
-	am := &actorMetrics{
-		Mailbox: r.Gauge("hta_shard_mailbox_occupancy",
-			"messages waiting in the shard actor's mailbox", l),
+	pm := &partMetrics{
 		Free: r.Gauge("hta_shard_free_capacity",
 			"free task slots on the shard (Xmax x workers - active)", l),
-		Batch: r.Histogram("hta_shard_mailbox_batch_size",
-			"messages drained per mailbox batch by the shard actor", obs.SizeBuckets(), l),
 		Stolen: r.Counter("hta_shard_tasks_stolen_total",
 			"buffered tasks donated to other shards", l),
 		Received: r.Counter("hta_shard_tasks_received_total",
@@ -113,5 +107,5 @@ func newActorMetrics(r *obs.Registry, id int) (*actorMetrics, *stream.Metrics) {
 		Predicted: r.Gauge("hta_shard_predicted_backlog",
 			"projected shard backlog at the forecast horizon", l),
 	}
-	return am, stream.NewMetricsLabeled(r, l)
+	return pm, stream.NewMetricsLabeled(r, l)
 }

@@ -76,7 +76,7 @@ func TestPendingRouteMatchesFullScores(t *testing.T) {
 					t.Fatalf("step %d %s: engine %v (%v), twin %v (%v)", step, what, got, errE, want, errB)
 				}
 				for i, a := range twin {
-					if b := eng.actors[i].asn.Backlog(); b != a.Backlog() {
+					if b := eng.parts[i].asn.Backlog(); b != a.Backlog() {
 						t.Fatalf("step %d %s: shard %d backlog %d, twin %d", step, what, i, b, a.Backlog())
 					}
 				}
@@ -186,7 +186,7 @@ func TestPendingRouteMatchesFullScores(t *testing.T) {
 			}
 			var engScans, twinScans uint64
 			for i, a := range twin {
-				eng.actors[i].call(func(asn *stream.Assigner) { engScans += asn.Scans() })
+				eng.parts[i].call(func(asn *stream.Assigner) { engScans += asn.Scans() })
 				twinScans += a.Scans()
 			}
 			t.Logf("%d offers rescored, %d offers found every shard full; %d scans, %d with full scores", rescored, fullOffers, engScans, twinScans)
@@ -253,7 +253,7 @@ func BenchmarkRouteFill(b *testing.B) {
 		}
 		elapsed += time.Since(start)
 		b.StopTimer()
-		for _, a := range e.actors {
+		for _, a := range e.parts {
 			a.call(func(asn *stream.Assigner) { scans += asn.Scans() })
 		}
 		e.Close()

@@ -44,20 +44,20 @@ func (e *Engine) ExpireOnce(now int64) int {
 	}
 	defer e.live.RUnlock()
 	total := 0
-	for _, a := range e.actors {
+	for _, p := range e.parts {
 		var exp []*core.Task
-		a.call(func(asn *stream.Assigner) { exp = asn.ExpireDue(now) })
+		p.call(func(asn *stream.Assigner) { exp = asn.ExpireDue(now) })
 		if len(exp) == 0 {
 			continue
 		}
 		for _, t := range exp {
 			e.adm.Release(t.ID)
 		}
-		a.expired.Add(int64(len(exp)))
+		p.expired.Add(int64(len(exp)))
 		e.metrics.Expired.Add(float64(len(exp)))
 		total += len(exp)
 		attrs := []string{
-			"shard", strconv.Itoa(a.id),
+			"shard", strconv.Itoa(p.id),
 			"count", strconv.Itoa(len(exp)),
 		}
 		// Small batches record the task IDs outright; larger ones stay
@@ -85,8 +85,8 @@ func (e *Engine) ForecastTick() {
 	}
 	for i, f := range e.forecast {
 		f.Tick()
-		pred := f.PredictedBacklog(e.actors[i].asn.Backlog(), e.cfg.ForecastHorizon)
-		e.actors[i].metrics.Predicted.Set(pred)
+		pred := f.PredictedBacklog(e.parts[i].asn.Backlog(), e.cfg.ForecastHorizon)
+		e.parts[i].metrics.Predicted.Set(pred)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestPredictiveStealMovesBeforeWatermark(t *testing.T) {
 		// (backlog > watermark) stays quiet.
 		for _, task := range tasks[:4] {
 			e.adm.Accept()
-			e.actors[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
+			e.parts[0].call(func(asn *stream.Assigner) { _ = asn.BufferTask(task) })
 		}
 		return recv
 	}
@@ -214,7 +214,7 @@ func TestLearnedWindowAppliedOnReArrival(t *testing.T) {
 // rounds and expiry sweeps all racing, every submitted task lands in
 // exactly one of {active, completed, buffered, dropped, expired} at
 // quiescence. Run under -race this exercises the expiry path against the
-// mailbox protocol.
+// shard lock protocol.
 //
 // The completers start only once a sweep has expired a task, and each
 // offerer waits for that first expiry halfway through its tasks: free

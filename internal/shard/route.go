@@ -7,7 +7,7 @@ import (
 	"github.com/htacs/ata/internal/stream"
 )
 
-// The routing decision, shared by the engine (members are shard actors)
+// The routing decision, shared by the engine (members are shards)
 // and the cluster gateway (members are nodes behind RPC). The greedy
 // argmax over all workers equals the max over per-member maxima, so one
 // decision routes across any partition of the workers. A member set

@@ -1,8 +1,11 @@
 // Package shard is the sharded streaming assignment engine: N independent
-// stream.Assigner shards, each owned by one actor goroutine behind a
-// bounded mailbox, with workers partitioned across shards by a
-// consistent-hash ring and tasks routed by scatter-gather marginal-gain
-// scoring.
+// stream.Assigner shards, each guarded by its own mutex, with workers
+// partitioned across shards by a consistent-hash ring and tasks routed by
+// scatter-gather marginal-gain scoring. Every shard call runs in the
+// caller's goroutine under that shard's lock; a goroutine holds at most
+// one shard lock at a time (only the quiesce barrier behind Snapshot
+// takes them all, in index order), so concurrency comes from concurrent
+// requests on different shards and no lock order can cycle.
 //
 // The single-Assigner deployment serializes every event on one mutex — a
 // hard ceiling once "heavy traffic from millions of users" is the target.
@@ -18,8 +21,8 @@
 // Protocol per arriving task (OfferTask):
 //
 //  1. scatter: every shard scores its best Δ(q, k) among workers with
-//     free capacity (read-only, concurrent across shards), each score
-//     held at its shard's index;
+//     free capacity (read-only, one shard lock at a time, in index
+//     order), each score held at its shard's index;
 //  2. commit: rank the shards that scored free by gain, relevance and
 //     index, and try them in that order — under contention a shard may
 //     fill between score and commit; a shard that scored full is never
@@ -29,10 +32,10 @@
 //
 // All three steps are Route (route.go), the one decision the cluster
 // gateway also makes over its nodes. A Member brings the transport: its
-// Scatter asks the shard actors here and the nodes' RPC there, and
-// Admission is the duplicate filter and counters both keep around it:
-// an ID is refused while it is buffered or active, and may be offered
-// again once it completes, expires or is dropped.
+// Scatter asks the shards under their locks here and the nodes' RPC
+// there, and Admission is the duplicate filter and counters both keep
+// around it: an ID is refused while it is buffered or active, and may be
+// offered again once it completes, expires or is dropped.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded
@@ -63,12 +66,9 @@ var ErrClosed = errors.New("shard: engine closed")
 // Config parameterizes an Engine.
 type Config struct {
 	// Shards is the number of partitions (>= 1). With 1 shard the engine
-	// degenerates to a mailbox-wrapped stream.Assigner and work stealing
-	// is disabled.
+	// degenerates to a lock-wrapped stream.Assigner and work stealing is
+	// disabled.
 	Shards int
-	// Mailbox bounds each shard actor's mailbox; a full mailbox blocks
-	// the sender (backpressure, never drops). Default 128.
-	Mailbox int
 	// Stream is the per-shard assigner template. BufferLimit is per
 	// shard, so total buffer capacity is Shards·BufferLimit; divide a
 	// fixed global budget by Shards for capacity-fair comparisons. The
@@ -130,14 +130,14 @@ type Config struct {
 type Engine struct {
 	cfg     Config
 	ring    *Ring
-	actors  []*actor
+	parts   []*part
 	metrics *Metrics
 	tracer  *trace.Recorder
 	journal *ops.Journal
 
-	// live guards mailbox liveness: operations hold the read side while
-	// they touch mailboxes; Close takes the write side, so no send can
-	// race a mailbox close.
+	// live guards the closed flag: operations hold the read side while
+	// they touch the shards; Close takes the write side, so it waits out
+	// every operation in flight.
 	live   sync.RWMutex
 	closed bool
 
@@ -146,7 +146,7 @@ type Engine struct {
 	// see cross-shard duplicates), the submitted count and the offers
 	// rejected with ErrBufferFull. Every exit the engine sees (completion,
 	// expiry, removal and steal overflow) releases the ID. Per-shard
-	// removal/steal overflow counts live on the actors. base* carry
+	// removal/steal overflow counts live on the parts. base* carry
 	// counters restored from a snapshot.
 	adm           *Admission[struct{}]
 	baseSubmitted int64
@@ -162,8 +162,8 @@ type Engine struct {
 	windows  *schedule.WindowTracker
 	now      func() int64
 
-	// snapMu serializes quiesce barriers (two overlapping barriers would
-	// deadlock the actor pool).
+	// snapMu serializes quiesce barriers, so at most one goroutine ever
+	// holds more than one shard lock.
 	snapMu sync.Mutex
 
 	// stealMu guards stealScratch, the reusable transfer slice steal
@@ -177,17 +177,12 @@ type Engine struct {
 	expireDone chan struct{}
 }
 
-// New validates the configuration and starts the shard actors (and the
-// rebalancer when Shards > 1 and stealing is enabled).
+// New validates the configuration and builds the shards. It starts the
+// rebalancer when Shards > 1 and stealing is enabled, and the expiry
+// sweep when ExpireInterval > 0; with both off it starts no goroutine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards = %d, must be >= 1", cfg.Shards)
-	}
-	if cfg.Mailbox == 0 {
-		cfg.Mailbox = 128
-	}
-	if cfg.Mailbox < 1 {
-		return nil, fmt.Errorf("shard: Mailbox = %d", cfg.Mailbox)
 	}
 	if cfg.Stream.BufferLimit == 0 {
 		cfg.Stream.BufferLimit = 1024
@@ -249,19 +244,16 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.LearnWindows {
 		e.windows = schedule.NewWindowTracker(cfg.Windows)
 	}
-	e.actors = make([]*actor, cfg.Shards)
-	for i := range e.actors {
+	e.parts = make([]*part, cfg.Shards)
+	for i := range e.parts {
 		scfg := cfg.Stream
-		am, sm := newActorMetrics(cfg.Registry, i)
+		pm, sm := newPartMetrics(cfg.Registry, i)
 		scfg.Metrics = sm
 		asn, err := stream.NewAssigner(scfg)
 		if err != nil {
-			for _, a := range e.actors[:i] {
-				a.stop()
-			}
 			return nil, err
 		}
-		e.actors[i] = newActor(i, asn, cfg.Mailbox, am)
+		e.parts[i] = &part{id: i, asn: asn, metrics: pm}
 	}
 	if cfg.Shards > 1 && cfg.StealInterval > 0 {
 		e.stopSteal = make(chan struct{})
@@ -277,14 +269,14 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Shards returns the configured shard count.
-func (e *Engine) Shards() int { return len(e.actors) }
+func (e *Engine) Shards() int { return len(e.parts) }
 
 // ShardOf returns the shard index owning the worker ID (pure ring
 // lookup; the worker need not be registered).
 func (e *Engine) ShardOf(workerID string) int { return e.ring.Lookup(workerID) }
 
-// Close stops the rebalancer and the shard actors, draining their
-// mailboxes. Idempotent; operations after Close return ErrClosed.
+// Close waits out the operations in flight and stops the rebalancer and
+// the expiry sweep. Idempotent; operations after Close return ErrClosed.
 func (e *Engine) Close() {
 	e.live.Lock()
 	if e.closed {
@@ -303,14 +295,11 @@ func (e *Engine) Close() {
 		close(e.stopExpire)
 		<-e.expireDone
 	}
-	for _, a := range e.actors {
-		a.stop()
-	}
 }
 
 // begin takes the liveness read-lock, or returns ErrClosed without it.
 // On success the caller defers e.live.RUnlock() for the rest of the
-// operation's mailbox traffic.
+// operation's shard calls.
 func (e *Engine) begin() error {
 	e.live.RLock()
 	if e.closed {
@@ -337,9 +326,9 @@ func (e *Engine) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task
 	if w == nil || w.ID == "" {
 		return nil, errors.New("shard: nil worker or empty ID")
 	}
-	a := e.actors[e.ring.Lookup(w.ID)]
+	p := e.parts[e.ring.Lookup(w.ID)]
 	var assigned []*core.Task
-	a.call(func(asn *stream.Assigner) {
+	p.call(func(asn *stream.Assigner) {
 		assigned, err = asn.AddWorker(w)
 		if err == nil && e.windows != nil {
 			// Learned-window hook: record the arrival and, once the
@@ -354,7 +343,7 @@ func (e *Engine) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task
 	})
 	if err == nil {
 		trace.Event(ctx, "shard.add_worker",
-			trace.Str("worker", w.ID), trace.Int("shard", a.id),
+			trace.Str("worker", w.ID), trace.Int("shard", p.id),
 			trace.Int("drained", len(assigned)))
 	}
 	return assigned, err
@@ -373,22 +362,22 @@ func (e *Engine) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, 
 		return nil, err
 	}
 	defer e.live.RUnlock()
-	a := e.actors[e.ring.Lookup(id)]
+	p := e.parts[e.ring.Lookup(id)]
 	var dropped []*core.Task
-	a.call(func(asn *stream.Assigner) { dropped, err = asn.RemoveWorker(id) })
+	p.call(func(asn *stream.Assigner) { dropped, err = asn.RemoveWorker(id) })
 	if err == nil && e.windows != nil {
 		e.windows.Depart(id, e.now())
 	}
 	if err == nil {
 		if n := len(dropped); n > 0 {
-			a.dropped.Add(int64(n))
+			p.dropped.Add(int64(n))
 			e.metrics.Dropped.Add(float64(n))
 		}
 		for _, t := range dropped {
 			e.adm.Release(t.ID)
 		}
 		trace.Event(ctx, "shard.remove_worker",
-			trace.Str("worker", id), trace.Int("shard", a.id),
+			trace.Str("worker", id), trace.Int("shard", p.id),
 			trace.Int("dropped", len(dropped)))
 	}
 	return dropped, err
@@ -422,11 +411,11 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 	}
 	wid, shardID := "", 0
 	start := time.Now()
-	if len(e.actors) == 1 {
+	if len(e.parts) == 1 {
 		// Single shard: straight through the one assigner, so selection,
 		// buffering and metrics are exactly the bare stream.Assigner's —
 		// the determinism test pins this.
-		e.actors[0].call(func(asn *stream.Assigner) { wid, err = asn.OfferTask(t) })
+		e.parts[0].call(func(asn *stream.Assigner) { wid, err = asn.OfferTask(t) })
 	} else {
 		var span *trace.Span
 		ctx, span = trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
@@ -445,45 +434,37 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 	return wid, err
 }
 
-// each runs fn on every shard actor concurrently and waits for all of
-// them; fn writes its result at the actor's index. Caller holds the
-// liveness read-lock.
-func (e *Engine) each(fn func(a *actor)) {
-	var wg sync.WaitGroup
-	wg.Add(len(e.actors))
-	for _, a := range e.actors {
-		a.send(func() {
-			fn(a)
-			wg.Done()
-		})
+// each runs fn under every shard's lock in turn, in index order. Caller
+// holds the liveness read-lock.
+func (e *Engine) each(fn func(p *part)) {
+	for _, p := range e.parts {
+		p.call(func(*stream.Assigner) { fn(p) })
 	}
-	wg.Wait()
 }
 
-// shards is the engine's actors as routing members.
+// shards is the engine's parts as routing members.
 type shards struct{ e *Engine }
 
-// Scatter asks every shard for its Score of t (read-only, concurrent
-// across shards). Each reply lands at its shard's index, so the decision
-// never depends on which actor answers first. With more than one shard a
-// shard with no partly-filled worker answers pending
+// Scatter asks every shard for its Score of t (read-only, one shard lock
+// at a time). Each reply lands at its shard's index. With more than one
+// shard a shard with no partly-filled worker answers pending
 // (stream.Assigner.BestGainPartial), which spares it the scan over every
 // worker unless the decision turns on it; a lone shard always answers in
-// full, since asking it again would cost a second mailbox round trip.
+// full, since asking it again would cost a second shard call.
 func (s shards) Scatter(_ context.Context, t *core.Task) []Score {
-	scores := make([]Score, len(s.e.actors))
-	partial := len(s.e.actors) > 1
-	s.e.each(func(a *actor) {
-		sc := &scores[a.id]
+	scores := make([]Score, len(s.e.parts))
+	partial := len(s.e.parts) > 1
+	s.e.each(func(p *part) {
+		sc := &scores[p.id]
 		if partial {
 			var pending bool
-			if sc.Gain, sc.Rel, sc.Free, pending = a.asn.BestGainPartial(t); pending {
+			if sc.Gain, sc.Rel, sc.Free, pending = p.asn.BestGainPartial(t); pending {
 				*sc = pendingScore(0)
 			}
 		} else {
-			sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+			sc.Gain, sc.Rel, sc.Free = p.asn.BestGain(t)
 		}
-		sc.Backlog = a.asn.Backlog()
+		sc.Backlog = p.asn.Backlog()
 	})
 	return scores
 }
@@ -493,26 +474,22 @@ func (s shards) Scatter(_ context.Context, t *core.Task) []Score {
 func (s shards) Rescore(ctx context.Context, t *core.Task, scores []Score) {
 	s.e.metrics.RouteRescores.Inc()
 	trace.FromContext(ctx).SetAttrs(trace.Bool("rescored", true))
-	var wg sync.WaitGroup
 	for i := range scores {
-		if !scores[i].Pending {
+		sc := &scores[i]
+		if !sc.Pending {
 			continue
 		}
-		wg.Add(1)
-		a, sc := s.e.actors[i], &scores[i]
-		a.send(func() {
-			sc.Gain, sc.Rel, sc.Free = a.asn.BestGain(t)
+		s.e.parts[i].call(func(asn *stream.Assigner) {
+			sc.Gain, sc.Rel, sc.Free = asn.BestGain(t)
 			sc.Pending = false
-			wg.Done()
 		})
 	}
-	wg.Wait()
 }
 
 // Commit is one "shard.commit" attempt; a failure means the shard filled
 // between score and commit, counted in CommitRetries.
 func (s shards) Commit(ctx context.Context, i int, t *core.Task) (wid string, ok bool) {
-	s.e.actors[i].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
+	s.e.parts[i].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
 	trace.Event(ctx, "shard.commit", trace.Int("shard", i), trace.Bool("ok", ok))
 	if !ok {
 		s.e.metrics.CommitRetries.Inc()
@@ -521,16 +498,16 @@ func (s shards) Commit(ctx context.Context, i int, t *core.Task) (wid string, ok
 }
 
 func (s shards) Buffer(_ context.Context, i int, t *core.Task) (err error) {
-	s.e.actors[i].call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
+	s.e.parts[i].call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
 	return err
 }
 
 // bufferLive is the buffer walk over the shards' live backlogs (atomic
 // peeks), for callers with no scatter in hand.
 func (e *Engine) bufferLive(t *core.Task) error {
-	scores := make([]Score, len(e.actors))
-	for i, a := range e.actors {
-		scores[i].Backlog = a.asn.Backlog()
+	scores := make([]Score, len(e.parts))
+	for i, p := range e.parts {
+		scores[i].Backlog = p.asn.Backlog()
 	}
 	_, err := bufferWalk(context.Background(), shards{e}, scores, t)
 	return err
@@ -561,21 +538,21 @@ type Completion struct {
 }
 
 // CompleteRead is CompleteCtx that also reads back the worker record and
-// its display set, in the same actor call as the completion — what
+// its display set, in the same shard call as the completion — what
 // POST /api/workers/{id}/complete answers with.
 func (e *Engine) CompleteRead(ctx context.Context, workerID, taskID string) (Completion, error) {
 	return e.complete(ctx, workerID, taskID, true)
 }
 
-// complete is the body of CompleteCtx and CompleteRead: one actor call
+// complete is the body of CompleteCtx and CompleteRead: one shard call
 // that completes, pulls, and reads back when read is set.
 func (e *Engine) complete(ctx context.Context, workerID, taskID string, read bool) (c Completion, err error) {
 	if err := e.begin(); err != nil {
 		return c, err
 	}
 	defer e.live.RUnlock()
-	a := e.actors[e.ring.Lookup(workerID)]
-	a.call(func(asn *stream.Assigner) {
+	p := e.parts[e.ring.Lookup(workerID)]
+	p.call(func(asn *stream.Assigner) {
 		c.Next, err = asn.Complete(workerID, taskID)
 		if err == nil && read {
 			c.Worker, _ = asn.Worker(workerID)
@@ -584,9 +561,9 @@ func (e *Engine) complete(ctx context.Context, workerID, taskID string, read boo
 	})
 	if err == nil {
 		e.adm.Release(taskID)
-		a.completed.Add(1)
+		p.completed.Add(1)
 		if e.forecast != nil {
-			e.forecast[a.id].RecordCompletions(1)
+			e.forecast[p.id].RecordCompletions(1)
 		}
 		pulled := ""
 		if c.Next != nil {
@@ -594,7 +571,7 @@ func (e *Engine) complete(ctx context.Context, workerID, taskID string, read boo
 		}
 		trace.Event(ctx, "shard.complete",
 			trace.Str("worker", workerID), trace.Str("task", taskID),
-			trace.Int("shard", a.id), trace.Str("pulled", pulled))
+			trace.Int("shard", p.id), trace.Str("pulled", pulled))
 	}
 	return c, err
 }
@@ -606,7 +583,7 @@ func onWorker[T any](e *Engine, workerID string, read func(*stream.Assigner, str
 		return out, err
 	}
 	defer e.live.RUnlock()
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) { out, err = read(asn, workerID) })
+	e.parts[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) { out, err = read(asn, workerID) })
 	return out, err
 }
 
@@ -650,7 +627,7 @@ func (e *Engine) SetWindow(workerID string, until int64) error {
 		return err
 	}
 	defer e.live.RUnlock()
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
+	e.parts[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
 		err = asn.SetWindow(workerID, until)
 	})
 	if err == nil && e.windows != nil {
@@ -674,8 +651,8 @@ func (e *Engine) Worker(workerID string) (*core.Worker, error) {
 // peeks; exact at quiescence).
 func (e *Engine) BufferLen() int {
 	n := 0
-	for _, a := range e.actors {
-		n += a.asn.Backlog()
+	for _, p := range e.parts {
+		n += p.asn.Backlog()
 	}
 	return n
 }
@@ -683,26 +660,22 @@ func (e *Engine) BufferLen() int {
 // FreeCapacity returns the total free task slots across shards.
 func (e *Engine) FreeCapacity() int {
 	n := 0
-	for _, a := range e.actors {
-		n += a.asn.FreeCapacity()
+	for _, p := range e.parts {
+		n += p.asn.FreeCapacity()
 	}
 	return n
 }
 
 // Objective returns the global streaming objective — the sum of every
-// shard's total motivation over active sets. Scatter-gathered; exact at
-// quiescence.
+// shard's total motivation over active sets, summed shard by shard; exact
+// at quiescence.
 func (e *Engine) Objective() float64 {
 	if err := e.begin(); err != nil {
 		return 0
 	}
 	defer e.live.RUnlock()
-	vals := make([]float64, len(e.actors))
-	e.each(func(a *actor) { vals[a.id] = a.asn.Objective() })
 	var total float64
-	for _, v := range vals {
-		total += v
-	}
+	e.each(func(p *part) { total += p.asn.Objective() })
 	return total
 }
 
@@ -746,27 +719,27 @@ func (s Stats) Conserved() bool {
 // quiescence; under concurrent traffic each shard's numbers are a
 // consistent per-shard cut but the cross-shard sum may be mid-flight.
 func (e *Engine) Stats() Stats {
-	st := Stats{Shards: len(e.actors)}
+	st := Stats{Shards: len(e.parts)}
 	if err := e.begin(); err != nil {
 		return st
 	}
 	defer e.live.RUnlock()
-	st.PerShard = make([]ShardStats, len(e.actors))
-	e.each(func(a *actor) {
+	st.PerShard = make([]ShardStats, len(e.parts))
+	e.each(func(p *part) {
 		s := ShardStats{
-			Shard:     a.id,
-			Workers:   a.asn.NumWorkers(),
-			Active:    a.asn.ActiveCount(),
-			Backlog:   a.asn.BufferLen(),
-			FreeSlots: a.asn.FreeCapacity(),
-			Completed: a.completed.Load(),
-			Dropped:   a.dropped.Load(),
-			Expired:   a.expired.Load(),
+			Shard:     p.id,
+			Workers:   p.asn.NumWorkers(),
+			Active:    p.asn.ActiveCount(),
+			Backlog:   p.asn.BufferLen(),
+			FreeSlots: p.asn.FreeCapacity(),
+			Completed: p.completed.Load(),
+			Dropped:   p.dropped.Load(),
+			Expired:   p.expired.Load(),
 		}
 		if e.forecast != nil {
-			s.Predicted = e.forecast[a.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
+			s.Predicted = e.forecast[p.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
 		}
-		st.PerShard[a.id] = s
+		st.PerShard[p.id] = s
 	})
 	for _, s := range st.PerShard {
 		st.Workers += s.Workers
@@ -790,11 +763,7 @@ func (e *Engine) WorkerIDs() []string {
 		return nil
 	}
 	defer e.live.RUnlock()
-	byShard := make([][]string, len(e.actors))
-	e.each(func(a *actor) { byShard[a.id] = a.asn.WorkerIDs() })
 	var out []string
-	for _, ids := range byShard {
-		out = append(out, ids...)
-	}
+	e.each(func(p *part) { out = append(out, p.asn.WorkerIDs()...) })
 	return out
 }

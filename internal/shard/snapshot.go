@@ -78,8 +78,8 @@ func snapToTask(s taskSnap) (*core.Task, error) {
 }
 
 // Snapshot writes the engine state as one JSON document — the merge of
-// per-shard snapshots. All shard actors are parked on a barrier for the
-// duration, so the cut is globally consistent: the conservation invariant
+// per-shard snapshots. Every shard lock is held while the state is read
+// (quiesce), so the cut is globally consistent: the conservation invariant
 // that held in memory holds in the file.
 func (e *Engine) Snapshot(w io.Writer) error {
 	if err := e.begin(); err != nil {
@@ -88,7 +88,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	defer e.live.RUnlock()
 	snap := engineSnap{
 		Version:   1,
-		Shards:    len(e.actors),
+		Shards:    len(e.parts),
 		Submitted: e.adm.Submitted() + e.baseSubmitted,
 	}
 	// Dropped in the snapshot is the engine-wide total (offer rejections
@@ -99,28 +99,28 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	snap.Expired = e.baseExpired
 	e.quiesce(func() {
 		var bufScratch []*core.Task
-		for _, a := range e.actors {
-			snap.Dropped += a.dropped.Load()
-			snap.Expired += a.expired.Load()
+		for _, p := range e.parts {
+			snap.Dropped += p.dropped.Load()
+			snap.Expired += p.expired.Load()
 			ss := shardSnap{
-				Shard:     a.id,
-				Completed: a.completed.Load(),
-				Dropped:   a.dropped.Load(),
-				Expired:   a.expired.Load(),
+				Shard:     p.id,
+				Completed: p.completed.Load(),
+				Dropped:   p.dropped.Load(),
+				Expired:   p.expired.Load(),
 			}
-			for _, id := range a.asn.WorkerIDs() {
-				wk, _ := a.asn.Worker(id)
-				done, _ := a.asn.Completed(id)
-				active, _ := a.asn.ActiveTasks(id)
+			for _, id := range p.asn.WorkerIDs() {
+				wk, _ := p.asn.Worker(id)
+				done, _ := p.asn.Completed(id)
+				active, _ := p.asn.ActiveTasks(id)
 				wsnap := workerSnap{
 					ID: id, Alpha: wk.Alpha, Beta: wk.Beta,
 					Universe: wk.Keywords.Len(), Keywords: wk.Keywords.Indices(),
 					Done: done,
 				}
-				if trust, terr := a.asn.Trust(id); terr == nil && trust != 1 {
+				if trust, terr := p.asn.Trust(id); terr == nil && trust != 1 {
 					wsnap.Trust = &trust
 				}
-				if wnd, werr := a.asn.Window(id); werr == nil && wnd != 0 {
+				if wnd, werr := p.asn.Window(id); werr == nil && wnd != 0 {
 					wsnap.Window = &wnd
 				}
 				for _, t := range active {
@@ -128,7 +128,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 				}
 				ss.Workers = append(ss.Workers, wsnap)
 			}
-			bufScratch = a.asn.BufferedInto(bufScratch[:0])
+			bufScratch = p.asn.BufferedInto(bufScratch[:0])
 			for _, t := range bufScratch {
 				ss.Buffer = append(ss.Buffer, taskToSnap(t))
 			}
@@ -140,28 +140,23 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return enc.Encode(snap)
 }
 
-// quiesce parks every shard actor on a barrier, runs f with exclusive
-// access to all assigners (the channel handshake gives the caller
-// happens-before on each actor's state), then releases the actors.
-// Serialized by snapMu: two overlapping barriers could park the pool in
-// incompatible orders and deadlock.
+// quiesce takes every shard lock in index order, runs f with exclusive
+// access to all assigners, then releases them. It is the one place a
+// goroutine holds more than one shard lock; snapMu serializes barriers,
+// and every other holder of a shard lock takes no second one, so the
+// barrier cannot deadlock.
 func (e *Engine) quiesce(f func()) {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	n := len(e.actors)
-	arrived := make(chan struct{}, n)
-	releaseCh := make(chan struct{})
-	for _, a := range e.actors {
-		a.send(func() {
-			arrived <- struct{}{}
-			<-releaseCh
-		})
+	for _, p := range e.parts {
+		p.mu.Lock()
 	}
-	for i := 0; i < n; i++ {
-		<-arrived
-	}
+	defer func() {
+		for _, p := range e.parts {
+			p.mu.Unlock()
+		}
+	}()
 	f()
-	close(releaseCh)
 }
 
 // Restore rebuilds an engine from a Snapshot document. The shard count
@@ -197,9 +192,9 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 					ID: wsnap.ID, Alpha: wsnap.Alpha, Beta: wsnap.Beta,
 					Keywords: bitset.FromIndices(wsnap.Universe, wsnap.Keywords...),
 				}
-				a := e.actors[e.ring.Lookup(w.ID)]
+				p := e.parts[e.ring.Lookup(w.ID)]
 				var aerr error
-				a.call(func(asn *stream.Assigner) {
+				p.call(func(asn *stream.Assigner) {
 					if _, aerr = asn.AddWorker(w); aerr != nil {
 						return
 					}
@@ -235,7 +230,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 						return terr
 					}
 					e.adm.Register(t.ID)
-					a.call(func(asn *stream.Assigner) { aerr = asn.ForceAssign(w.ID, t) })
+					p.call(func(asn *stream.Assigner) { aerr = asn.ForceAssign(w.ID, t) })
 					if aerr != nil {
 						return aerr
 					}
@@ -254,17 +249,17 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 				if err := e.bufferLive(t); err != nil {
 					// Smaller total buffer capacity than the snapshot
 					// had: count the overflow (picked up by Stats via
-					// the actor sum), keep the invariant.
-					e.actors[0].dropped.Add(1)
+					// the per-shard sum), keep the invariant.
+					e.parts[0].dropped.Add(1)
 					e.metrics.Dropped.Inc()
 				} else {
 					e.adm.Register(t.ID)
 				}
 			}
 		}
-		// Fresh actors restart their counters at zero; the base* fields
+		// Fresh parts restart their counters at zero; the base* fields
 		// carry the whole history (snap.Dropped already folded the old
-		// actors' drops in).
+		// parts' drops in).
 		e.baseSubmitted = snap.Submitted
 		e.baseDropped = snap.Dropped
 		e.baseCompleted = completed

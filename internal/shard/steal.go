@@ -13,8 +13,8 @@ import (
 
 // stealLoop is the rebalancer goroutine: every StealInterval it runs one
 // bounded steal round. Separate goroutine rather than piggybacking on
-// event handlers so that stealing keeps working when a hot shard's
-// mailbox is saturated and cold shards are idle.
+// event handlers so that stealing keeps working when the traffic sits on a
+// hot shard and cold shards see no events.
 func (e *Engine) stealLoop() {
 	defer close(e.stealDone)
 	tick := time.NewTicker(e.cfg.StealInterval)
@@ -50,11 +50,11 @@ func (e *Engine) StealOnce() int {
 		return 0
 	}
 	defer e.live.RUnlock()
-	n := len(e.actors)
+	n := len(e.parts)
 	if n < 2 {
 		return 0
 	}
-	// Plan from atomic load peeks — no mailbox traffic until a move is
+	// Plan from atomic load peeks — no shard lock until a move is
 	// actually warranted. Under Config.Predictive the donor trigger is the
 	// *projected* backlog (forecast rates × horizon), so a shard riding a
 	// burst donates before its queue actually crosses the watermark; the
@@ -63,9 +63,9 @@ func (e *Engine) StealOnce() int {
 	backlog := make([]int, n)
 	free := make([]int, n)
 	load := make([]int, n)
-	for i, a := range e.actors {
-		backlog[i] = a.asn.Backlog()
-		free[i] = a.asn.FreeCapacity()
+	for i, p := range e.parts {
+		backlog[i] = p.asn.Backlog()
+		free[i] = p.asn.FreeCapacity()
 		load[i] = backlog[i]
 	}
 	proactive := 0
@@ -155,11 +155,11 @@ func (e *Engine) StealOnce() int {
 }
 
 // executeSteal moves up to p.n buffered tasks from p.from to p.to. Runs
-// on the rebalancer (or caller) goroutine; the two actors are addressed
-// strictly in sequence, never while the other is held, so no cycle can
-// form.
+// on the rebalancer (or caller) goroutine; the two shards' locks are
+// taken strictly in sequence, never one while the other is held, so no
+// cycle can form.
 func (e *Engine) executeSteal(p stealPlan) int {
-	src, dst := e.actors[p.from], e.actors[p.to]
+	src, dst := e.parts[p.from], e.parts[p.to]
 	// The in-flight batch rides in an engine-owned scratch slice
 	// (TakeBufferedInto): steal rounds are frequent under sustained skew
 	// and should not allocate a transfer slice each time. stealMu guards

@@ -150,8 +150,8 @@ type Assigner struct {
 
 	// backlogN and freeCapN mirror len(buffer) and Σ_q (Xmax −
 	// |active(q)|) atomically so other goroutines — the sharded engine's
-	// steal watermark in particular — can peek at load without a mailbox
-	// round-trip. They are exact at the Assigner's quiescent points; a
+	// steal watermark in particular — can peek at load without taking the
+	// owner's lock. They are exact at the Assigner's quiescent points; a
 	// concurrent reader may observe a value one mutation stale, which is
 	// fine for load estimation and never for correctness decisions.
 	backlogN atomic.Int64
@@ -229,8 +229,8 @@ func (a *Assigner) BufferLen() int { return len(a.buffer) }
 
 // Backlog is BufferLen readable from any goroutine: it loads an atomic
 // mirror of the buffer length instead of touching the slice. The sharded
-// engine's work-stealing watermark polls it without serializing through
-// the owning shard's mailbox.
+// engine's work-stealing watermark polls it without taking the owning
+// shard's lock.
 func (a *Assigner) Backlog() int { return int(a.backlogN.Load()) }
 
 // FreeCapacity returns Σ over workers of (Xmax − |active|) — the number
