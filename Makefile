@@ -24,11 +24,12 @@ test-race:
 	$(GO) test -race ./internal/...
 
 # The sharded-engine conservation and determinism properties, the shard
-# lock protocol's stress and goroutine tests, and the routing decision's
+# lock protocol's stress and goroutine tests, the snapshot's consistent
+# cut under concurrent offers, and the routing decision's
 # tests, the gateway's included, repeated under the race detector (the
 # same run as the dedicated CI step).
 test-shard:
-	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit|TestFilterBoundedByLiveTasks|TestDuplicateContract|TestPendingRouteMatchesFullScores|FuzzRoutePending|TestLockProtocolUnderConcurrentReads|TestCloseStopsEveryGoroutine|TestIdleEngineStartsNoGoroutine'
+	$(GO) test -race -count 2 ./internal/shard -run 'TestConservationUnderConcurrentChurn|TestOneShardDeterminism|TestRankIndependentOfReplyOrder|TestRouteAllFullBuffersWithoutCommit|TestFilterBoundedByLiveTasks|TestDuplicateContract|TestPendingRouteMatchesFullScores|FuzzRoutePending|TestLockProtocolUnderConcurrentReads|TestCloseStopsEveryGoroutine|TestIdleEngineStartsNoGoroutine|TestSnapshotIsConsistentCut'
 	$(GO) test -race -count 2 ./internal/stream -run 'TestOfferPruneMatchesFullScan|TestBestGainPartialNaN|TestOfferPruneResidue'
 	$(GO) test -race -count 2 ./internal/cluster -run 'TestGatewayMatchesInProcessRoute|TestFilterBoundedByLiveTasks|TestDuplicateContract'
 

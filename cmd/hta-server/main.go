@@ -500,8 +500,8 @@ func openOrFresh[T any](path string, fresh func() (T, error), restore func(io.Re
 }
 
 // writeAtomic writes a snapshot through a temp file renamed over path, so
-// a failed write leaves the previous file in place. srv.Snapshot quiesces
-// the engine itself.
+// a failed write leaves the previous file in place. srv.Snapshot takes
+// the engine's consistent cut itself.
 func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -415,6 +416,52 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if wasRestored || fresh.Iteration() != 0 {
 		t.Fatal("absent snapshot must start a fresh engine")
+	}
+}
+
+// TestBatchSnapshotKeepsDeadlines runs main's batch -snapshot path over
+// tasks with deadlines: the display set a worker reads after the restore
+// must show the same deadline_ms it showed before.
+func TestBatchSnapshotKeepsDeadlines(t *testing.T) {
+	srv, _ := newTestServer(t, 0)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	tasks := genTasks(30)
+	due := time.Now().Add(time.Hour).UnixMilli() * int64(time.Millisecond)
+	for i, task := range tasks {
+		task.Deadline = due + int64(i)*int64(time.Millisecond)
+	}
+	client := platform.NewClient(ts.URL, nil)
+	if err := client.AddTasks(tasks); err != nil {
+		t.Fatal(err)
+	}
+	before, err := client.Register("w1", []int{0, 1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || before[0].DeadlineMS == 0 {
+		t.Fatalf("display set before the snapshot = %+v, want deadlined tasks", before)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := writeAtomic(path, srv.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	restored, wasRestored, err := openEngine(adaptive.Config{Xmax: 3, Rand: rand.New(rand.NewSource(7))}, path)
+	if err != nil || !wasRestored {
+		t.Fatalf("restore: %v (restored %v)", err, wasRestored)
+	}
+	srv2, err := platform.NewServer(platform.ServerConfig{Engine: restored, Universe: testUniverse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	after, err := platform.NewClient(ts2.URL, nil).Tasks("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("display set changed across the snapshot:\n before %+v\n after  %+v", before, after)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/core"
 )
 
@@ -15,82 +14,41 @@ import (
 // Configuration (Xmax, solver, distance) is not part of the snapshot — it
 // belongs to the process, and Restore takes a Config as usual.
 
-type taskSnap struct {
-	ID       string  `json:"id"`
-	Group    string  `json:"group,omitempty"`
-	Reward   float64 `json:"reward,omitempty"`
-	Universe int     `json:"universe"`
-	Keywords []int   `json:"keywords"`
-}
-
+// workerSnap is a worker: its record, then the engine's state for it.
 type workerSnap struct {
-	ID        string     `json:"id"`
-	Universe  int        `json:"universe"`
-	Keywords  []int      `json:"keywords"`
-	Alpha     float64    `json:"alpha"`
-	Beta      float64    `json:"beta"`
-	Available bool       `json:"available"`
-	Started   bool       `json:"started"`
-	Total     int        `json:"total_completed"`
-	DivGains  []float64  `json:"div_gains,omitempty"`
-	RelGains  []float64  `json:"rel_gains,omitempty"`
-	Assigned  []taskSnap `json:"assigned,omitempty"`
-	Completed []string   `json:"completed,omitempty"` // IDs within Assigned
+	core.WorkerRecord
+	Available bool              `json:"available"`
+	Started   bool              `json:"started"`
+	Total     int               `json:"total_completed"`
+	DivGains  []float64         `json:"div_gains,omitempty"`
+	RelGains  []float64         `json:"rel_gains,omitempty"`
+	Assigned  []core.TaskRecord `json:"assigned,omitempty"`
+	Completed []string          `json:"completed,omitempty"` // IDs within Assigned
 }
 
 type engineSnap struct {
-	Version   int          `json:"version"`
-	Iteration int          `json:"iteration"`
-	Pool      []taskSnap   `json:"pool"`
-	Workers   []workerSnap `json:"workers"`
+	Version   int               `json:"version"`
+	Iteration int               `json:"iteration"`
+	Pool      []core.TaskRecord `json:"pool"`
+	Workers   []workerSnap      `json:"workers"`
 }
 
 const snapshotVersion = 1
 
-func snapTask(t *core.Task) taskSnap {
-	return taskSnap{
-		ID: t.ID, Group: t.Group, Reward: t.Reward,
-		Universe: t.Keywords.Len(), Keywords: t.Keywords.Indices(),
-	}
-}
-
-func (ts taskSnap) task() (*core.Task, error) {
-	if ts.Universe < 1 {
-		return nil, fmt.Errorf("adaptive: snapshot task %q has universe %d", ts.ID, ts.Universe)
-	}
-	for _, k := range ts.Keywords {
-		if k < 0 || k >= ts.Universe {
-			return nil, fmt.Errorf("adaptive: snapshot task %q keyword %d out of range", ts.ID, k)
-		}
-	}
-	return &core.Task{
-		ID: ts.ID, Group: ts.Group, Reward: ts.Reward,
-		Keywords: bitset.FromIndices(ts.Universe, ts.Keywords...),
-	}, nil
-}
-
 // Snapshot writes the engine state as a single JSON document.
 func (e *Engine) Snapshot(w io.Writer) error {
-	snap := engineSnap{Version: snapshotVersion, Iteration: e.iteration}
-	for _, t := range e.pool {
-		snap.Pool = append(snap.Pool, snapTask(t))
-	}
+	snap := engineSnap{Version: snapshotVersion, Iteration: e.iteration,
+		Pool: core.RecordsOf(e.pool)}
 	for _, id := range e.order {
 		ws := e.workers[id]
 		wsnap := workerSnap{
-			ID:        ws.Worker.ID,
-			Universe:  ws.Worker.Keywords.Len(),
-			Keywords:  ws.Worker.Keywords.Indices(),
-			Alpha:     ws.Worker.Alpha,
-			Beta:      ws.Worker.Beta,
-			Available: ws.Available,
-			Started:   ws.started,
-			Total:     ws.TotalCompleted,
-			DivGains:  ws.divGains,
-			RelGains:  ws.relGains,
-		}
-		for _, t := range ws.Assigned {
-			wsnap.Assigned = append(wsnap.Assigned, snapTask(t))
+			WorkerRecord: core.WorkerRecordOf(ws.Worker),
+			Available:    ws.Available,
+			Started:      ws.started,
+			Total:        ws.TotalCompleted,
+			DivGains:     ws.divGains,
+			RelGains:     ws.relGains,
+			Assigned:     core.RecordsOf(ws.Assigned),
 		}
 		for _, t := range ws.Completed {
 			wsnap.Completed = append(wsnap.Completed, t.ID)
@@ -120,27 +78,17 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.iteration = snap.Iteration
-	for _, ts := range snap.Pool {
-		t, err := ts.task()
-		if err != nil {
-			return nil, err
-		}
-		if err := e.AddTasks(t); err != nil {
-			return nil, err
-		}
+	pool, err := core.TasksOf(snap.Pool)
+	if err != nil {
+		return nil, fmt.Errorf("adaptive: snapshot: %w", err)
+	}
+	if err := e.AddTasks(pool...); err != nil {
+		return nil, err
 	}
 	for _, wsnap := range snap.Workers {
-		if wsnap.Universe < 1 {
-			return nil, fmt.Errorf("adaptive: snapshot worker %q has universe %d", wsnap.ID, wsnap.Universe)
-		}
-		for _, k := range wsnap.Keywords {
-			if k < 0 || k >= wsnap.Universe {
-				return nil, fmt.Errorf("adaptive: snapshot worker %q keyword %d out of range", wsnap.ID, k)
-			}
-		}
-		worker := &core.Worker{
-			ID:       wsnap.ID,
-			Keywords: bitset.FromIndices(wsnap.Universe, wsnap.Keywords...),
+		worker, err := wsnap.Worker()
+		if err != nil {
+			return nil, fmt.Errorf("adaptive: snapshot: %w", err)
 		}
 		ws, err := e.AddWorker(worker)
 		if err != nil {
@@ -153,13 +101,11 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		ws.TotalCompleted = wsnap.Total
 		ws.divGains = wsnap.DivGains
 		ws.relGains = wsnap.RelGains
-		byID := make(map[string]*core.Task, len(wsnap.Assigned))
-		for _, ts := range wsnap.Assigned {
-			t, err := ts.task()
-			if err != nil {
-				return nil, err
-			}
-			ws.Assigned = append(ws.Assigned, t)
+		if ws.Assigned, err = core.TasksOf(wsnap.Assigned); err != nil {
+			return nil, fmt.Errorf("adaptive: snapshot: %w", err)
+		}
+		byID := make(map[string]*core.Task, len(ws.Assigned))
+		for _, t := range ws.Assigned {
 			byID[t.ID] = t
 		}
 		for _, id := range wsnap.Completed {

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,5 +147,45 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 				t.Fatal("corrupt snapshot accepted")
 			}
 		})
+	}
+}
+
+// TestRestoreLiteralDocument restores a snapshot in the format written
+// before tasks carried deadlines, when a worker's keywords came before its
+// weights, and checks every value it carries.
+func TestRestoreLiteralDocument(t *testing.T) {
+	doc := `{"version":1,"iteration":2,` +
+		`"pool":[{"id":"t3","group":"g1","reward":0.05,"universe":16,"keywords":[1,2]}],` +
+		`"workers":[{"id":"w1","universe":16,"keywords":[1,4,9],"alpha":0.3,"beta":0.7,` +
+		`"available":true,"started":true,"total_completed":4,"div_gains":[0.1,0.2],"rel_gains":[0.3],` +
+		`"assigned":[{"id":"t1","universe":16,"keywords":[1]},{"id":"t2","group":"g2","reward":0.1,"universe":16,"keywords":[4,9]}],` +
+		`"completed":["t2"]}]}`
+	e, err := Restore(strings.NewReader(doc), Config{Xmax: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Iteration() != 2 || len(e.pool) != 1 {
+		t.Fatalf("iteration %d, pool %d", e.Iteration(), len(e.pool))
+	}
+	if p := e.pool[0]; p.ID != "t3" || p.Group != "g1" || p.Reward != 0.05 || p.Keywords.Len() != 16 ||
+		!slices.Equal(p.Keywords.Indices(), []int{1, 2}) || p.Deadline != 0 {
+		t.Errorf("pool task = %+v", p)
+	}
+	ws, err := e.Worker("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := ws.Worker; w.Alpha != 0.3 || w.Beta != 0.7 || w.Keywords.Len() != 16 || !slices.Equal(w.Keywords.Indices(), []int{1, 4, 9}) {
+		t.Errorf("worker = %+v", w)
+	}
+	if !ws.Available || !ws.started || ws.TotalCompleted != 4 ||
+		!slices.Equal(ws.divGains, []float64{0.1, 0.2}) || !slices.Equal(ws.relGains, []float64{0.3}) {
+		t.Errorf("worker state = %+v", ws)
+	}
+	if len(ws.Assigned) != 2 || len(ws.Completed) != 1 || ws.Completed[0] != ws.Assigned[1] {
+		t.Fatalf("assigned %d, completed %d", len(ws.Assigned), len(ws.Completed))
+	}
+	if a := ws.Assigned[1]; a.ID != "t2" || a.Group != "g2" || a.Reward != 0.1 || !slices.Equal(a.Keywords.Indices(), []int{4, 9}) {
+		t.Errorf("assigned task = %+v", a)
 	}
 }

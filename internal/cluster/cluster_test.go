@@ -522,8 +522,8 @@ func TestNodeFrameReplayDedup(t *testing.T) {
 	if _, err := eng.AddWorker(workers[0]); err != nil {
 		t.Fatal(err)
 	}
-	tw := taskToWire(tasks[0])
-	frame := Frame{ID: "frame-replay-1", Ops: []Op{{Op: opCommit, Task: &tw}}}
+	rec := core.RecordOf(tasks[0])
+	frame := Frame{ID: "frame-replay-1", Ops: []Op{{Op: opCommit, Task: &rec}}}
 	post := func() FrameResult {
 		t.Helper()
 		body, _ := json.Marshal(frame)

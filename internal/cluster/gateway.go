@@ -176,8 +176,8 @@ type Gateway struct {
 	fedOK   bool
 
 	// opGate is the snapshot barrier: every op holds it for read, a
-	// merged snapshot holds it for write — a cluster-wide quiesce point,
-	// the RPC analogue of the engine's per-shard quiesce barrier.
+	// merged snapshot holds it for write — a cluster-wide cut, the RPC
+	// analogue of the engine's liveness lock.
 	opGate sync.RWMutex
 
 	// mu guards membership: the ring over the live names (indexed like
@@ -455,8 +455,8 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 // propagated to its node, so the stitched trace shows the whole routing
 // fan-out.
 func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string, err error) {
-	tw := taskToWire(t)
-	n := &nodes{g: g, task: &tw}
+	rec := core.RecordOf(t)
+	n := &nodes{g: g, task: &rec}
 	wid, at, err := shard.Route(ctx, n, t)
 	if len(n.peers) == 0 {
 		return "", "", ErrNoNodes
@@ -473,7 +473,7 @@ func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string
 type nodes struct {
 	g     *Gateway
 	peers []*peer
-	task  *taskWire
+	task  *core.TaskRecord
 }
 
 // Scatter sends the score op to every live node at once, so the frames
@@ -524,8 +524,8 @@ func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Tas
 	if err != nil {
 		return nil, err
 	}
-	ww := workerToWire(w)
-	res, err := p.doCtx(ctx, Op{Op: opAddWorker, Worker: &ww})
+	rec := core.WorkerRecordOf(w)
+	res, err := p.doCtx(ctx, Op{Op: opAddWorker, Worker: &rec})
 	if err == nil && !res.OK {
 		err = resultErr(res)
 	}
@@ -535,7 +535,7 @@ func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Tas
 	g.locMu.Lock()
 	g.workerLoc[w.ID] = workerPin{node: p.name, worker: w}
 	g.locMu.Unlock()
-	return wireTasks(res.Tasks)
+	return core.TasksOf(res.Tasks)
 }
 
 // RemoveWorker is RemoveWorkerCtx with a background context.
@@ -561,7 +561,7 @@ func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task,
 	if err != nil {
 		return nil, err
 	}
-	return wireTasks(res.Tasks)
+	return core.TasksOf(res.Tasks)
 }
 
 // Complete is CompleteCtx with a background context.
@@ -578,7 +578,7 @@ func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*co
 	}
 	// The pulled task moved buffer→active on the same node; its
 	// placement already points there.
-	return wireToTask(*res.Next)
+	return res.Next.Task()
 }
 
 // CompleteRead is CompleteCtx with the read-back the platform answers a
@@ -594,12 +594,12 @@ func (g *Gateway) CompleteRead(ctx context.Context, workerID, taskID string) (sh
 		return c, err
 	}
 	if res.Next != nil {
-		if c.Next, err = wireToTask(*res.Next); err != nil {
+		if c.Next, err = res.Next.Task(); err != nil {
 			return c, err
 		}
 	}
 	if res.Display {
-		c.Active, err = wireTasks(res.Tasks)
+		c.Active, err = core.TasksOf(res.Tasks)
 	} else {
 		c.Active, err = g.ActiveTasks(workerID)
 	}
@@ -654,7 +654,7 @@ func (g *Gateway) ActiveTasks(workerID string) ([]*core.Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wireTasks(res.Tasks)
+	return core.TasksOf(res.Tasks)
 }
 
 // Worker returns the registered worker record. A worker this gateway
@@ -677,7 +677,7 @@ func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
 		if res.Worker == nil {
 			return resultErr(res)
 		}
-		if w, err = wireToWorker(*res.Worker); err != nil {
+		if w, err = res.Worker.Worker(); err != nil {
 			return err
 		}
 		g.locMu.Lock()
@@ -707,7 +707,7 @@ func (g *Gateway) SetTrust(workerID string, trust float64) ([]*core.Task, error)
 	if err != nil {
 		return nil, err
 	}
-	return wireTasks(res.Tasks)
+	return core.TasksOf(res.Tasks)
 }
 
 // SetWindow records the worker's availability-window end on its owning
@@ -827,7 +827,7 @@ type nodeSnapshot struct {
 // Snapshot writes a merged cluster snapshot. It holds the op gate for
 // write — no operation is in flight anywhere while the per-node cuts are
 // taken, so the merged document is a consistent global view (each node's
-// own snapshot additionally quiesces its shards).
+// own snapshot is a consistent cut of its engine too).
 func (g *Gateway) Snapshot(w io.Writer) error {
 	g.opGate.Lock()
 	defer g.opGate.Unlock()

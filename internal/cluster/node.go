@@ -25,7 +25,7 @@ import (
 //
 //	POST /cluster/batch    apply a frame of ops; returns index-aligned results
 //	GET  /cluster/health   liveness + load picture (the heartbeat target)
-//	GET  /cluster/snapshot the node's quiesced engine snapshot (merge input)
+//	GET  /cluster/snapshot the node's engine snapshot, a consistent cut (merge input)
 type Node struct {
 	Name    string
 	eng     *shard.Engine
@@ -242,7 +242,7 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 			return fail(fmt.Errorf("cluster: %s without task", op.Op))
 		}
 		var err error
-		if t, err = wireToTask(*op.Task); err != nil {
+		if t, err = op.Task.Task(); err != nil {
 			return fail(err)
 		}
 		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
@@ -268,17 +268,17 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		}
 		// The display set rides back in the same result, so a completion
 		// costs the gateway one frame.
-		r := OpResult{OK: true, Tasks: tasksToWire(c.Active), Display: true}
+		r := OpResult{OK: true, Tasks: core.RecordsOf(c.Active), Display: true}
 		if c.Next != nil {
-			tw := taskToWire(c.Next)
-			r.Next = &tw
+			next := core.RecordOf(c.Next)
+			r.Next = &next
 		}
 		return r
 	case opAddWorker:
 		if op.Worker == nil {
 			return fail(errors.New("cluster: add_worker without worker"))
 		}
-		wk, err := wireToWorker(*op.Worker)
+		wk, err := op.Worker.Worker()
 		if err != nil {
 			return fail(err)
 		}
@@ -287,26 +287,26 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(drained)}
+		return OpResult{OK: true, Tasks: core.RecordsOf(drained)}
 	case opRemoveWorker:
 		dropped, err := n.eng.RemoveWorkerCtx(ctx, op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(dropped)}
+		return OpResult{OK: true, Tasks: core.RecordsOf(dropped)}
 	case opActiveTasks:
 		tasks, err := n.eng.ActiveTasks(op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(tasks)}
+		return OpResult{OK: true, Tasks: core.RecordsOf(tasks)}
 	case opWorker:
 		wk, err := n.eng.Worker(op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
-		ww := workerToWire(wk)
-		return OpResult{OK: true, Worker: &ww}
+		rec := core.WorkerRecordOf(wk)
+		return OpResult{OK: true, Worker: &rec}
 	case opCompleted:
 		c, err := n.eng.Completed(op.WorkerID)
 		if err != nil {
@@ -321,7 +321,7 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(drained)}
+		return OpResult{OK: true, Tasks: core.RecordsOf(drained)}
 	case opTrust:
 		v, err := n.eng.Trust(op.WorkerID)
 		if err != nil {
@@ -352,15 +352,4 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 	default:
 		return fail(fmt.Errorf("cluster: unknown op %q", op.Op))
 	}
-}
-
-func tasksToWire(ts []*core.Task) []taskWire {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]taskWire, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, taskToWire(t))
-	}
-	return out
 }

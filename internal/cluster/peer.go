@@ -421,7 +421,7 @@ func (p *peer) isClosed() bool {
 	return p.closed
 }
 
-// snapshot fetches GET /cluster/snapshot — the node's quiesced engine
+// snapshot fetches GET /cluster/snapshot — the node's consistent engine
 // snapshot, raw bytes for the gateway's merge.
 func (p *peer) snapshot(ctx context.Context) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/cluster/snapshot", nil)

@@ -1,6 +1,9 @@
 package cluster
 
-import "github.com/htacs/ata/internal/wire"
+import (
+	"github.com/htacs/ata/internal/core"
+	"github.com/htacs/ata/internal/wire"
+)
 
 // The frame codec: reflection-free encoders and decoders for the RPC
 // plane's Frame and FrameResult, built on internal/wire, whose package
@@ -77,7 +80,7 @@ func encOp(e *wire.Enc, v *Op) {
 	e.Raw(`}`)
 }
 
-func encTask(e *wire.Enc, v *taskWire) {
+func encTask(e *wire.Enc, v *core.TaskRecord) {
 	e.Raw(`{"id":`)
 	e.Str(&v.ID)
 	if v.Group != "" {
@@ -99,7 +102,7 @@ func encTask(e *wire.Enc, v *taskWire) {
 	e.Raw(`}`)
 }
 
-func encWorker(e *wire.Enc, v *workerWire) {
+func encWorker(e *wire.Enc, v *core.WorkerRecord) {
 	e.Raw(`{"id":`)
 	e.Str(&v.ID)
 	e.Raw(`,"alpha":`)
@@ -250,7 +253,7 @@ func decSpanRef(d *wire.Dec, v *SpanRef) bool {
 	})
 }
 
-func decTask(d *wire.Dec, v *taskWire) bool {
+func decTask(d *wire.Dec, v *core.TaskRecord) bool {
 	return d.Object(func(k []byte) bool {
 		switch string(k) {
 		case "id":
@@ -270,7 +273,7 @@ func decTask(d *wire.Dec, v *taskWire) bool {
 	})
 }
 
-func decWorker(d *wire.Dec, v *workerWire) bool {
+func decWorker(d *wire.Dec, v *core.WorkerRecord) bool {
 	return d.Object(func(k []byte) bool {
 		switch string(k) {
 		case "id":

@@ -17,12 +17,20 @@ import (
 	"testing"
 	"time"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/shard"
 	"github.com/htacs/ata/internal/stream"
 	"github.com/htacs/ata/internal/trace"
 	"github.com/htacs/ata/internal/wire"
 	"github.com/htacs/ata/internal/workload"
+)
+
+// The frame tests name the task and worker records by their role in a
+// frame.
+type (
+	taskWire   = core.TaskRecord
+	workerWire = core.WorkerRecord
 )
 
 // jsonEncode is the reference: what encodeJSON wrote before the frame
@@ -930,4 +938,62 @@ func wireIDs(ts []taskWire) []string {
 		ids[i] = t.ID
 	}
 	return ids
+}
+
+// TestFrameLiteralDocuments decodes a frame and a result in the wire
+// format of the RPC plane, checks the task and worker records they carry,
+// and re-encodes both byte for byte.
+func TestFrameLiteralDocuments(t *testing.T) {
+	task := core.TaskRecord{ID: "g001-t00037", Group: "g001", Reward: 0.05, Universe: 100,
+		Keywords: []int{3, 17, 42}, Deadline: 1760000000123456789}
+	worker := core.WorkerRecord{ID: "w0041", Alpha: 0.375, Beta: 0.625, Universe: 100, Keywords: []int{0, 17, 99}}
+	frameDoc := `{"id":"f-7","ops":[{"op":"score","task":{"id":"g001-t00037","group":"g001","reward":0.05,"universe":100,"keywords":[3,17,42],"deadline":1760000000123456789}},` +
+		`{"op":"add_worker","worker":{"id":"w0041","alpha":0.375,"beta":0.625,"universe":100,"keywords":[0,17,99]}},` +
+		`{"op":"complete","task_id":"g001-t00037","worker_id":"w0041"}]}` + "\n"
+	resultDoc := `{"results":[{"ok":true,"gain":0.5,"rel":0.25,"free":true,"backlog":3},` +
+		`{"ok":true,"next":{"id":"g001-t00037","group":"g001","reward":0.05,"universe":100,"keywords":[3,17,42],"deadline":1760000000123456789},"tasks":[{"id":"t2","universe":100,"keywords":[]}],"display":true},` +
+		`{"ok":true,"worker":{"id":"w0041","alpha":0.375,"beta":0.625,"universe":100,"keywords":[0,17,99]}}]}` + "\n"
+
+	var f Frame
+	if !decodeFrame([]byte(frameDoc), &f) {
+		t.Fatal("frame codec declines the frame")
+	}
+	wantFrame := Frame{ID: "f-7", Ops: []Op{{Op: opScore, Task: &task}, {Op: opAddWorker, Worker: &worker},
+		{Op: opComplete, TaskID: "g001-t00037", WorkerID: "w0041"}}}
+	if !reflect.DeepEqual(f, wantFrame) {
+		t.Fatalf("frame = %+v, want %+v", f, wantFrame)
+	}
+	var r FrameResult
+	if !decodeFrameResult([]byte(resultDoc), &r) {
+		t.Fatal("frame codec declines the result")
+	}
+	wantResult := FrameResult{Results: []OpResult{{OK: true, Gain: 0.5, Rel: 0.25, Free: true, Backlog: 3},
+		{OK: true, Next: &task, Tasks: []core.TaskRecord{{ID: "t2", Universe: 100, Keywords: []int{}}}, Display: true},
+		{OK: true, Worker: &worker}}}
+	if !reflect.DeepEqual(r, wantResult) {
+		t.Fatalf("result = %+v, want %+v", r, wantResult)
+	}
+	tk, err := f.Ops[0].Task.Task()
+	if err != nil || tk.ID != task.ID || tk.Group != "g001" || tk.Reward != 0.05 || tk.Deadline != task.Deadline ||
+		tk.Keywords.Len() != 100 || !slices.Equal(tk.Keywords.Indices(), task.Keywords) {
+		t.Fatalf("task = %+v, %v", tk, err)
+	}
+	wk, err := r.Results[2].Worker.Worker()
+	if err != nil || wk.ID != "w0041" || wk.Alpha != 0.375 || wk.Beta != 0.625 ||
+		wk.Keywords.Len() != 100 || !slices.Equal(wk.Keywords.Indices(), worker.Keywords) {
+		t.Fatalf("worker = %+v, %v", wk, err)
+	}
+	for _, c := range []struct {
+		v   any
+		doc string
+	}{{&f, frameDoc}, {&r, resultDoc}} {
+		buf, err := encodeJSON(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.doc {
+			t.Fatalf("re-encoded\n%s want\n%s", buf.String(), c.doc)
+		}
+		putBuf(buf)
+	}
 }

@@ -18,11 +18,11 @@ import (
 // TestLockProtocolUnderConcurrentReads races the engine-wide calls —
 // Snapshot (decoded back through Restore), Stats, Objective, StealOnce and
 // ExpireOnce — against offers, completions and worker churn, at 2 and 4
-// shards. Snapshot's quiesce is the one holder of several shard locks, so
-// a lock-order cycle anywhere would hang here: a watchdog fails the run
-// with every goroutine's stack instead. At quiescence the engine, and an
-// engine restored from its final snapshot, must be conserved. Run it under
-// -race.
+// shards. Snapshot takes the liveness lock for writing, so a nested read
+// of it, or a lock-order cycle anywhere, would hang here: a watchdog
+// fails the run with every goroutine's stack instead. At quiescence the
+// engine, and an engine restored from its final snapshot, must be
+// conserved. Run it under -race.
 func TestLockProtocolUnderConcurrentReads(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

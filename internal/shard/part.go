@@ -14,8 +14,9 @@ import (
 //
 // Protocol rules that keep the engine deadlock-free:
 //
-//   - a goroutine holds at most one shard lock, except inside quiesce,
-//     which takes every lock in index order under snapMu;
+//   - a goroutine holds at most one shard lock; Snapshot, which reads
+//     every shard, takes none and holds the engine's liveness lock for
+//     writing instead;
 //   - nothing that runs under a shard lock takes another shard lock, so
 //     cross-shard operations (scatter, rescore, steal, expiry, restore)
 //     visit the shards one at a time.

@@ -3,9 +3,10 @@
 // partitioned across shards by a consistent-hash ring and tasks routed by
 // scatter-gather marginal-gain scoring. Every shard call runs in the
 // caller's goroutine under that shard's lock; a goroutine holds at most
-// one shard lock at a time (only the quiesce barrier behind Snapshot
-// takes them all, in index order), so concurrency comes from concurrent
-// requests on different shards and no lock order can cycle.
+// one shard lock at a time, so concurrency comes from concurrent requests
+// on different shards and no lock order can cycle. Snapshot takes no
+// shard lock: it holds the engine's liveness lock for writing, which
+// waits out every operation.
 //
 // The single-Assigner deployment serializes every event on one mutex — a
 // hard ceiling once "heavy traffic from millions of users" is the target.
@@ -136,8 +137,9 @@ type Engine struct {
 	journal *ops.Journal
 
 	// live guards the closed flag: operations hold the read side while
-	// they touch the shards; Close takes the write side, so it waits out
-	// every operation in flight.
+	// they touch the shards, and no operation takes it twice; Close and
+	// Snapshot take the write side, so they wait out every operation in
+	// flight.
 	live   sync.RWMutex
 	closed bool
 
@@ -161,10 +163,6 @@ type Engine struct {
 	forecast []*schedule.Forecaster
 	windows  *schedule.WindowTracker
 	now      func() int64
-
-	// snapMu serializes quiesce barriers, so at most one goroutine ever
-	// holds more than one shard lock.
-	snapMu sync.Mutex
 
 	// stealMu guards stealScratch, the reusable transfer slice steal
 	// rounds move task batches in (see executeSteal).

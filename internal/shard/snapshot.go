@@ -5,32 +5,16 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/stream"
 )
 
-// snapshot wire format. Keywords are serialized as (universe, indices)
-// pairs, the same representation the workload files use.
-type taskSnap struct {
-	ID       string  `json:"id"`
-	Group    string  `json:"group,omitempty"`
-	Reward   float64 `json:"reward,omitempty"`
-	Universe int     `json:"universe"`
-	Keywords []int   `json:"keywords"`
-	// Deadline is the absolute UnixNano expiry (0 = never); omitted for
-	// undeadlined tasks so pre-deadline snapshots serialize identically.
-	Deadline int64 `json:"deadline,omitempty"`
-}
-
+// snapshot wire format. Tasks and workers are core records, the form
+// the workload files and cluster frames use too.
 type workerSnap struct {
-	ID       string     `json:"id"`
-	Alpha    float64    `json:"alpha"`
-	Beta     float64    `json:"beta"`
-	Universe int        `json:"universe"`
-	Keywords []int      `json:"keywords"`
-	Done     int        `json:"done"`
-	Active   []taskSnap `json:"active,omitempty"`
+	core.WorkerRecord
+	Done   int               `json:"done"`
+	Active []core.TaskRecord `json:"active,omitempty"`
 	// Trust is the reputation multiplier; omitted (nil) when 1.0 so
 	// pre-trust snapshots and trust-free engines serialize identically.
 	Trust *float64 `json:"trust,omitempty"`
@@ -40,12 +24,12 @@ type workerSnap struct {
 }
 
 type shardSnap struct {
-	Shard     int          `json:"shard"`
-	Completed int64        `json:"completed"`
-	Dropped   int64        `json:"dropped"`
-	Expired   int64        `json:"expired,omitempty"`
-	Workers   []workerSnap `json:"workers"`
-	Buffer    []taskSnap   `json:"buffer,omitempty"`
+	Shard     int               `json:"shard"`
+	Completed int64             `json:"completed"`
+	Dropped   int64             `json:"dropped"`
+	Expired   int64             `json:"expired,omitempty"`
+	Workers   []workerSnap      `json:"workers"`
+	Buffer    []core.TaskRecord `json:"buffer,omitempty"`
 }
 
 type engineSnap struct {
@@ -57,106 +41,67 @@ type engineSnap struct {
 	PerShard  []shardSnap `json:"per_shard"`
 }
 
-func taskToSnap(t *core.Task) taskSnap {
-	return taskSnap{ID: t.ID, Group: t.Group, Reward: t.Reward,
-		Universe: t.Keywords.Len(), Keywords: t.Keywords.Indices(),
-		Deadline: t.Deadline}
-}
-
-func snapToTask(s taskSnap) (*core.Task, error) {
-	if s.Universe < 1 {
-		return nil, fmt.Errorf("shard: snapshot task %q: universe %d", s.ID, s.Universe)
-	}
-	for _, k := range s.Keywords {
-		if k < 0 || k >= s.Universe {
-			return nil, fmt.Errorf("shard: snapshot task %q: keyword %d outside universe %d", s.ID, k, s.Universe)
-		}
-	}
-	return &core.Task{ID: s.ID, Group: s.Group, Reward: s.Reward,
-		Keywords: bitset.FromIndices(s.Universe, s.Keywords...),
-		Deadline: s.Deadline}, nil
-}
-
 // Snapshot writes the engine state as one JSON document — the merge of
-// per-shard snapshots. Every shard lock is held while the state is read
-// (quiesce), so the cut is globally consistent: the conservation invariant
-// that held in memory holds in the file.
+// per-shard snapshots. It holds the write side of the liveness lock while
+// it reads, so no operation is in flight: an admitted offer is placed or
+// rejected before the cut, and the conservation invariant holds in the
+// file.
 func (e *Engine) Snapshot(w io.Writer) error {
-	if err := e.begin(); err != nil {
-		return err
+	e.live.Lock()
+	if e.closed {
+		e.live.Unlock()
+		return ErrClosed
 	}
-	defer e.live.RUnlock()
-	snap := engineSnap{
-		Version:   1,
-		Shards:    len(e.parts),
-		Submitted: e.adm.Submitted() + e.baseSubmitted,
-	}
-	// Dropped in the snapshot is the engine-wide total (offer rejections
-	// + removal/steal overflow + restored history): one number that
-	// Restore carries forward whole, so the conservation equation closes
-	// across the restart.
-	snap.Dropped = e.adm.Dropped() + e.baseDropped
-	snap.Expired = e.baseExpired
-	e.quiesce(func() {
-		var bufScratch []*core.Task
-		for _, p := range e.parts {
-			snap.Dropped += p.dropped.Load()
-			snap.Expired += p.expired.Load()
-			ss := shardSnap{
-				Shard:     p.id,
-				Completed: p.completed.Load(),
-				Dropped:   p.dropped.Load(),
-				Expired:   p.expired.Load(),
-			}
-			for _, id := range p.asn.WorkerIDs() {
-				wk, _ := p.asn.Worker(id)
-				done, _ := p.asn.Completed(id)
-				active, _ := p.asn.ActiveTasks(id)
-				wsnap := workerSnap{
-					ID: id, Alpha: wk.Alpha, Beta: wk.Beta,
-					Universe: wk.Keywords.Len(), Keywords: wk.Keywords.Indices(),
-					Done: done,
-				}
-				if trust, terr := p.asn.Trust(id); terr == nil && trust != 1 {
-					wsnap.Trust = &trust
-				}
-				if wnd, werr := p.asn.Window(id); werr == nil && wnd != 0 {
-					wsnap.Window = &wnd
-				}
-				for _, t := range active {
-					wsnap.Active = append(wsnap.Active, taskToSnap(t))
-				}
-				ss.Workers = append(ss.Workers, wsnap)
-			}
-			bufScratch = p.asn.BufferedInto(bufScratch[:0])
-			for _, t := range bufScratch {
-				ss.Buffer = append(ss.Buffer, taskToSnap(t))
-			}
-			snap.PerShard = append(snap.PerShard, ss)
-		}
-	})
+	snap := e.snapshot()
+	e.live.Unlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
 }
 
-// quiesce takes every shard lock in index order, runs f with exclusive
-// access to all assigners, then releases them. It is the one place a
-// goroutine holds more than one shard lock; snapMu serializes barriers,
-// and every other holder of a shard lock takes no second one, so the
-// barrier cannot deadlock.
-func (e *Engine) quiesce(f func()) {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	for _, p := range e.parts {
-		p.mu.Lock()
+// snapshot reads the engine state. The caller holds e.live for writing,
+// so it reads every assigner without its shard lock.
+func (e *Engine) snapshot() engineSnap {
+	// Dropped in the snapshot is the engine-wide total (offer rejections
+	// + removal/steal overflow + restored history): one number that
+	// Restore carries forward whole, so the conservation equation closes
+	// across the restart.
+	snap := engineSnap{
+		Version:   1,
+		Shards:    len(e.parts),
+		Submitted: e.adm.Submitted() + e.baseSubmitted,
+		Dropped:   e.adm.Dropped() + e.baseDropped,
+		Expired:   e.baseExpired,
 	}
-	defer func() {
-		for _, p := range e.parts {
-			p.mu.Unlock()
+	var buffered []*core.Task
+	for _, p := range e.parts {
+		snap.Dropped += p.dropped.Load()
+		snap.Expired += p.expired.Load()
+		ss := shardSnap{
+			Shard:     p.id,
+			Completed: p.completed.Load(),
+			Dropped:   p.dropped.Load(),
+			Expired:   p.expired.Load(),
 		}
-	}()
-	f()
+		for _, id := range p.asn.WorkerIDs() {
+			wk, _ := p.asn.Worker(id)
+			done, _ := p.asn.Completed(id)
+			active, _ := p.asn.ActiveTasks(id)
+			ws := workerSnap{WorkerRecord: core.WorkerRecordOf(wk), Done: done,
+				Active: core.RecordsOf(active)}
+			if trust, terr := p.asn.Trust(id); terr == nil && trust != 1 {
+				ws.Trust = &trust
+			}
+			if wnd, werr := p.asn.Window(id); werr == nil && wnd != 0 {
+				ws.Window = &wnd
+			}
+			ss.Workers = append(ss.Workers, ws)
+		}
+		buffered = p.asn.BufferedInto(buffered[:0])
+		ss.Buffer = core.RecordsOf(buffered)
+		snap.PerShard = append(snap.PerShard, ss)
+	}
+	return snap
 }
 
 // Restore rebuilds an engine from a Snapshot document. The shard count
@@ -182,15 +127,9 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		for _, ss := range snap.PerShard {
 			completed += ss.Completed
 			for _, wsnap := range ss.Workers {
-				for _, k := range wsnap.Keywords {
-					if k < 0 || k >= wsnap.Universe {
-						return fmt.Errorf("shard: snapshot worker %q: keyword %d outside universe %d",
-							wsnap.ID, k, wsnap.Universe)
-					}
-				}
-				w := &core.Worker{
-					ID: wsnap.ID, Alpha: wsnap.Alpha, Beta: wsnap.Beta,
-					Keywords: bitset.FromIndices(wsnap.Universe, wsnap.Keywords...),
+				w, err := wsnap.Worker()
+				if err != nil {
+					return fmt.Errorf("shard: snapshot: %w", err)
 				}
 				p := e.parts[e.ring.Lookup(w.ID)]
 				var aerr error
@@ -224,10 +163,10 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 						e.windows.Declare(w.ID, *wsnap.Window)
 					}
 				}
-				for _, tsnap := range wsnap.Active {
-					t, terr := snapToTask(tsnap)
+				for _, rec := range wsnap.Active {
+					t, terr := rec.Task()
 					if terr != nil {
-						return terr
+						return fmt.Errorf("shard: snapshot: %w", terr)
 					}
 					e.adm.Register(t.ID)
 					p.call(func(asn *stream.Assigner) { aerr = asn.ForceAssign(w.ID, t) })
@@ -241,10 +180,10 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		// (the restored engine can have a different shard count), so they
 		// go to the currently least backlogged shards.
 		for _, ss := range snap.PerShard {
-			for _, tsnap := range ss.Buffer {
-				t, terr := snapToTask(tsnap)
+			for _, rec := range ss.Buffer {
+				t, terr := rec.Task()
 				if terr != nil {
-					return terr
+					return fmt.Errorf("shard: snapshot: %w", terr)
 				}
 				if err := e.bufferLive(t); err != nil {
 					// Smaller total buffer capacity than the snapshot

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/htacs/ata/internal/obs"
@@ -222,5 +225,143 @@ func TestRestoreRejectsBadDocuments(t *testing.T) {
 	  "workers":[{"id":"w1","alpha":0.5,"beta":0.5,"universe":4,"keywords":[9]}]}]}`
 	if _, err := Restore(strings.NewReader(bad), cfg); err == nil {
 		t.Error("out-of-universe keyword accepted")
+	}
+}
+
+// TestSnapshotIsConsistentCut snapshots a 2-shard engine while two
+// offerers and a completer run: an offer admitted before the cut must be
+// placed or rejected inside it, so every snapshot restores conserved.
+func TestSnapshotIsConsistentCut(t *testing.T) {
+	cfg := Config{Shards: 2, StealInterval: -1, Stream: stream.Config{Xmax: 2, BufferLimit: 32}}
+	e := testEngine(t, cfg)
+	workers, tasks := genWorkload(23, 16, 64)
+	for _, w := range workers {
+		if _, err := e.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	run := func(step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		run(func(i int) error {
+			task := *tasks[i%len(tasks)]
+			task.ID = fmt.Sprintf("o%d-%06d", g, i)
+			if _, err := e.OfferTask(&task); err != nil && !errors.Is(err, stream.ErrBufferFull) {
+				return err
+			}
+			return nil
+		})
+	}
+	run(func(i int) error {
+		w := workers[i%len(workers)]
+		if active, err := e.Active(w.ID); err == nil && len(active) > 0 {
+			_, _ = e.Complete(w.ID, active[0])
+		}
+		return nil
+	})
+
+	const snapshots = 40
+	for i := 0; i < snapshots; i++ {
+		var buf bytes.Buffer
+		if err := e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.Registry = obs.NewRegistry()
+		r, err := Restore(&buf, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		r.Close()
+		if !st.Conserved() {
+			t.Errorf("snapshot %d of %d restores unconserved: %+v", i+1, snapshots, st)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := e.Stats(); !st.Conserved() || st.Submitted == 0 || st.Completed == 0 {
+		t.Fatalf("engine after the run: %+v", st)
+	}
+}
+
+// snapshotDoc is a snapshot in the format Snapshot has written since
+// deadlines, trust and windows joined it, compacted: one shard, two
+// workers with active tasks, one buffered task.
+const snapshotDoc = `{"version":1,"shards":1,"submitted":9,"dropped":3,"expired":2,"per_shard":[{"shard":0,"completed":0,"dropped":0,"workers":[` +
+	`{"id":"w1","alpha":0.25,"beta":0.75,"universe":16,"keywords":[1,4,9],"done":3,"active":[` +
+	`{"id":"t1","group":"g1","reward":0.05,"universe":16,"keywords":[1,4],"deadline":1760000000123456789},` +
+	`{"id":"t2","universe":16,"keywords":[]}],"trust":0.5,"window":1760000000999000000},` +
+	`{"id":"w2","alpha":0.5,"beta":0.5,"universe":16,"keywords":[0,15],"done":1,"active":[{"id":"t3","group":"g2","universe":16,"keywords":[15]}]}],` +
+	`"buffer":[{"id":"t4","reward":0.12,"universe":16,"keywords":[2,3],"deadline":1760000000500000000}]}]}`
+
+// TestSnapshotLiteralDocument restores snapshotDoc, checks the values it
+// carries, and snapshots the restored engine: the document must come back
+// byte for byte, as the indented form Snapshot writes.
+func TestSnapshotLiteralDocument(t *testing.T) {
+	e, err := Restore(strings.NewReader(snapshotDoc), Config{Shards: 1, StealInterval: -1,
+		Registry: obs.NewRegistry(), Stream: stream.Config{Xmax: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	w1, err := e.Worker("w1")
+	if err != nil || w1.Alpha != 0.25 || w1.Beta != 0.75 || w1.Keywords.Len() != 16 ||
+		fmt.Sprint(w1.Keywords.Indices()) != "[1 4 9]" {
+		t.Fatalf("w1 = %+v, %v", w1, err)
+	}
+	if trust, _ := e.Trust("w1"); trust != 0.5 {
+		t.Errorf("w1 trust %g, want 0.5", trust)
+	}
+	if wnd, _ := e.Window("w1"); wnd != 1760000000999000000 {
+		t.Errorf("w1 window %d", wnd)
+	}
+	if done, _ := e.Completed("w1"); done != 3 {
+		t.Errorf("w1 done %d, want 3", done)
+	}
+	active, _ := e.ActiveTasks("w1")
+	if len(active) != 2 {
+		t.Fatalf("w1 active = %v", taskIDs(active))
+	}
+	if t1 := active[0]; t1.ID != "t1" || t1.Group != "g1" || t1.Reward != 0.05 ||
+		t1.Deadline != 1760000000123456789 || fmt.Sprint(t1.Keywords.Indices()) != "[1 4]" {
+		t.Errorf("t1 = %+v", t1)
+	}
+	if t2 := active[1]; t2.ID != "t2" || t2.Keywords.Len() != 16 || t2.Keywords.Count() != 0 || t2.Deadline != 0 {
+		t.Errorf("t2 = %+v", t2)
+	}
+	if st := e.Stats(); st.Submitted != 9 || st.Dropped != 3 || st.Expired != 2 ||
+		st.Active != 3 || st.Buffered != 1 || !st.Conserved() {
+		t.Errorf("stats %+v", st)
+	}
+
+	var want bytes.Buffer
+	if err := json.Indent(&want, []byte(snapshotDoc), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+	var got bytes.Buffer
+	if err := e.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("snapshot of the restored engine:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

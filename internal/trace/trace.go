@@ -171,13 +171,16 @@ func (t *Trace) Spans() []SpanData {
 
 // startChild appends a new span record. The start timestamp is taken
 // under the trace lock, so the span slice is monotone in Start even under
-// concurrent starts.
+// concurrent starts. The record keeps a copy of attrs, so a caller's
+// attribute list never leaves its stack, and an unsampled call, which
+// never gets here, builds nothing on the heap.
 func (t *Trace) startChild(parent SpanID, name string, attrs []Attr) *Span {
 	id := SpanID(nextID())
+	kept := append([]Attr(nil), attrs...)
 	t.mu.Lock()
 	now := timeNow()
 	idx := len(t.spans)
-	t.spans = append(t.spans, SpanData{ID: id, Parent: parent, Name: name, Start: now, Attrs: attrs})
+	t.spans = append(t.spans, SpanData{ID: id, Parent: parent, Name: name, Start: now, Attrs: kept})
 	t.mu.Unlock()
 	return &Span{tr: t, id: id, idx: idx, start: now}
 }

@@ -127,6 +127,36 @@ func TestEventRequiresSampledContext(t *testing.T) {
 	}
 }
 
+// TestAttrsBuiltOnlyWhenRecorded checks that a span record keeps its own
+// copy of the caller's attributes, and that an unsampled Start or Event
+// allocates nothing for them.
+func TestAttrsBuiltOnlyWhenRecorded(t *testing.T) {
+	rec := NewRecorder(8, 1)
+	attrs := []Attr{Str("task", "t1"), Int("shard", 1)}
+	ctx, sp := rec.Start(context.Background(), "root", attrs...)
+	Event(ctx, "commit", attrs...)
+	attrs[0], attrs[1] = Str("task", "changed"), Int("shard", 9)
+	sp.End()
+	for _, sd := range rec.Snapshot(0)[0].Spans() {
+		if len(sd.Attrs) != 2 || sd.Attrs[0].Value() != "t1" || sd.Attrs[1].Value() != int64(1) {
+			t.Fatalf("%s attrs = %+v, want task=t1 shard=1", sd.Name, sd.Attrs)
+		}
+	}
+
+	off := NewRecorder(8, 0)
+	ctx = context.Background()
+	id := strings.Repeat("x", 3)
+	allocs := testing.AllocsPerRun(100, func() {
+		c, sp := off.Start(ctx, "route", Str("task", id))
+		Event(c, "commit", Int("shard", 1), Bool("ok", true))
+		sp.SetAttrs(Str("worker", id))
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("unsampled Start/Event allocate %.0f per call, want 0", allocs)
+	}
+}
+
 func TestAttrValues(t *testing.T) {
 	cases := []struct {
 		attr Attr

@@ -220,38 +220,21 @@ func (g *Generator) Workers(n int) []*core.Worker {
 	return workers
 }
 
-// taskJSON is the serialized form of a task.
+// taskJSON is a task line: the task record plus its keywords' display
+// names, which readers ignore.
 type taskJSON struct {
-	ID       string   `json:"id"`
-	Group    string   `json:"group,omitempty"`
-	Reward   float64  `json:"reward,omitempty"`
-	Deadline int64    `json:"deadline,omitempty"`
-	Universe int      `json:"universe"`
-	Keywords []int    `json:"keywords"`
-	Names    []string `json:"names,omitempty"`
-}
-
-// workerJSON is the serialized form of a worker.
-type workerJSON struct {
-	ID       string  `json:"id"`
-	Alpha    float64 `json:"alpha"`
-	Beta     float64 `json:"beta"`
-	Universe int     `json:"universe"`
-	Keywords []int   `json:"keywords"`
+	core.TaskRecord
+	Names []string `json:"names,omitempty"`
 }
 
 // WriteTasks streams tasks as JSON lines.
 func WriteTasks(w io.Writer, tasks []*core.Task) error {
 	enc := json.NewEncoder(w)
 	for _, t := range tasks {
-		idx := t.Keywords.Indices()
-		names := make([]string, len(idx))
-		for i, k := range idx {
-			names[i] = Keyword(k)
-		}
-		rec := taskJSON{
-			ID: t.ID, Group: t.Group, Reward: t.Reward, Deadline: t.Deadline,
-			Universe: t.Keywords.Len(), Keywords: idx, Names: names,
+		rec := taskJSON{TaskRecord: core.RecordOf(t)}
+		rec.Names = make([]string, len(rec.Keywords))
+		for i, k := range rec.Keywords {
+			rec.Names[i] = Keyword(k)
 		}
 		if err := enc.Encode(rec); err != nil {
 			return fmt.Errorf("workload: encoding task %s: %w", t.ID, err)
@@ -271,41 +254,19 @@ func ReadTasks(r io.Reader) ([]*core.Task, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("workload: decoding task %d: %w", len(out), err)
 		}
-		if rec.Universe < 1 {
-			return nil, fmt.Errorf("workload: task %q has universe %d", rec.ID, rec.Universe)
+		t, err := rec.Task()
+		if err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
 		}
-		if err := checkKeywords(rec.Keywords, rec.Universe); err != nil {
-			return nil, fmt.Errorf("workload: task %q: %w", rec.ID, err)
-		}
-		if rec.Deadline < 0 {
-			return nil, fmt.Errorf("workload: task %q has deadline %d", rec.ID, rec.Deadline)
-		}
-		out = append(out, &core.Task{
-			ID: rec.ID, Group: rec.Group, Reward: rec.Reward, Deadline: rec.Deadline,
-			Keywords: bitset.FromIndices(rec.Universe, rec.Keywords...),
-		})
+		out = append(out, t)
 	}
-}
-
-// checkKeywords rejects keyword indices outside [0, universe).
-func checkKeywords(keywords []int, universe int) error {
-	for _, k := range keywords {
-		if k < 0 || k >= universe {
-			return fmt.Errorf("keyword %d outside universe [0,%d)", k, universe)
-		}
-	}
-	return nil
 }
 
 // WriteWorkers streams workers as JSON lines.
 func WriteWorkers(w io.Writer, workers []*core.Worker) error {
 	enc := json.NewEncoder(w)
 	for _, wk := range workers {
-		rec := workerJSON{
-			ID: wk.ID, Alpha: wk.Alpha, Beta: wk.Beta,
-			Universe: wk.Keywords.Len(), Keywords: wk.Keywords.Indices(),
-		}
-		if err := enc.Encode(rec); err != nil {
+		if err := enc.Encode(core.WorkerRecordOf(wk)); err != nil {
 			return fmt.Errorf("workload: encoding worker %s: %w", wk.ID, err)
 		}
 	}
@@ -317,21 +278,16 @@ func ReadWorkers(r io.Reader) ([]*core.Worker, error) {
 	dec := json.NewDecoder(r)
 	var out []*core.Worker
 	for {
-		var rec workerJSON
+		var rec core.WorkerRecord
 		if err := dec.Decode(&rec); err == io.EOF {
 			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("workload: decoding worker %d: %w", len(out), err)
 		}
-		if rec.Universe < 1 {
-			return nil, fmt.Errorf("workload: worker %q has universe %d", rec.ID, rec.Universe)
+		wk, err := rec.Worker()
+		if err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
 		}
-		if err := checkKeywords(rec.Keywords, rec.Universe); err != nil {
-			return nil, fmt.Errorf("workload: worker %q: %w", rec.ID, err)
-		}
-		out = append(out, &core.Worker{
-			ID: rec.ID, Alpha: rec.Alpha, Beta: rec.Beta,
-			Keywords: bitset.FromIndices(rec.Universe, rec.Keywords...),
-		})
+		out = append(out, wk)
 	}
 }

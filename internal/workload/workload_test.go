@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,5 +216,32 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadWorkers(strings.NewReader(`{"id":"w","universe":-3}`)); err == nil {
 		t.Error("negative universe accepted")
+	}
+}
+
+// TestReadLiteralLines reads a task line and a worker line in the format
+// WriteTasks and WriteWorkers wrote when a task's deadline came before its
+// universe, and checks every value they carry.
+func TestReadLiteralLines(t *testing.T) {
+	tasks, err := ReadTasks(strings.NewReader(
+		`{"id":"g0001-t000","group":"g0001","reward":0.07,"deadline":1500000000,"universe":100,"keywords":[0,1,37],"names":["survey","english","x"]}` + "\n" +
+			`{"id":"g0001-t001","universe":100,"keywords":[]}` + "\n"))
+	if err != nil || len(tasks) != 2 {
+		t.Fatalf("ReadTasks: %d tasks, %v", len(tasks), err)
+	}
+	if tk := tasks[0]; tk.ID != "g0001-t000" || tk.Group != "g0001" || tk.Reward != 0.07 || tk.Deadline != 1500000000 ||
+		tk.Keywords.Len() != 100 || !slices.Equal(tk.Keywords.Indices(), []int{0, 1, 37}) {
+		t.Errorf("task = %+v", tk)
+	}
+	if tk := tasks[1]; tk.Group != "" || tk.Reward != 0 || tk.Deadline != 0 || tk.Keywords.Len() != 100 || tk.Keywords.Count() != 0 {
+		t.Errorf("task = %+v", tk)
+	}
+	workers, err := ReadWorkers(strings.NewReader(`{"id":"w0007","alpha":0.125,"beta":0.875,"universe":100,"keywords":[5,50,99]}` + "\n"))
+	if err != nil || len(workers) != 1 {
+		t.Fatalf("ReadWorkers: %d workers, %v", len(workers), err)
+	}
+	if w := workers[0]; w.ID != "w0007" || w.Alpha != 0.125 || w.Beta != 0.875 ||
+		w.Keywords.Len() != 100 || !slices.Equal(w.Keywords.Indices(), []int{5, 50, 99}) {
+		t.Errorf("worker = %+v", w)
 	}
 }
