@@ -794,9 +794,7 @@ func TestGatewayWorkerReadsFromPin(t *testing.T) {
 	// A worker whose node is marked down gets ErrPeerDown, not its copy:
 	// the liveness check runs before the pin is read. dropNode marks the
 	// peer down before it unpins the node's workers.
-	gw2.mu.Lock()
-	owner := gw2.peers[gw2.workerLoc[w1.ID].node]
-	gw2.mu.Unlock()
+	owner, _ := gw2.owner(w1.ID)
 	owner.markDown()
 	if _, err := gw2.Worker(w1.ID); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("Worker(%s) on a down node: err = %v, want ErrPeerDown", w1.ID, err)
@@ -805,9 +803,7 @@ func TestGatewayWorkerReadsFromPin(t *testing.T) {
 	// Once the node is dropped, its workers' copies are gone with their
 	// pins: the read goes to the ring's new owner, which never heard of
 	// them.
-	gw.locMu.RLock()
-	victim := gw.workerLoc[w1.ID].node
-	gw.locMu.RUnlock()
+	victim := ownerName(gw, w1.ID)
 	for i, srv := range tc.servers {
 		if specs[i].Name == victim {
 			srv.Close()
@@ -817,4 +813,13 @@ func TestGatewayWorkerReadsFromPin(t *testing.T) {
 	if got, err := gw.Worker(w1.ID); err == nil {
 		t.Fatalf("Worker(%s) after its node was dropped = %+v, want an error", w1.ID, got)
 	}
+}
+
+// ownerName is the name of the node that serves the worker's calls.
+func ownerName(gw *Gateway, workerID string) string {
+	p, err := gw.owner(workerID)
+	if err != nil {
+		return ""
+	}
+	return p.name
 }

@@ -20,57 +20,28 @@ import (
 // cluster view. These methods satisfy platform.ClusterObserver, which is
 // how the platform layer mounts them without importing this package.
 
-// fetch GETs base+path and hands the body to decode. The decoders may
-// stop short of EOF, so the body is drained before it is closed.
-func (p *peer) fetch(ctx context.Context, path string, decode func(io.Reader) error) error {
+// fetch GETs base+path from p's node and reads the body with read. The
+// readers may stop short of EOF, so the body is drained before it is
+// closed. A sampled context propagates its trace identity in headers, so
+// the node's handling of a heartbeat joins the heartbeat's trace.
+func fetch[T any](ctx context.Context, p *peer, path string, read func(io.Reader) (T, error)) (out T, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+path, nil)
 	if err != nil {
-		return err
+		return out, err
+	}
+	if sc, ok := trace.SpanContextFromContext(ctx); ok {
+		req.Header.Set("X-Trace-Id", sc.TraceID.String())
+		req.Header.Set("X-Span-Id", sc.SpanID.String())
 	}
 	resp, err := p.hc.Do(req)
 	if err != nil {
-		return err
+		return out, err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s%s: HTTP %d", p.name, path, resp.StatusCode)
+		return out, fmt.Errorf("cluster: %s%s: HTTP %d", p.name, path, resp.StatusCode)
 	}
-	return decode(resp.Body)
-}
-
-// wireTraces pulls up to n retained traces from the node's recorder in
-// wire form.
-func (p *peer) wireTraces(ctx context.Context, n int) ([]trace.WireTrace, error) {
-	var out []trace.WireTrace
-	err := p.fetch(ctx, "/debug/trace?format=wire&n="+strconv.Itoa(n), func(r io.Reader) error {
-		var err error
-		out, err = trace.ReadWire(r)
-		return err
-	})
-	return out, err
-}
-
-// metricsSnapshot pulls the node's full-fidelity registry snapshot.
-func (p *peer) metricsSnapshot(ctx context.Context) (obs.Snapshot, error) {
-	var out obs.Snapshot
-	err := p.fetch(ctx, "/metrics?format=snapshot", func(r io.Reader) error {
-		var err error
-		out, err = obs.ReadSnapshot(r)
-		return err
-	})
-	return out, err
-}
-
-// apiEvents pulls the node's local journal. local=1 keeps a gateway
-// fronting gateways (not supported today, but harmless) from recursing.
-func (p *peer) apiEvents(ctx context.Context) ([]ops.Event, error) {
-	var out []ops.Event
-	err := p.fetch(ctx, "/api/events?local=1", func(r io.Reader) error {
-		var err error
-		out, err = ops.ReadEvents(r)
-		return err
-	})
-	return out, err
+	return read(resp.Body)
 }
 
 // ClusterTraces stitches the gateway's retention ring with every live
@@ -84,7 +55,7 @@ func (g *Gateway) ClusterTraces(ctx context.Context, n int) []trace.WireTrace {
 	trace.AnnotateWire(local, "node", "gateway")
 	groups := [][]trace.WireTrace{local}
 	for _, p := range g.livePeers() {
-		wt, err := p.wireTraces(ctx, n)
+		wt, err := fetch(ctx, p, "/debug/trace?format=wire&n="+strconv.Itoa(n), trace.ReadWire)
 		if err != nil {
 			continue
 		}
@@ -101,7 +72,9 @@ func (g *Gateway) ClusterTraces(ctx context.Context, n int) []trace.WireTrace {
 func (g *Gateway) ClusterEvents(ctx context.Context) []ops.Event {
 	lists := [][]ops.Event{g.journal.Snapshot(0)}
 	for _, p := range g.livePeers() {
-		evs, err := p.apiEvents(ctx)
+		// local=1 keeps a gateway fronting gateways (not supported
+		// today, but harmless) from recursing.
+		evs, err := fetch(ctx, p, "/api/events?local=1", ops.ReadEvents)
 		if err != nil {
 			continue
 		}
@@ -124,7 +97,7 @@ func (g *Gateway) FederatedSnapshot(ctx context.Context) obs.Snapshot {
 	}
 	per := map[string]obs.Snapshot{"gateway": g.reg.Snapshot()}
 	for _, p := range g.livePeers() {
-		snap, err := p.metricsSnapshot(ctx)
+		snap, err := fetch(ctx, p, "/metrics?format=snapshot", obs.ReadSnapshot)
 		if err != nil {
 			continue
 		}

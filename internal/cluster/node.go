@@ -221,20 +221,12 @@ func (n *Node) apply(ctx context.Context, op *Op) OpResult {
 			defer sp.End()
 		}
 	}
-	return n.applyOp(ctx, op)
+	return applyOp(ctx, n.eng, op)
 }
 
-func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
-	fail := func(err error) OpResult {
-		r := OpResult{Err: err.Error()}
-		switch {
-		case errors.Is(err, stream.ErrBufferFull):
-			r.Code = codeFull
-		case errors.Is(err, shard.ErrClosed):
-			r.Code = codeClosed
-		}
-		return r
-	}
+// applyOp decodes one op into its call on part, the peer's encoding of
+// the call read backwards.
+func applyOp(ctx context.Context, part shard.Part, op *Op) OpResult {
 	var t *core.Task
 	switch op.Op {
 	case opScore, opCommit, opBuffer:
@@ -249,20 +241,20 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 	}
 	switch op.Op {
 	case opScore:
-		gain, rel, free := n.eng.BestGain(t)
-		trace.Event(ctx, "node.score", trace.Float("gain", gain), trace.Bool("free", free))
-		return OpResult{OK: true, Gain: gain, Rel: rel, Free: free, Backlog: n.eng.BufferLen()}
+		s, err := part.Score(ctx, t)
+		if err != nil {
+			return fail(err)
+		}
+		trace.Event(ctx, "node.score", trace.Float("gain", s.Gain), trace.Bool("free", s.Free))
+		return OpResult{OK: true, Gain: s.Gain, Rel: s.Rel, Free: s.Free, Backlog: s.Backlog}
 	case opCommit:
-		wid, ok := n.eng.TryAssign(t)
+		wid, ok := part.Commit(ctx, t)
 		trace.Event(ctx, "node.commit", trace.Str("worker", wid), trace.Bool("ok", ok))
 		return OpResult{OK: ok, WorkerID: wid}
 	case opBuffer:
-		if err := n.eng.BufferAny(t); err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true}
+		return result(OpResult{}, part.Buffer(ctx, t))
 	case opComplete:
-		c, err := n.eng.CompleteRead(ctx, op.WorkerID, op.TaskID)
+		c, err := part.Finish(ctx, op.WorkerID, op.TaskID, true)
 		if err != nil {
 			return fail(err)
 		}
@@ -283,73 +275,71 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 			return fail(err)
 		}
 		trace.Event(ctx, "node.decode", trace.Str("worker", wk.ID))
-		drained, err := n.eng.AddWorkerCtx(ctx, wk)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Tasks: core.RecordsOf(drained)}
+		return tasksResult(part.AddWorkerCtx(ctx, wk))
 	case opRemoveWorker:
-		dropped, err := n.eng.RemoveWorkerCtx(ctx, op.WorkerID)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Tasks: core.RecordsOf(dropped)}
+		return tasksResult(part.RemoveWorkerCtx(ctx, op.WorkerID))
 	case opActiveTasks:
-		tasks, err := n.eng.ActiveTasks(op.WorkerID)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Tasks: core.RecordsOf(tasks)}
+		return tasksResult(part.ActiveTasks(op.WorkerID))
 	case opWorker:
-		wk, err := n.eng.Worker(op.WorkerID)
+		wk, err := part.Worker(op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
 		rec := core.WorkerRecordOf(wk)
 		return OpResult{OK: true, Worker: &rec}
 	case opCompleted:
-		c, err := n.eng.Completed(op.WorkerID)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Count: c}
+		c, err := part.Completed(op.WorkerID)
+		return result(OpResult{Count: c}, err)
 	case opSetTrust:
 		if op.Trust == nil {
 			return fail(errors.New("cluster: set_trust without value"))
 		}
-		drained, err := n.eng.SetTrust(op.WorkerID, *op.Trust)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Tasks: core.RecordsOf(drained)}
+		return tasksResult(part.SetTrust(op.WorkerID, *op.Trust))
 	case opTrust:
-		v, err := n.eng.Trust(op.WorkerID)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Value: v}
+		v, err := part.Trust(op.WorkerID)
+		return result(OpResult{Value: v}, err)
 	case opSetWindow:
 		if op.Window == nil {
 			return fail(errors.New("cluster: set_window without value"))
 		}
-		if err := n.eng.SetWindow(op.WorkerID, *op.Window); err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true}
+		return result(OpResult{}, part.SetWindow(op.WorkerID, *op.Window))
 	case opWindow:
-		until, err := n.eng.Window(op.WorkerID)
-		if err != nil {
-			return fail(err)
-		}
-		return OpResult{OK: true, Until: until}
+		until, err := part.Window(op.WorkerID)
+		return result(OpResult{Until: until}, err)
 	case opWorkers:
-		return OpResult{OK: true, IDs: n.eng.WorkerIDs()}
+		return OpResult{OK: true, IDs: part.WorkerIDs()}
 	case opStats:
-		st := n.eng.Stats()
+		st := part.Stats()
 		return OpResult{OK: true, Stats: &st}
 	case opObjective:
-		return OpResult{OK: true, Value: n.eng.Objective()}
+		return OpResult{OK: true, Value: part.Objective()}
 	default:
 		return fail(fmt.Errorf("cluster: unknown op %q", op.Op))
 	}
+}
+
+// fail is the result of an op that failed with err, its sentinel
+// carried as a code (resultErr reads it back).
+func fail(err error) OpResult {
+	r := OpResult{Err: err.Error()}
+	switch {
+	case errors.Is(err, stream.ErrBufferFull):
+		r.Code = codeFull
+	case errors.Is(err, shard.ErrClosed):
+		r.Code = codeClosed
+	}
+	return r
+}
+
+// result is r answered OK, or the failure of err.
+func result(r OpResult, err error) OpResult {
+	if err != nil {
+		return fail(err)
+	}
+	r.OK = true
+	return r
+}
+
+func tasksResult(ts []*core.Task, err error) OpResult {
+	return result(OpResult{Tasks: core.RecordsOf(ts)}, err)
 }

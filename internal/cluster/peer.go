@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/trace"
 )
@@ -90,9 +91,19 @@ type peer struct {
 	windowOcc  *obs.Gauge
 	retriesCtr *obs.Counter
 
-	// health state, owned by the gateway's heartbeat loop.
-	down  atomic.Bool
-	fails atomic.Int32
+	// health state, owned by the gateway's heartbeat loop, and the last
+	// drop count the node reported (noteDropped).
+	down        atomic.Bool
+	fails       atomic.Int32
+	lastDropped atomic.Int64
+
+	// pins holds the records of the workers this gateway registered on
+	// the node, or read from it: the pin decides a worker's routing, and
+	// Worker answers from it. pinGen counts unpins, so a read that pins
+	// after its RPC can tell whether the worker left meanwhile.
+	pinMu  sync.RWMutex
+	pins   map[string]*core.Worker
+	pinGen uint64
 
 	// frame ID source: a random 8-byte prefix per peer plus a counter —
 	// unique across gateway restarts without per-frame crypto/rand reads.
@@ -105,7 +116,7 @@ func newPeer(name, base string, hc *http.Client, reg *obs.Registry, maxBatch, wi
 		reg = obs.Default()
 	}
 	p := &peer{
-		name: name, base: base, hc: hc,
+		name: name, base: base, hc: hc, pins: make(map[string]*core.Worker),
 		maxBatch: maxBatch, window: window, retries: retries, backoff: backoff,
 		batchSize: reg.Histogram("hta_cluster_frame_batch_size",
 			"ops coalesced into each RPC frame", obs.SizeBuckets(), obs.L("peer", name)),
@@ -390,12 +401,6 @@ func (p *peer) markDown() {
 	}
 }
 
-// markUp clears the unhealthy flag (rejoin).
-func (p *peer) markUp() {
-	p.fails.Store(0)
-	p.down.Store(false)
-}
-
 // close fails all pending ops, stops accepting new ones, and ends the
 // senders: idle ones at once, busy ones once their frame resolves (a
 // frame stops retrying when the peer closes).
@@ -421,47 +426,10 @@ func (p *peer) isClosed() bool {
 	return p.closed
 }
 
-// snapshot fetches GET /cluster/snapshot — the node's consistent engine
-// snapshot, raw bytes for the gateway's merge.
-func (p *peer) snapshot(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/cluster/snapshot", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: snapshot %s: HTTP %d", p.name, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// health probes GET /cluster/health once. A sampled context propagates
-// its trace identity in headers so the node's handling joins the
-// heartbeat's trace.
+// health probes GET /cluster/health once.
 func (p *peer) health(ctx context.Context) (*Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/cluster/health", nil)
-	if err != nil {
-		return nil, err
-	}
-	if sc, ok := trace.SpanContextFromContext(ctx); ok {
-		req.Header.Set("X-Trace-Id", sc.TraceID.String())
-		req.Header.Set("X-Span-Id", sc.SpanID.String())
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: health %s: HTTP %d", p.name, resp.StatusCode)
-	}
-	var h Health
-	if err := decodeBody(resp.Body, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return fetch(ctx, p, "/cluster/health", func(r io.Reader) (*Health, error) {
+		var h Health
+		return &h, decodeBody(r, &h)
+	})
 }

@@ -16,13 +16,13 @@ import (
 // deduplicated node-side and the cached response replayed instead of the
 // ops double-applying.
 
-// Op kinds. Mutating ops mirror the shard engine's cluster-support
-// surface; read ops serve the gateway's gather paths.
+// Op kinds: one per shard.Part method (the peer sends them, applyOp
+// applies them).
 const (
-	opScore        = "score"         // BestGain: the scatter half of an offer
-	opCommit       = "commit"        // TryAssign: commit the offer to this node
-	opBuffer       = "buffer"        // BufferAny: park on the least backlogged shard
-	opComplete     = "complete"      // Complete(worker, task); returns the pulled task and the display set
+	opScore        = "score"         // Score: the scatter half of an offer
+	opCommit       = "commit"        // Commit: commit the offer to this node
+	opBuffer       = "buffer"        // Buffer: park on the least backlogged shard
+	opComplete     = "complete"      // Finish(worker, task); returns the pulled task and the display set
 	opAddWorker    = "add_worker"    // AddWorker; returns drained tasks
 	opRemoveWorker = "remove_worker" // RemoveWorker; returns dropped tasks
 	opActiveTasks  = "active_tasks"  // ActiveTasks(worker)

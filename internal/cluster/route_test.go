@@ -93,7 +93,7 @@ func TestGatewayMatchesInProcessRoute(t *testing.T) {
 				if err != nil {
 					t.Fatalf("gateway AddWorker(%s): %v", w.ID, err)
 				}
-				i := slices.Index(names, gw.workerLoc[w.ID].node)
+				i := slices.Index(names, ownerName(gw, w.ID))
 				wantDrain, err := twin[i].AddWorker(w)
 				if err != nil {
 					t.Fatalf("twin AddWorker(%s): %v", w.ID, err)

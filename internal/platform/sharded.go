@@ -16,9 +16,10 @@ import (
 )
 
 // StreamBackend is the streaming-engine surface the streaming backend
-// drives. Two implementations exist: the in-process *shard.Engine, and the
-// multi-node *cluster.Gateway, which serves the identical protocol by
-// routing ops across a ring of hta-server nodes — so a single binary
+// drives. Both implementations are one shard.Body, which provides every
+// method here but Snapshot: the in-process *shard.Engine runs it over
+// its shards, and the multi-node *cluster.Gateway over a ring of
+// hta-server nodes, each a shard.Part behind RPC — so a single binary
 // flag, not a different API, decides whether the deployment is one
 // process or a cluster.
 type StreamBackend interface {

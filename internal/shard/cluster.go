@@ -9,49 +9,48 @@ import (
 	"github.com/htacs/ata/internal/stream"
 )
 
-// Cluster-support surface: the engine as one member of the cluster
-// gateway's routing decision (Route over nodes), made of the same parts
-// OfferTask's decision over this engine's shards is made of:
-//
-//   - BestGain is the node's Score: the head of its shards' ranking;
-//   - TryAssign is the node's commit: the commit walk over its shards;
-//   - BufferAny is the node's buffer: the buffer walk over its shards.
-//
-// The gateway's Admission admits the task and holds its ID; these
-// methods only count it in this engine's Admission (Accept), so the
-// per-node conservation law (submitted = active + completed + buffered +
-// dropped + expired) keeps holding when traffic arrives over RPC instead
-// of the local API.
+// The engine as a Part, one node of the cluster gateway's decision: its
+// Score, Commit and Buffer are the head of its shards' ranking, the
+// commit walk and the buffer walk over them. The gateway's Admission
+// holds the task's ID; Commit and Buffer only count it here (Accept), so
+// the node's own conservation law keeps holding for traffic that arrives
+// over RPC. The walks run under a background context, so their events
+// and rescores join no caller's trace.
 
-// BestGain is the head of the ranking of t over this engine's shards: the
-// score of the shard TryAssign commits to first. free is false when every
-// worker on every shard is full — the gain values are then meaningless.
-// The head is never pending: settle fills the pending scores unless a
-// computed one ranks before them.
-func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
-	if err := e.begin(); err != nil {
-		return 0, 0, false
+var errNilTask = errors.New("shard: nil task or keywords")
+
+func validTask(t *core.Task) bool { return t != nil && t.Keywords != nil && t.ID != "" }
+
+// Score is the head of the ranking of t over this engine's shards, the
+// shard Commit commits to first, with the engine's whole backlog. Free is
+// false when every worker on every shard is full; the gain values are
+// then meaningless. The head is never pending: settle fills the pending
+// scores unless a computed one ranks before them.
+func (e *Engine) Score(_ context.Context, t *core.Task) (Score, error) {
+	if err := e.Begin(); err != nil {
+		return Score{}, err
 	}
-	defer e.live.RUnlock()
-	if t == nil || t.Keywords == nil || t.ID == "" {
-		return 0, 0, false
+	defer e.End()
+	if !validTask(t) {
+		return Score{}, errNilTask
 	}
 	ctx, m := context.Background(), shards{e}
 	scores := m.Scatter(ctx, t)
 	s := scores[settle(ctx, m, t, scores)[0]]
-	return s.Gain, s.Rel, s.Free
+	s.Backlog = e.BufferLen()
+	return s, nil
 }
 
-// TryAssign is the commit walk of t over this engine's shards: it never
-// buffers and returns ok=false instead of an error when no shard commits
-// — the cluster router will commit to another node or buffer explicitly.
-// On success the task is counted in the engine's Admission.
-func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
-	if err := e.begin(); err != nil {
+// Commit is the commit walk of t over this engine's shards: it never
+// buffers and returns ok=false when no shard commits — the cluster router
+// then commits to another node or buffers explicitly. On success the task
+// is counted in the engine's Admission.
+func (e *Engine) Commit(_ context.Context, t *core.Task) (wid string, ok bool) {
+	if e.Begin() != nil {
 		return "", false
 	}
-	defer e.live.RUnlock()
-	if t == nil || t.Keywords == nil || t.ID == "" {
+	defer e.End()
+	if !validTask(t) {
 		return "", false
 	}
 	start := time.Now()
@@ -72,18 +71,18 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	return wid, ok
 }
 
-// BufferAny parks t by the buffer walk over live backlogs without
-// attempting assignment — the buffer half of a cluster routing decision
-// that picked this node. Returns stream.ErrBufferFull when every local
-// buffer is at its limit. Accepted tasks are counted in the engine's
-// Admission, like TryAssign.
-func (e *Engine) BufferAny(t *core.Task) error {
-	if err := e.begin(); err != nil {
+// Buffer parks t by the buffer walk over live backlogs without attempting
+// assignment — the buffer half of a cluster routing decision that picked
+// this node. Returns stream.ErrBufferFull when every local buffer is at
+// its limit. An accepted task is counted in the engine's Admission, like
+// Commit.
+func (e *Engine) Buffer(_ context.Context, t *core.Task) error {
+	if err := e.Begin(); err != nil {
 		return err
 	}
-	defer e.live.RUnlock()
-	if t == nil || t.Keywords == nil || t.ID == "" {
-		return errors.New("shard: nil task or keywords")
+	defer e.End()
+	if !validTask(t) {
+		return errNilTask
 	}
 	if err := e.bufferLive(t); err != nil {
 		return err

@@ -18,7 +18,7 @@ import (
 // TestLockProtocolUnderConcurrentReads races the engine-wide calls —
 // Snapshot (decoded back through Restore), Stats, Objective, StealOnce and
 // ExpireOnce — against offers, completions and worker churn, at 2 and 4
-// shards. Snapshot takes the liveness lock for writing, so a nested read
+// shards. Snapshot takes the barrier for writing, so a nested read
 // of it, or a lock-order cycle anywhere, would hang here: a watchdog
 // fails the run with every goroutine's stack instead. At quiescence the
 // engine, and an engine restored from its final snapshot, must be

@@ -42,7 +42,7 @@ func (m fullShards) Buffer(_ context.Context, i int, t *core.Task) error { retur
 // assigner per shard holding that shard's workers and routed by Route
 // over full scores, take one seeded sequence of arrivals, departures,
 // offers, completions and cluster-surface scores and commits. They agree
-// on every worker, pulled, drained and dropped task, every BestGain bit
+// on every worker, pulled, drained and dropped task, every Score bit
 // and every backlog, while the engine runs fewer selection scans. Each
 // offer that rescored is marked on its "shard.route" span, and an offer
 // that finds every shard full rescores nothing.
@@ -154,17 +154,18 @@ func TestPendingRouteMatchesFullScores(t *testing.T) {
 				case op == 7: // the cluster surface: score, then commit
 					task := tasks[ti]
 					ti++
-					g, r, free := eng.BestGain(task)
+					head0, _ := eng.Score(context.Background(), task)
+					g, r, free := head0.Gain, head0.Rel, head0.Free
 					scores := twin.Scatter(context.Background(), task)
 					head := scores[rank(scores)[0]]
 					if free != head.Free || free && (math.Float64bits(g) != math.Float64bits(head.Gain) || math.Float64bits(r) != math.Float64bits(head.Rel)) {
-						t.Fatalf("step %d: BestGain (%v, %v, %v), twin head %+v", step, g, r, free, head)
+						t.Fatalf("step %d: Score (%v, %v, %v), twin head %+v", step, g, r, free, head)
 					}
-					got, ok := eng.TryAssign(task)
+					got, ok := eng.Commit(context.Background(), task)
 					want, at := commitWalk(context.Background(), twin, scores, task)
-					check("TryAssign", got, want, nil, nil)
+					check("Commit", got, want, nil, nil)
 					if ok != (at >= 0) {
-						t.Fatalf("step %d: TryAssign ok %v, twin committed at %d", step, ok, at)
+						t.Fatalf("step %d: Commit ok %v, twin committed at %d", step, ok, at)
 					}
 					if ok {
 						active = append(active, pair{got, task.ID})

@@ -39,10 +39,10 @@ func (e *Engine) expireLoop() {
 // balancing — an expired task is never a silent drop. Its ID leaves the
 // duplicate filter, so it may be offered again.
 func (e *Engine) ExpireOnce(now int64) int {
-	if err := e.begin(); err != nil {
+	if e.Begin() != nil {
 		return 0
 	}
-	defer e.live.RUnlock()
+	defer e.End()
 	total := 0
 	for _, p := range e.parts {
 		var exp []*core.Task

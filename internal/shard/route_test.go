@@ -293,7 +293,7 @@ func (m *pendingSet) Rescore(_ context.Context, _ *core.Task, scores []Score) {
 // (a pending member may refuse once it is filled), and return the same
 // result. Without a pending score Rescore is never called, and with one
 // it is called at most once. The ranking's head after settle is the full
-// ranking's head, which is what Engine.BestGain reports.
+// ranking's head, which is what Engine.Score reports.
 func FuzzRoutePending(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{1, 0, 0, 1, 6, 6}, uint16(1))

@@ -42,36 +42,33 @@ type engineSnap struct {
 }
 
 // Snapshot writes the engine state as one JSON document — the merge of
-// per-shard snapshots. It holds the write side of the liveness lock while
-// it reads, so no operation is in flight: an admitted offer is placed or
-// rejected before the cut, and the conservation invariant holds in the
-// file.
+// per-shard snapshots. It reads with no operation in flight (Exclusive),
+// so an admitted offer is placed or rejected before the cut, and the
+// conservation invariant holds in the file.
 func (e *Engine) Snapshot(w io.Writer) error {
-	e.live.Lock()
-	if e.closed {
-		e.live.Unlock()
-		return ErrClosed
+	var snap engineSnap
+	if err := e.Exclusive(func() error { snap = e.snapshot(); return nil }); err != nil {
+		return err
 	}
-	snap := e.snapshot()
-	e.live.Unlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
 }
 
-// snapshot reads the engine state. The caller holds e.live for writing,
-// so it reads every assigner without its shard lock.
+// snapshot reads the engine state. The caller holds the barrier for
+// writing, so it reads every assigner without its shard lock.
 func (e *Engine) snapshot() engineSnap {
 	// Dropped in the snapshot is the engine-wide total (offer rejections
 	// + removal/steal overflow + restored history): one number that
 	// Restore carries forward whole, so the conservation equation closes
 	// across the restart.
+	submitted, _, dropped := e.Counts()
 	snap := engineSnap{
 		Version:   1,
 		Shards:    len(e.parts),
-		Submitted: e.adm.Submitted() + e.baseSubmitted,
-		Dropped:   e.adm.Dropped() + e.baseDropped,
-		Expired:   e.baseExpired,
+		Submitted: submitted,
+		Dropped:   dropped,
+		Expired:   e.carried.expired.Load(),
 	}
 	var buffered []*core.Task
 	for _, p := range e.parts {
@@ -196,13 +193,13 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 				}
 			}
 		}
-		// Fresh parts restart their counters at zero; the base* fields
-		// carry the whole history (snap.Dropped already folded the old
-		// parts' drops in).
-		e.baseSubmitted = snap.Submitted
-		e.baseDropped = snap.Dropped
-		e.baseCompleted = completed
-		e.baseExpired = snap.Expired
+		// Fresh parts restart their counters at zero; the body carries
+		// the whole history (snap.Dropped already folded the old parts'
+		// drops in).
+		e.carried.submitted.Store(snap.Submitted)
+		e.carried.dropped.Store(snap.Dropped)
+		e.carried.expired.Store(snap.Expired)
+		e.completed.Store(completed)
 		return nil
 	}
 	if err := restore(); err != nil {

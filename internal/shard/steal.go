@@ -46,10 +46,10 @@ type stealPlan struct {
 // deployments that disable the periodic loop and trigger rebalancing
 // themselves.
 func (e *Engine) StealOnce() int {
-	if err := e.begin(); err != nil {
+	if e.Begin() != nil {
 		return 0
 	}
-	defer e.live.RUnlock()
+	defer e.End()
 	n := len(e.parts)
 	if n < 2 {
 		return 0
@@ -126,7 +126,7 @@ func (e *Engine) StealOnce() int {
 		}
 		for excess > 0 && ri < len(receivers) {
 			r := receivers[ri]
-			k := min3(excess, free[r], e.cfg.StealBatch)
+			k := min(excess, free[r], e.cfg.StealBatch)
 			if k <= 0 {
 				ri++
 				continue
@@ -220,14 +220,4 @@ func (e *Engine) executeSteal(p stealPlan) int {
 		span.End()
 	}
 	return placed
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
