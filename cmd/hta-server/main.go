@@ -17,8 +17,9 @@
 // name=url,... runs no local engine: it routes every streaming op across
 // the named nodes by consistent hashing, scatter-gathers marginal-gain
 // scores for task placement, and re-partitions the ring when heartbeats
-// declare a node dead. The public HTTP surface is identical in all three
-// modes; only the backend behind it changes.
+// declare a node dead; its -snapshot is the cluster's cut, one engine
+// document that -shards N -snapshot restores. The public HTTP surface is
+// identical in all three modes; only the backend behind it changes.
 //
 // The server is hardened for unattended operation: read/write/idle
 // timeouts on every connection, bounded request bodies, and a graceful
@@ -290,8 +291,9 @@ func main() {
 			log.Fatalf("hta-server: %v", err)
 		}
 		defer gw.Close()
-		// In gateway mode -snapshot writes the merged cluster cut at
-		// shutdown; startup restore happens per node, not here.
+		// In gateway mode -snapshot writes the cluster's cut at shutdown,
+		// one engine document that -shards N -snapshot restores into a
+		// single process; the gateway restores nothing at startup.
 		srvCfg.Shards = gw
 	} else if *shards > 0 {
 		scfg := shard.Config{

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/lsap"
@@ -365,7 +366,7 @@ func (e *Engine) NextIterationCtx(ctx context.Context) (map[string][]*core.Task,
 	ctx, iterSpan := trace.Start(ctx, "adaptive.iteration",
 		trace.Int("iteration", e.iteration), trace.Int("pool", len(e.pool)))
 	defer iterSpan.End()
-	span := obs.StartSpan(e.metrics.IterationSeconds)
+	start := time.Now()
 	var cold, warm []*WorkerState
 	for _, id := range e.order {
 		ws := e.workers[id]
@@ -435,7 +436,7 @@ func (e *Engine) NextIterationCtx(ctx context.Context) (map[string][]*core.Task,
 	}
 
 	e.iteration++
-	span.End()
+	obs.ObserveDuration(e.metrics.IterationSeconds, time.Since(start))
 	iterSpan.SetAttrs(
 		trace.Int("cold", len(cold)), trace.Int("warm", len(warm)),
 		trace.Int("pool_after", len(e.pool)))

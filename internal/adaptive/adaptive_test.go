@@ -10,6 +10,7 @@ import (
 	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/metric"
+	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/solver"
 )
 
@@ -417,5 +418,36 @@ func TestFirstCompletionGainAccounting(t *testing.T) {
 	}
 	if len(ws.divGains) != 0 {
 		t.Fatalf("first completion produced %d diversity observations, want 0", len(ws.divGains))
+	}
+}
+
+// TestIterationSecondsObserved: every iteration records one latency
+// observation, and none while metrics are off.
+func TestIterationSecondsObserved(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	e := newEngine(t, Config{Xmax: 2, Metrics: m})
+	if err := e.AddTasks(genTasks(rand.New(rand.NewSource(5)), 20)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AddWorker(genWorker("w1", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	iterate := func() {
+		t.Helper()
+		if _, err := e.NextIteration(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		iterate()
+	}
+	if n := m.IterationSeconds.Snapshot().Count; n != 3 {
+		t.Fatalf("%d observations after 3 iterations", n)
+	}
+	obs.SetEnabled(false)
+	defer obs.SetEnabled(true)
+	iterate()
+	if n := m.IterationSeconds.Snapshot().Count; n != 3 {
+		t.Fatalf("%d observations with metrics off, want 3", n)
 	}
 }

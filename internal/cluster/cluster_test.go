@@ -449,6 +449,9 @@ func TestClusterJoinTakesNewWorkers(t *testing.T) {
 	}
 }
 
+// TestClusterSnapshotMergedCut: the gateway's snapshot is one engine
+// document, a consistent cut of every node, and a single engine restores
+// it at any shard count with the cluster's accounting.
 func TestClusterSnapshotMergedCut(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, 64, 2)
 	gw := tc.gw
@@ -463,41 +466,69 @@ func TestClusterSnapshotMergedCut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, w := range workers[:4] {
+		if active, err := gw.ActiveTasks(w.ID); err == nil && len(active) > 0 {
+			if _, err := gw.Complete(w.ID, active[0].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var buf bytes.Buffer
 	if err := gw.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	var doc mergedSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("merged snapshot does not parse: %v", err)
+	doc, err := shard.ReadCut(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("cluster snapshot does not read: %v", err)
 	}
-	if doc.Version != 1 || len(doc.Nodes) != 3 {
-		t.Fatalf("doc: version=%d nodes=%d", doc.Version, len(doc.Nodes))
+	if doc.Shards != 3*2 || len(doc.PerShard) != 3*2 {
+		t.Fatalf("doc: shards=%d entries=%d, want 6 (3 nodes x 2 shards)", doc.Shards, len(doc.PerShard))
 	}
 	st := gw.Stats()
-	if doc.Submitted != st.Submitted || doc.Completed != st.Completed {
+	if st.Completed == 0 || doc.Submitted != st.Submitted || doc.Completed != st.Completed {
 		t.Fatalf("doc counters (%d, %d) != stats (%d, %d)",
 			doc.Submitted, doc.Completed, st.Submitted, st.Completed)
 	}
-	// Each per-node cut restores into a fresh engine, and the restored
-	// populations sum to the cluster's totals — the cut is consistent.
-	var active, buffered int
-	for _, ns := range doc.Nodes {
-		eng, err := shard.Restore(bytes.NewReader(ns.Engine), shard.Config{
-			Shards: 2, StealInterval: -1,
+	for _, shards := range []int{1, 4} {
+		eng, err := shard.Restore(bytes.NewReader(buf.Bytes()), shard.Config{
+			Shards: shards, StealInterval: -1,
 			Stream:   stream.Config{Xmax: 2, BufferLimit: 64},
 			Registry: obs.NewRegistry(),
 		})
 		if err != nil {
-			t.Fatalf("restore of %s's cut: %v", ns.Name, err)
+			t.Fatalf("restore at %d shards: %v", shards, err)
 		}
 		rst := eng.Stats()
-		active += rst.Active
-		buffered += rst.Buffered
 		eng.Close()
+		if !rst.Conserved() || rst.Submitted != st.Submitted || rst.Completed != st.Completed ||
+			rst.Active != st.Active || rst.Buffered != st.Buffered ||
+			rst.Dropped != st.Dropped || rst.Expired != st.Expired {
+			t.Fatalf("restored at %d shards: %+v\nlive cluster: %+v", shards, rst, st)
+		}
 	}
-	if active != st.Active || buffered != st.Buffered {
-		t.Fatalf("restored totals %d/%d != live stats %d/%d", active, buffered, st.Active, st.Buffered)
+}
+
+// TestClusterSnapshotFailedNodeCut: a node whose cut fails answers an
+// error status, not a document, and the gateway's Snapshot fails naming
+// the node.
+func TestClusterSnapshotFailedNodeCut(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 16, 2)
+	tc.engines[1].Close()
+	resp, err := http.Get(tc.servers[1].URL + "/cluster/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("closed node's snapshot: HTTP %d, want 503", resp.StatusCode)
+	}
+	var buf bytes.Buffer
+	err = tc.gw.Snapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), "n1") {
+		t.Fatalf("Snapshot with n1 closed: err=%v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("failed Snapshot wrote %d bytes", buf.Len())
 	}
 }
 
@@ -599,7 +630,7 @@ func TestPeerPipelineWindowRecoversAfterErrors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.do(Op{Op: opWorkers}); err == nil {
+			if _, err := p.doCtx(context.Background(), Op{Op: opWorkers}); err == nil {
 				t.Error("op succeeded against a 500ing node")
 			}
 		}()
@@ -608,16 +639,15 @@ func TestPeerPipelineWindowRecoversAfterErrors(t *testing.T) {
 	failing.Store("on", false)
 	// Window slots must all be free again: window+1 concurrent ops succeed.
 	for i := 0; i < 3; i++ {
-		if _, err := p.do(Op{Op: opWorkers}); err != nil {
+		if _, err := p.doCtx(context.Background(), Op{Op: opWorkers}); err != nil {
 			t.Fatalf("op after recovery: %v", err)
 		}
 	}
 }
 
 // TestClusterTrustRoundTrip: trust set through the gateway RPC lands on
-// the owning node, reads back, and survives a merged snapshot restored
-// node by node at a *different* shard count — the same path a rolling
-// re-shard takes.
+// the owning node, reads back, and survives the cluster's snapshot
+// restored into one engine at a *different* shard count.
 func TestClusterTrustRoundTrip(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, 64, 2)
 	gw := tc.gw
@@ -659,34 +689,23 @@ func TestClusterTrustRoundTrip(t *testing.T) {
 	if err := gw.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc mergedSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	eng, err := shard.Restore(&buf, shard.Config{
+		Shards: 5, StealInterval: -1, // re-shard 3 nodes x 2 shards → 5 on restore
+		Stream:   stream.Config{Xmax: 2, BufferLimit: 64},
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatalf("restore of the cluster's cut: %v", err)
 	}
-	seen := 0
-	for _, ns := range doc.Nodes {
-		eng, err := shard.Restore(bytes.NewReader(ns.Engine), shard.Config{
-			Shards: 5, StealInterval: -1, // re-shard 2 → 5 on restore
-			Stream:   stream.Config{Xmax: 2, BufferLimit: 64},
-			Registry: obs.NewRegistry(),
-		})
+	defer eng.Close()
+	for id, v := range want {
+		got, err := eng.Trust(id)
 		if err != nil {
-			t.Fatalf("restore of %s's cut: %v", ns.Name, err)
+			t.Fatalf("worker %s after restore: %v", id, err)
 		}
-		for id, v := range want {
-			got, err := eng.Trust(id)
-			if err != nil {
-				continue // worker lives on another node
-			}
-			if got != v {
-				t.Fatalf("worker %s on %s: trust %v after restore, want %v", id, ns.Name, got, v)
-			}
-			seen++
+		if got != v {
+			t.Fatalf("worker %s: trust %v after restore, want %v", id, got, v)
 		}
-		eng.Close()
-	}
-	if seen != len(want) {
-		t.Fatalf("restored cuts cover %d workers, want %d", seen, len(want))
 	}
 }
 

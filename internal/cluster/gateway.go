@@ -8,8 +8,10 @@
 // brings the offer decision's admission, the liveness barrier, the
 // per-worker calls and the merged reads; the gateway brings what only it
 // has: the ring over live names with worker pins as its owner lookup,
-// the concurrent scatter, heartbeats, failover requeue, joins,
-// federation and the merged snapshot.
+// the concurrent scatter, heartbeats, failover requeue, joins and
+// federation. The body writes the gateway's snapshot as it writes an
+// engine's, from the nodes' cuts, so the cluster's document is an
+// ordinary engine document that shard.Restore reads at any shard count.
 //
 // The comms layer is built so the network never dominates:
 //
@@ -34,10 +36,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -101,8 +101,8 @@ type GatewayConfig struct {
 	// local ring cluster-trace stitching merges with the nodes' rings
 	// (trace.Default() when nil).
 	Tracer *trace.Recorder
-	// Journal records membership events — failovers, re-partitions, joins,
-	// snapshot cuts (ops.Default() when nil).
+	// Journal records membership events — failovers, re-partitions, joins
+	// (ops.Default() when nil).
 	Journal *ops.Journal
 	// FederationInterval bounds the staleness of the cached federated
 	// metrics snapshot (default 2s; negative = refetch on every read).
@@ -436,54 +436,6 @@ func (d *decision) Commit(ctx context.Context, i int, _ *core.Task) (string, boo
 
 func (d *decision) Buffer(ctx context.Context, i int, _ *core.Task) error {
 	_, err := d.peers[i].rpc(ctx, Op{Op: opBuffer, Task: d.task})
-	return err
-}
-
-// mergedSnapshot is the cluster snapshot document: one consistent cut of
-// every live node's engine snapshot plus the gateway's own counters.
-type mergedSnapshot struct {
-	Version   int            `json:"version"`
-	Submitted int64          `json:"submitted"`
-	Completed int64          `json:"completed"`
-	Dropped   int64          `json:"dropped"` // gateway rejects + absorbed dead-node drops
-	Nodes     []nodeSnapshot `json:"nodes"`
-}
-
-type nodeSnapshot struct {
-	Name   string          `json:"name"`
-	Engine json.RawMessage `json:"engine"`
-}
-
-// Snapshot writes a merged cluster snapshot. It runs with no operation in
-// flight anywhere (Exclusive) while the per-node cuts are taken, so the
-// merged document is a consistent global view (each node's own snapshot
-// is a consistent cut of its engine too).
-func (g *Gateway) Snapshot(w io.Writer) error {
-	doc := mergedSnapshot{Version: 1}
-	err := g.Exclusive(func() error {
-		for _, p := range g.livePeers() {
-			raw, err := fetch(context.Background(), p, "/cluster/snapshot", io.ReadAll)
-			if err != nil {
-				return fmt.Errorf("cluster: snapshot of %s: %w", p.name, err)
-			}
-			if !json.Valid(raw) {
-				return fmt.Errorf("cluster: snapshot of %s: truncated document", p.name)
-			}
-			doc.Nodes = append(doc.Nodes, nodeSnapshot{Name: p.name, Engine: raw})
-		}
-		doc.Submitted, doc.Completed, doc.Dropped = g.Counts()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	g.journal.Emit(ops.EventSnapshot, "gateway", "nodes", strconv.Itoa(len(doc.Nodes)))
-	buf, err := encodeJSON(&doc)
-	if err != nil {
-		return err
-	}
-	defer putBuf(buf)
-	_, err = w.Write(buf.Bytes())
 	return err
 }
 

@@ -25,7 +25,7 @@ import (
 //
 //	POST /cluster/batch    apply a frame of ops; returns index-aligned results
 //	GET  /cluster/health   liveness + load picture (the heartbeat target)
-//	GET  /cluster/snapshot the node's engine snapshot, a consistent cut (merge input)
+//	GET  /cluster/snapshot the node's engine snapshot, a consistent cut (a gateway part's Cut)
 type Node struct {
 	Name    string
 	eng     *shard.Engine
@@ -134,13 +134,23 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
+// handleSnapshot cuts the engine into memory before it answers, so a
+// failed cut is an error status (503 once the engine is closed), never a
+// document.
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := n.eng.Snapshot(buf); err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, shard.ErrClosed) {
+			status = http.StatusServiceUnavailable
+		}
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), status)
+		return
+	}
 	n.journal.Emit(ops.EventSnapshot, n.Name)
 	w.Header().Set("Content-Type", "application/json")
-	if err := n.eng.Snapshot(w); err != nil {
-		// Headers are gone; the gateway detects the truncated document.
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-	}
+	_, _ = w.Write(buf.Bytes())
 }
 
 // maxFrameBytes bounds a /cluster/batch body: the platform's default

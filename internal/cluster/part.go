@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/shard"
@@ -10,10 +11,11 @@ import (
 )
 
 // The peer as a shard.Part: each call is one op to the node, which
-// applies it to its engine through the same interface (applyOp). The
-// gateway's Body makes the per-worker calls and set reads through it; the
-// offer decision sends the score, commit and buffer ops itself (decision),
-// to share one encoded task and scatter concurrently.
+// applies it to its engine through the same interface (applyOp), but Cut,
+// which reads the node's snapshot route. The gateway's Body makes the
+// per-worker calls, set reads and cuts through it; the offer decision
+// sends the score, commit and buffer ops itself (decision), to share one
+// encoded task and scatter concurrently.
 
 // rpc sends op and waits for its result, with a node-side failure mapped
 // by resultErr.
@@ -222,6 +224,16 @@ func (p *peer) Stats() shard.Stats {
 	}
 	p.noteDropped(res.Stats.Dropped)
 	return *res.Stats
+}
+
+// Cut is the node's snapshot document (GET /cluster/snapshot), read by
+// the reader Restore uses.
+func (p *peer) Cut() (shard.Cut, error) {
+	c, err := fetch(context.Background(), p, "/cluster/snapshot", shard.ReadCut)
+	if err != nil {
+		return c, fmt.Errorf("cluster: snapshot of %s: %w", p.name, err)
+	}
+	return c, nil
 }
 
 // noteDropped records the freshest view of the node's internal drop

@@ -138,15 +138,9 @@ func (p *peer) frameID() string {
 	return hex.EncodeToString(raw[:])
 }
 
-// do enqueues op and waits for its result — the synchronous surface the
-// gateway routes through. Concurrent do calls to the same peer coalesce
-// into shared frames.
-func (p *peer) do(op Op) (OpResult, error) {
-	c := p.doAsync(op)
-	return p.wait(c)
-}
-
-// doCtx is do with trace propagation (see doAsyncCtx).
+// doCtx enqueues op and waits for its result, with trace propagation
+// (see doAsyncCtx). Concurrent calls to the same peer coalesce into
+// shared frames.
 func (p *peer) doCtx(ctx context.Context, op Op) (OpResult, error) {
 	c := p.doAsyncCtx(ctx, op)
 	return p.wait(c)

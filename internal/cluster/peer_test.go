@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -81,7 +82,7 @@ func TestGatewayCloseEndsSenders(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := peers[0].do(Op{Op: opWorkers}); err == nil {
+	if _, err := peers[0].doCtx(context.Background(), Op{Op: opWorkers}); err == nil {
 		t.Fatal("an op on a closed peer succeeded")
 	}
 }

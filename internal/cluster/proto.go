@@ -16,8 +16,8 @@ import (
 // deduplicated node-side and the cached response replayed instead of the
 // ops double-applying.
 
-// Op kinds: one per shard.Part method (the peer sends them, applyOp
-// applies them).
+// Op kinds: one per shard.Part method but Cut, which is GET
+// /cluster/snapshot (the peer sends them, applyOp applies them).
 const (
 	opScore        = "score"         // Score: the scatter half of an offer
 	opCommit       = "commit"        // Commit: commit the offer to this node

@@ -713,7 +713,7 @@ func TestFrameDeclineSemantics(t *testing.T) {
 	defer fake.Close()
 	p := newPeer("fake", fake.URL, fake.Client(), obs.NewRegistry(), 1, 1, 3, time.Millisecond)
 	defer p.close()
-	if _, err := p.do(Op{Op: opCompleted, WorkerID: "w"}); err == nil {
+	if _, err := p.doCtx(context.Background(), Op{Op: opCompleted, WorkerID: "w"}); err == nil {
 		t.Fatal("a result with trailing data was accepted")
 	}
 	if calls != 3 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+	"time"
 )
 
 // Histogram is a streaming histogram over fixed bucket boundaries.
@@ -183,4 +184,12 @@ func logBuckets(lo, hi float64, perDecade int) []float64 {
 		out = append(out, v)
 	}
 	return out
+}
+
+// ObserveDuration records a duration measured with time.Now and
+// time.Since into h, in seconds; a nil h records nothing.
+func ObserveDuration(h *Histogram, d time.Duration) {
+	if h != nil {
+		h.Observe(d.Seconds())
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -230,26 +229,6 @@ func TestHealthz(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
 		t.Fatalf("draining: %d", rec.Code)
-	}
-}
-
-func TestSpan(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("span_seconds", "", nil)
-	sp := StartSpan(h)
-	time.Sleep(time.Millisecond)
-	d := sp.End()
-	if d <= 0 {
-		t.Fatal("span duration not positive")
-	}
-	if s := h.Snapshot(); s.Count != 1 || s.Sum <= 0 {
-		t.Fatalf("span not recorded: %+v", s)
-	}
-	// Inert spans must be safe.
-	StartSpan(nil).End()
-	var zero Span
-	if zero.End() != 0 {
-		t.Fatal("zero span must be inert")
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 
 // StreamBackend is the streaming-engine surface the streaming backend
 // drives. Both implementations are one shard.Body, which provides every
-// method here but Snapshot: the in-process *shard.Engine runs it over
-// its shards, and the multi-node *cluster.Gateway over a ring of
+// method here, Snapshot included: the in-process *shard.Engine runs it
+// over its shards, and the multi-node *cluster.Gateway over a ring of
 // hta-server nodes, each a shard.Part behind RPC — so a single binary
 // flag, not a different API, decides whether the deployment is one
-// process or a cluster.
+// process or a cluster, and both write the same snapshot document.
 type StreamBackend interface {
 	OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 	AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error)

@@ -44,6 +44,10 @@ type Part interface {
 	// Stats is the part's accounting, one PerShard entry per shard it
 	// holds, numbered from 0.
 	Stats() Stats
+	// Cut is the part's state as snapshot document entries, numbered and
+	// totalled like Stats. Body.Cut asks for it with no operation in
+	// flight on the body.
+	Cut() (Cut, error)
 }
 
 // PartSet is what a Body runs over, and where the two layers differ: the
@@ -63,15 +67,15 @@ type PartSet interface {
 // Body is the engine around a part set, written once for the engine's
 // shards and the gateway's nodes: the liveness barrier and its ErrClosed
 // contract, the offers' Admission, the per-worker calls on the owning
-// part, the set reads, and the counters no part holds. All methods are
-// safe for concurrent use.
+// part, the set reads, the snapshot document (snapshot.go), and the
+// counters no part holds. All methods are safe for concurrent use.
 type Body[V any] struct {
 	set  PartSet
 	adm  *Admission[V]
 	stop func()
 
 	// live is the barrier: every operation holds the read side while it
-	// touches the parts, and none takes it twice; Close and a snapshot
+	// touches the parts, and none takes it twice; Close and a cut
 	// (Exclusive) take the write side, so they wait out every operation
 	// in flight.
 	live   sync.RWMutex

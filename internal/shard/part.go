@@ -18,8 +18,8 @@ import (
 // Protocol rules that keep the engine deadlock-free:
 //
 //   - a goroutine holds at most one shard lock; Snapshot, which reads
-//     every shard, takes none and holds the engine's barrier for writing
-//     instead;
+//     every shard, holds the engine's barrier for writing and cuts the
+//     shards one at a time;
 //   - nothing that runs under a shard lock takes another shard lock, so
 //     cross-shard operations (scatter, rescore, steal, expiry, restore)
 //     visit the shards one at a time.

@@ -4,9 +4,9 @@
 // scatter-gather marginal-gain scoring. Every shard call runs in the
 // caller's goroutine under that shard's lock; a goroutine holds at most
 // one shard lock at a time, so concurrency comes from concurrent requests
-// on different shards and no lock order can cycle. Snapshot takes no
-// shard lock: it holds the engine's barrier for writing, which waits out
-// every operation.
+// on different shards and no lock order can cycle. Snapshot holds the
+// engine's barrier for writing, which waits out every operation, and
+// cuts the shards one at a time.
 //
 // The single-Assigner deployment serializes every event on one mutex — a
 // hard ceiling once "heavy traffic from millions of users" is the target.
@@ -39,10 +39,11 @@
 // everything around it, written once for both layers: the liveness
 // barrier and ErrClosed, the Admission (duplicate filter and counters:
 // an ID is refused while it is buffered or active), the per-worker calls
-// on the owning part, Close, and the merged Stats, Objective and
-// WorkerIDs. The Engine is a Body over its shards plus what only it has:
-// the ring, the one-shard fast path, stealing, the expiry sweep,
-// forecasts, learned windows and the snapshot format.
+// on the owning part, Close, the merged Stats, Objective and WorkerIDs,
+// and the snapshot document: one Cut merged from the parts' cuts, which
+// Restore reads back at any shard count. The Engine is a Body over its
+// shards plus what only it has: the ring, the one-shard fast path,
+// stealing, the expiry sweep, forecasts, learned windows and Restore.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded

@@ -135,6 +135,48 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreTwiceKeepsCompletions: completions made before a restore
+// carry through a second snapshot and restore whole, so the law still
+// closes after any number of restarts.
+func TestRestoreTwiceKeepsCompletions(t *testing.T) {
+	cfg := Config{Shards: 2, StealInterval: -1, Stream: stream.Config{Xmax: 2, BufferLimit: 16}}
+	restart := func(e *Engine) *Engine {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.Registry = obs.NewRegistry()
+		r, err := Restore(&buf, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	e := populatedEngine(t, 2)
+	first := e.Stats()
+	r := restart(e)
+	if st := r.Stats(); !st.Conserved() || !sameStats(first, st) {
+		t.Fatalf("first restore:\n before %+v\n after  %+v", first, st)
+	}
+	for _, wid := range r.WorkerIDs() {
+		if active, err := r.Active(wid); err == nil && len(active) > 0 {
+			if _, err := r.Complete(wid, active[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	second := r.Stats()
+	if second.Completed <= first.Completed {
+		t.Fatalf("no completions after the first restore: %d → %d", first.Completed, second.Completed)
+	}
+	if st := restart(r).Stats(); !st.Conserved() || !sameStats(second, st) {
+		t.Fatalf("second restore:\n before %+v\n after  %+v", second, st)
+	}
+}
+
 // TestRestoreRepartitions pins the re-sharding path: a snapshot taken at
 // one shard count restores at another, workers land on their new ring
 // shards, and the global picture (stats, objective, per-worker state) is
